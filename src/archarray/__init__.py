@@ -10,7 +10,6 @@ quadrature, surface sampling, statistical tests, and mesh export.
 
 from .array import (
     EnclosedVolume,
-    Region,
     SphericalArray,
     TotalVolume,
     array_from_json,
@@ -39,7 +38,7 @@ from .mesh import (
     write_profile_csv,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec, integrate
-from .region import ClippedIntegral, clipped_quadrature
+from .region import ClippedIntegral, Region, clipped_quadrature
 from .scaling import ScalingFunction, make_scaling, mk_closed_form, mk_quadrature
 from .special import ball_volume, betainc_reg, gamma, gamma_ln, incomplete_beta, sphere_area
 from .verify import (

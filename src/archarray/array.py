@@ -34,13 +34,12 @@ import numpy as np
 
 from .base import Ball, BaseDomain, base_from_description
 from .quadrature import DEFAULT_SPEC, integrate
-from .region import CELL_DEPTH, MC_POINTS, ClippedIntegral, Region, clipped_quadrature
+from .region import CELL_DEPTH, MC_POINTS, Region, clipped_quadrature
 from .scaling import make_scaling
 from .special import ball_volume, gamma, sphere_area
 
 __all__ = [
     "SphericalArray",
-    "Region",
     "make_archimedean",
     "make_cylinder",
     "make_custom",
@@ -302,26 +301,37 @@ class SphericalArray:
     def patch_volume(self, region, spec=DEFAULT_SPEC, *, depth=CELL_DEPTH,
                      mc_points=MC_POINTS, seed=0):
         """Area of the portion of the surface over region ∩ base."""
-        result = self._patch_quadrature(region, spec, depth, mc_points, seed)
-        return result.integral
-
-    def _patch_quadrature(self, region, spec=DEFAULT_SPEC, depth=CELL_DEPTH,
-                          mc_points=MC_POINTS, seed=0):
         return clipped_quadrature(
             self.base, region, self._area_density,
             depth=depth, mc_points=mc_points, seed=seed, spec=spec,
-        )
+        ).integral
 
-    def _radial_reduction(self, profile, spec):
-        """Integrate profile(omega) over a ball base by radial quadrature."""
-        rad = self.base.radius
-        d = self.base_dim
-        if d == 1:
-            return 2.0 * integrate(lambda rho: profile(rad - rho), 0.0, rad, spec)
-        coeff = sphere_area(d - 1, 1.0)
-        return integrate(
-            lambda rho: coeff * rho ** (d - 1) * profile(rad - rho), 0.0, rad, spec
+    def _base_integral(self, profile, density, to_units, spec, depth, mc_points, seed):
+        """Integral over the base, with an error estimate.
+
+        An archimedean warp over a ball base depends on the base point
+        only through omega, so ``profile(omega)`` is integrated radially.
+        Any other base takes clipped quadrature of ``density(pts)`` over
+        its padded bounding box; the Monte Carlo error of that is a base
+        volume, which ``to_units`` converts to the integrand's units.
+        """
+        if self.warp_mode == "archimedean" and isinstance(self.base, Ball):
+            rad = self.base.radius
+            d = self.base_dim
+            if d == 1:
+                value = 2.0 * integrate(lambda rho: profile(rad - rho), 0.0, rad, spec)
+            else:
+                shell = sphere_area(d - 1, 1.0)
+                value = integrate(
+                    lambda rho: shell * rho ** (d - 1) * profile(rad - rho), 0.0, rad, spec
+                )
+            return value, abs(value) * spec.rel_tol
+        blo, bhi = self.base.bounding_box()
+        result = clipped_quadrature(
+            self.base, Region.box(blo - 1.0, bhi + 1.0), density,
+            depth=depth, mc_points=mc_points, seed=seed, spec=spec,
         )
+        return result.integral, to_units(result.error_estimate)
 
     def total_volume(self, spec=DEFAULT_SPEC, *, depth=CELL_DEPTH,
                      mc_points=MC_POINTS, seed=0):
@@ -332,31 +342,14 @@ class SphericalArray:
         fiber-sphere area times the base-ball volume, scaled by R^{n-1}.
         """
         coeff = sphere_area(self.k - 1, 1.0) * self.r_scale ** (self.k - 1)
-        delta = BOUNDARY_OFFSET_FRACTION * self.base.inradius()
         if self.warp_mode == "cylinder":
             value = coeff * self.base.volume()
-            closed = value
-            return TotalVolume(value, closed, 0.0)
-        if self.warp_mode == "archimedean" and isinstance(self.base, Ball):
-            value = self._radial_reduction(
-                lambda om: coeff * self._profile_density(om, delta), spec
-            )
-            err = abs(value) * spec.rel_tol
-        elif self.warp_mode == "archimedean" and self.base_dim == 1:
-            lo, hi = self.base.bounding_box()
-            mid = 0.5 * (lo[0] + hi[0])
-            def dens(x):
-                om = np.minimum(np.asarray(x) - lo[0], hi[0] - np.asarray(x))
-                return coeff * self._profile_density(om, delta)
-            value = integrate(dens, lo[0], mid, spec) + integrate(dens, mid, hi[0], spec)
-            err = abs(value) * spec.rel_tol
-        else:
-            blo, bhi = self.base.bounding_box()
-            result = self._patch_quadrature(
-                Region.box(blo - 1.0, bhi + 1.0), spec, depth, mc_points, seed
-            )
-            value = result.integral
-            err = result.error_estimate * coeff
+            return TotalVolume(value, value, 0.0)
+        delta = BOUNDARY_OFFSET_FRACTION * self.base.inradius()
+        value, err = self._base_integral(
+            lambda om: coeff * self._profile_density(om, delta), self._area_density,
+            lambda e: e * coeff, spec, depth, mc_points, seed,
+        )
         closed = None
         if self._is_canonical_ball():
             closed = (
@@ -374,41 +367,19 @@ class SphericalArray:
         base.  With ``samples`` > 0 a Monte Carlo hit count over the
         bounding box cross-checks the value.
         """
-        if self.warp_mode == "custom" and self._warp is None:
-            raise ValueError("custom mode needs a warp callable")
         ck = ball_volume(self.k, 1.0)
-
         if self.warp_mode == "cylinder":
             value = ck * self.r_scale ** self.k * self.base.volume()
             err = 0.0
-        elif isinstance(self.base, Ball) and self.warp_mode == "archimedean":
-            r = self.r_scale
-            value = self._radial_reduction(
-                lambda om: ck * (r * self.scaling.f(np.asarray(om) / r)) ** self.k,
-                spec,
-            )
-            err = abs(value) * spec.rel_tol
-        elif self.base_dim == 1 and self.warp_mode == "archimedean":
-            lo, hi = self.base.bounding_box()
-            mid = 0.5 * (lo[0] + hi[0])
-            r = self.r_scale
-            def dens(x):
-                om = np.minimum(np.asarray(x) - lo[0], hi[0] - np.asarray(x))
-                return ck * (r * self.scaling.f(om / r)) ** self.k
-            value = integrate(dens, lo[0], mid, spec) + integrate(dens, mid, hi[0], spec)
-            err = abs(value) * spec.rel_tol
         else:
-            blo, bhi = self.base.bounding_box()
-            def dens(pts):
-                om = np.maximum(self.base.signed_distance(pts), 0.0)
+            def fiber_ball(om, pts=None):
                 return ck * self._warp_from_omega(om, pts) ** self.k
-            result = clipped_quadrature(
-                self.base, Region.box(blo - 1.0, bhi + 1.0), dens,
-                depth=depth, mc_points=mc_points, seed=seed, spec=spec,
-            )
-            value = result.integral
-            err = result.error_estimate * ck * self.r_scale ** self.k
 
+            value, err = self._base_integral(
+                fiber_ball,
+                lambda pts: fiber_ball(np.maximum(self.base.signed_distance(pts), 0.0), pts),
+                lambda e: e * ck * self.r_scale ** self.k, spec, depth, mc_points, seed,
+            )
         if samples <= 0:
             return EnclosedVolume(value, err)
         mc_value, mc_error = self._enclosed_mc(int(samples), seed)

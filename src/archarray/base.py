@@ -56,6 +56,13 @@ def _vector_out(values, single):
     return values[0] if single else values
 
 
+def box_corners(lo, hi):
+    """The 2^dim corners of the axis box [lo, hi], one per row."""
+    dim = lo.size
+    bits = np.arange(2 ** dim)[:, None] >> np.arange(dim)[None, :] & 1
+    return np.where(bits == 1, hi[None, :], lo[None, :])
+
+
 class BaseDomain:
     """Common interface for the supported convex base shapes."""
 
@@ -68,9 +75,10 @@ class BaseDomain:
             raise ValueError("singular_band must be nonnegative")
         self.singular_band = float(singular_band)
 
-    # Subclasses implement: contains, distance_to_boundary,
-    # signed_distance, omega_gradient, singular_set_distance, volume,
-    # inradius, bounding_box, describe.
+    # Subclasses implement: _omega, _signed, _gradient,
+    # _singular_distance, volume, inradius, bounding_box, describe.
+    # They may override inside_mask and misses_box with exact geometric
+    # tests, which give quadrature and sampling their fast paths.
 
     def _require_inside(self, pts, what):
         sd = self._signed(pts)
@@ -90,6 +98,15 @@ class BaseDomain:
         pts, single = _points(x, self.dim)
         inside = self._signed(pts) >= -1e-12 * max(1.0, self.inradius())
         return bool(inside[0]) if single else inside
+
+    def inside_mask(self, pts):
+        """Inside mask of a (npoints, dim) batch, without the tolerance
+        of :meth:`contains` where a subclass has an exact test."""
+        return self.contains(pts)
+
+    def misses_box(self, lo, hi):
+        """True only if the axis box [lo, hi] provably misses the domain."""
+        return False
 
     def distance_to_boundary(self, x):
         """Interior distance omega(x) to the domain boundary."""
@@ -152,6 +169,13 @@ class Ball(BaseDomain):
 
     def _singular_distance(self, pts):
         return self._rho(pts)
+
+    def inside_mask(self, pts):
+        return self._rho(pts) <= self.radius
+
+    def misses_box(self, lo, hi):
+        gap = np.maximum(np.maximum(lo - self.center, self.center - hi), 0.0)
+        return float(np.sum(gap * gap)) > self.radius ** 2
 
     def volume(self):
         return ball_volume(self.dim, self.radius)
@@ -252,6 +276,15 @@ class Ellipse(BaseDomain):
     def _level(self, pts):
         rel = (pts - self.center) / self.semi_axes
         return np.sum(rel * rel, axis=1)
+
+    def inside_mask(self, pts):
+        return self._level(pts) <= 1.0
+
+    def misses_box(self, lo, hi):
+        s_lo = (lo - self.center) / self.semi_axes
+        s_hi = (hi - self.center) / self.semi_axes
+        gap = np.maximum(np.maximum(np.minimum(s_lo, s_hi), -np.maximum(s_lo, s_hi)), 0.0)
+        return float(np.sum(gap * gap)) > 1.0
 
     def _omega(self, pts):
         return self._signed(pts)
@@ -362,6 +395,13 @@ class ConvexPolygon(BaseDomain):
 
     def _omega(self, pts):
         return np.min(self._edge_margins(pts), axis=1)
+
+    def inside_mask(self, pts):
+        return self._omega(pts) >= 0.0
+
+    def misses_box(self, lo, hi):
+        margins = self._edge_margins(box_corners(lo, hi))
+        return bool(np.any(np.all(margins < 0.0, axis=0)))
 
     def _signed(self, pts):
         margins = self._edge_margins(pts)

@@ -11,11 +11,7 @@ import sys
 
 import numpy as np
 
-from .array import (
-    Region,
-    equizonal_enclosed_volume,
-    make_archimedean,
-)
+from .array import equizonal_enclosed_volume, make_archimedean
 from .mesh import graph_slice_mesh, profile_curve, revolve_mesh, write_obj, write_profile_csv
 from .scaling import make_scaling, mk_closed_form, mk_quadrature
 from .special import sphere_area
@@ -48,8 +44,8 @@ def _fmt(value):
     return json.dumps(value)
 
 
-def _emit(doc, out_path):
-    text = _fmt(doc) + "\n"
+def _write(text, out_path):
+    """Write text to ``out_path`` with LF line ends, or to stdout."""
     if out_path:
         with open(out_path, "w", newline="\n") as fh:
             fh.write(text)
@@ -57,10 +53,12 @@ def _emit(doc, out_path):
         sys.stdout.write(text)
 
 
+def _emit(doc, out_path):
+    _write(_fmt(doc) + "\n", out_path)
+
+
 def _common(sub):
     sub.add_argument("--config", default=None, help="JSON file of flag defaults")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker cap; results do not depend on it")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -149,12 +147,7 @@ def _cmd_mk_table(args):
         quad = mk_quadrature(k)
         closed = mk_closed_form(k)
         lines.append("%d,%.17g,%.17g,%.17g" % (k, quad, closed, abs(quad - closed)))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -163,9 +156,7 @@ def _cmd_scaling(args):
     if args.out:
         write_profile_csv(points, args.out)
     else:
-        sys.stdout.write("x,f\n")
-        for x, y in points:
-            sys.stdout.write("%.17g,%.17g\n" % (x, y))
+        _write("x,f\n" + "".join("%.17g,%.17g\n" % (x, y) for x, y in points), None)
     return 0
 
 
@@ -294,12 +285,7 @@ def _cmd_sample(args):
     lines = [header]
     for p in pts:
         lines.append(",".join("%.17g" % v for v in p))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 

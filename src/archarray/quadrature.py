@@ -44,7 +44,6 @@ class QuadratureSpec:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     max_depth: int = 60
-    rule_order: int = 15
     max_intervals: int = 50000
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class QuadratureSpec:
             raise ValueError("quadrature tolerances must be strictly positive")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if self.rule_order != 15:
-            raise ValueError("only the 7-15 Gauss-Kronrod pair is implemented")
         if self.max_intervals < 2:
             raise ValueError("max_intervals must be at least 2")
 

@@ -20,10 +20,12 @@ exactly and the geometric part of the error cancels in ratios.  In one
 dimension every intersection is an interval and is handled exactly.
 """
 
+import json
 import math
 
 import numpy as np
 
+from .base import box_corners
 from .quadrature import DEFAULT_SPEC, integrate
 
 __all__ = [
@@ -96,8 +98,8 @@ class Region:
         return self.center - self.radius, self.center + self.radius
 
     def clipped_volume(self, base, *, depth=CELL_DEPTH, seed=0):
-        """Volume of region ∩ base, cached per (base, depth, seed)."""
-        key = (id(base), depth, seed)
+        """Volume of region ∩ base, cached per (base value, depth, seed)."""
+        key = (json.dumps(base.describe(), sort_keys=True), depth, seed)
         if key not in self._clip_cache:
             result = clipped_quadrature(base, self, depth=depth, seed=seed)
             self._clip_cache[key] = result.volume
@@ -144,34 +146,8 @@ class ClippedIntegral:
 
 
 def inside_mask(base, pts):
-    """Fast strict inside mask, bypassing user-facing tolerances."""
-    kind = type(base).__name__
-    if kind == "Ball":
-        return np.linalg.norm(pts - base.center, axis=1) <= base.radius
-    if kind == "Ellipse":
-        rel = (pts - base.center) / base.semi_axes
-        return np.sum(rel * rel, axis=1) <= 1.0
-    if kind == "ConvexPolygon":
-        return np.min(pts @ base._normals.T - base._offsets[None, :], axis=1) >= 0.0
-    return base.contains(pts)
-
-
-def _domain_outside_cell(base, lo, hi):
-    """True only if the cell provably misses the domain."""
-    kind = type(base).__name__
-    if kind == "Ball":
-        gap = np.maximum(np.maximum(lo - base.center, base.center - hi), 0.0)
-        return float(np.sum(gap * gap)) > base.radius ** 2
-    if kind == "Ellipse":
-        s_lo = (lo - base.center) / base.semi_axes
-        s_hi = (hi - base.center) / base.semi_axes
-        gap = np.maximum(np.maximum(np.minimum(s_lo, s_hi), -np.maximum(s_lo, s_hi)), 0.0)
-        return float(np.sum(gap * gap)) > 1.0
-    if kind == "ConvexPolygon":
-        corners = _corners(lo, hi)
-        margins = corners @ base._normals.T - base._offsets[None, :]
-        return bool(np.any(np.all(margins < 0.0, axis=0)))
-    return False
+    """Inside mask of a batch of base points, from the domain's own test."""
+    return base.inside_mask(pts)
 
 
 def _region_outside_cell(region, lo, hi):
@@ -181,10 +157,15 @@ def _region_outside_cell(region, lo, hi):
     return float(np.sum(gap * gap)) > region.radius ** 2
 
 
-def _corners(lo, hi):
-    dim = lo.size
-    bits = np.arange(2 ** dim)[:, None] >> np.arange(dim)[None, :] & 1
-    return np.where(bits == 1, hi[None, :], lo[None, :])
+def _halve(lo, hi):
+    """Split a cell at the midpoint of its longest axis: (lower, upper)."""
+    axis = int(np.argmax(hi - lo))
+    mid = 0.5 * (lo[axis] + hi[axis])
+    hi1 = hi.copy()
+    hi1[axis] = mid
+    lo2 = lo.copy()
+    lo2[axis] = mid
+    return (lo, hi1), (lo2, hi)
 
 
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)
@@ -196,10 +177,8 @@ _GAUSS_SPLIT_CAP = 12
 
 def _gauss_nodes(lo, hi):
     mid = 0.5 * (lo + hi)
-    half = hi - lo
-    dim = lo.size
-    bits = (np.arange(2 ** dim)[:, None] >> np.arange(dim)[None, :] & 1) * 2 - 1
-    return mid[None, :] + bits * (_GAUSS_OFFSET * half)[None, :]
+    off = _GAUSS_OFFSET * (hi - lo)
+    return box_corners(mid - off, mid + off)
 
 
 def _composite_gauss_nodes(lo, hi, levels):
@@ -214,17 +193,7 @@ def _composite_gauss_nodes(lo, hi, levels):
     """
     cells = [(lo, hi)]
     for _ in range(min(levels, _GAUSS_SPLIT_CAP)):
-        nxt = []
-        for clo, chi in cells:
-            axis = int(np.argmax(chi - clo))
-            mid = 0.5 * (clo[axis] + chi[axis])
-            hi1 = chi.copy()
-            hi1[axis] = mid
-            lo2 = clo.copy()
-            lo2[axis] = mid
-            nxt.append((clo, hi1))
-            nxt.append((lo2, chi))
-        cells = nxt
+        cells = [half for clo, chi in cells for half in _halve(clo, chi)]
     return np.vstack([_gauss_nodes(clo, chi) for clo, chi in cells])
 
 
@@ -294,9 +263,9 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH,
     stack = [(lo, hi, 0)]
     while stack:
         clo, chi, d = stack.pop()
-        if _region_outside_cell(region, clo, chi) or _domain_outside_cell(base, clo, chi):
+        if _region_outside_cell(region, clo, chi) or base.misses_box(clo, chi):
             continue
-        corners = _corners(clo, chi)
+        corners = box_corners(clo, chi)
         inside = np.all(region.contains(corners)) and np.all(inside_mask(base, corners))
         cell_vol = float(np.prod(chi - clo))
         if inside:
@@ -308,16 +277,11 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH,
                 accumulate_int(cell_vol)
             continue
         if d < depth:
-            axis = int(np.argmax(chi - clo))
-            mid = 0.5 * (clo[axis] + chi[axis])
-            hi1 = chi.copy()
-            hi1[axis] = mid
-            lo2 = clo.copy()
-            lo2[axis] = mid
+            lower, upper = _halve(clo, chi)
             # Push the upper half first so the lower half is processed
             # first; leaf numbering is then a fixed depth-first order.
-            stack.append((lo2, chi, d + 1))
-            stack.append((clo, hi1, d + 1))
+            stack.append((*upper, d + 1))
+            stack.append((*lower, d + 1))
             continue
         # Monte Carlo leaf with its own deterministic stream.
         gen = np.random.Generator(philox.jumped(leaf_counter))

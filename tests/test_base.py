@@ -260,6 +260,51 @@ def test_gradient_is_unit_and_matches_fd(base):
         assert np.allclose(g, fd, atol=1e-6)
 
 
+# quadrature contract ---------------------------------------------------------
+
+
+CONTRACT_BASES = [
+    Ball([0.5, -0.2], 1.7),
+    Ball([0.1, 0.2, -0.3], 0.8),
+    Ellipse([0.3, -0.1], [2.0, 0.7]),
+    regular_polygon(5, circumradius=1.3),
+    ConvexPolygon([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]]),
+]
+CONTRACT_IDS = ["ball2", "ball3", "ellipse", "pentagon", "rectangle"]
+
+
+def _padded_uniform(base, rng, count):
+    lo, hi = base.bounding_box()
+    pad = 0.25 * (hi - lo)
+    return rng.uniform(lo - pad, hi + pad, size=(count, base.dim))
+
+
+@pytest.mark.parametrize("base", CONTRACT_BASES, ids=CONTRACT_IDS)
+def test_inside_mask_matches_signed_distance(base):
+    pts = _padded_uniform(base, np.random.default_rng(17), 4000)
+    sd = base.signed_distance(pts)
+    clear = np.abs(sd) > 1e-9
+    mask = base.inside_mask(pts)
+    assert mask.dtype == bool and mask.shape == (len(pts),)
+    assert np.array_equal(mask[clear], sd[clear] >= 0.0)
+    assert 0 < np.count_nonzero(mask) < len(pts)
+
+
+@pytest.mark.parametrize("base", CONTRACT_BASES, ids=CONTRACT_IDS)
+def test_misses_box_never_drops_an_inside_point(base):
+    rng = np.random.default_rng(23)
+    pts = _padded_uniform(base, rng, 4000)
+    inside = pts[base.signed_distance(pts) > 0.0][:300]
+    lo, hi = base.bounding_box()
+    size = hi - lo
+    for p in inside:
+        below = rng.uniform(0.0, 0.5, base.dim) * size
+        above = rng.uniform(0.0, 0.5, base.dim) * size
+        assert not base.misses_box(p - below, p + above)
+    # The test is not vacuous: a box clear of the bounding box is missed.
+    assert base.misses_box(hi + 0.1 * size, hi + 0.3 * size)
+
+
 def test_omega_equals_signed_inside():
     base = regular_polygon(7, circumradius=2.0)
     rng = np.random.default_rng(3)

@@ -343,13 +343,6 @@ def test_config_must_be_object(tmp_path, capsys):
     assert "bad config" in err
 
 
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run_cli(capsys, ["mk-table", "--k-max", "3",
-                                    "--threads", "4"])
-    assert code == 0
-    assert len(out.splitlines()) == 3
-
-
 # console script --------------------------------------------------------------
 
 

@@ -126,8 +126,6 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_depth=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rule_order=21)
 
 
 def test_spec_defaults_are_tight():

@@ -188,7 +188,36 @@ def test_clipped_volume_cache():
     r = Region.ball([0.5, 0.0], 0.7)
     v1 = r.clipped_volume(b)
     assert r.clipped_volume(b) == v1
-    assert (id(b), 12, 0) in r._clip_cache
+    # An equal base built anew shares the entry: the key is the base's value.
+    assert r.clipped_volume(Ball([0.0, 0.0], 1.0)) == v1
+    assert len(r._clip_cache) == 1
+
+
+def test_clipped_volume_cache_survives_id_reuse():
+    # Each ball is freed before the next is built, so CPython hands the
+    # new one the freed id; a cache keyed by id would then return the
+    # other radius's volume.
+    r = Region.ball([0.1, 0.0], 0.6)
+    want = {rad: clipped_quadrature(Ball([0.0, 0.0], rad), r, depth=8).volume
+            for rad in (1.0, 0.1)}
+    for radius in (1.0, 0.1, 1.0, 0.1):
+        b = Ball([0.0, 0.0], radius)
+        got = r.clipped_volume(b, depth=8)
+        del b
+        assert got == want[radius]
+        assert got == pytest.approx(math.pi * min(radius, 0.6) ** 2, rel=1e-2)
+
+
+def test_ball_subclass_keeps_geometry_fast_paths():
+    class TaggedBall(Ball):
+        pass
+
+    r = Region.box([-0.3, -0.9], [1.2, 0.4])
+    for integrand in (None, lambda p: 1.0 + p[:, 0] ** 2):
+        plain = clipped_quadrature(Ball([0.1, 0.0], 1.0), r, integrand, depth=8)
+        tagged = clipped_quadrature(TaggedBall([0.1, 0.0], 1.0), r, integrand, depth=8)
+        assert (tagged.volume, tagged.integral, tagged.error_estimate) == (
+            plain.volume, plain.integral, plain.error_estimate)
 
 
 def test_depth_controls_resolution():
