@@ -293,8 +293,7 @@ class SphericalArray:
         out = np.ones_like(w)
         live = w * self.r_scale >= delta
         if np.any(live):
-            y = scal.f(w[live])
-            yp = scal.f_prime(w[live])
+            y, yp = scal._f_pair(w[live])
             out[live] = y ** (self.k - 1) * np.sqrt(1.0 + yp * yp)
         return out
 
@@ -406,8 +405,15 @@ class SphericalArray:
             xf = pts[:, self.base_dim:]
             sd = self.base.signed_distance(xb)
             inside = sd >= 0.0
-            if np.any(inside):
-                f = self._warp_from_omega(np.maximum(sd[inside], 0.0), xb[inside])
+            if self.warp_mode == "archimedean":
+                # Boundary form f_k^{-1}(|x'|/R) <= omega/R: one incomplete
+                # beta per sample instead of a forward root solve.
+                rho = np.linalg.norm(xf[inside], axis=1) / self.r_scale
+                tall = rho <= 1.0
+                hits += int(np.count_nonzero(
+                    self.scaling.f_inverse(rho[tall]) <= sd[inside][tall] / self.r_scale))
+            elif np.any(inside):
+                f = self._warp_from_omega(sd[inside], xb[inside])
                 rho2 = np.einsum("nd,nd->n", xf[inside], xf[inside])
                 hits += int(np.count_nonzero(rho2 <= f * f))
             done += m

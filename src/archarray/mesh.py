@@ -86,8 +86,6 @@ def profile_curve(scaling, samples):
     x[0] = 0.0
     x[-1] = scaling.m_k
     y = scaling.f(x)
-    y[0] = 0.0
-    y[-1] = 1.0
     return np.stack([x, y], axis=1)
 
 
@@ -113,8 +111,6 @@ def revolve_mesh(h, res_axial=64, res_angular=64):
     (lo,), (hi,) = h.base.bounding_box()
     x = _chebyshev_axis(lo, hi, res_axial)
     radii = h.warping(x[:, None])
-    radii[0] = 0.0
-    radii[-1] = 0.0
     theta = 2.0 * math.pi * np.arange(res_angular) / res_angular
     ct, st = np.cos(theta), np.sin(theta)
 

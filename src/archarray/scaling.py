@@ -17,10 +17,16 @@ k = 2 reproduces the quarter circle g(x) = sqrt(2x - x^2) with M_2 = 1.
 The profile satisfies y^(2k-2) * (1 + y'^2) = 1.  Near x = M_k all odd
 derivatives vanish and g has an even Taylor expansion, which is used as
 the evaluation path inside ``series_radius_guard`` of M_k; elsewhere
-evaluation inverts g^{-1} with a table-seeded safeguarded Newton.
+evaluation inverts g^{-1} with a table-seeded safeguarded Newton that
+converges per point: each point stops on its own step test, so its value
+does not depend on the batch it is evaluated in.  A zero Newton step is
+convergence, not a bracket violation; only a step that leaves the open
+bracket any other way falls back to bisection.  One inversion serves
+both g and g', which is derived from y through the profile relation.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,19 +170,42 @@ class ScalingFunction:
     # -- forward profile ------------------------------------------------
 
     def f(self, x):
-        """Profile value g(x) for x in [0, m_k]."""
+        """Profile value g(x) for x in [0, m_k]; exactly 0 at x = 0."""
+        return self._f_pair(x, slope=False)[0]
+
+    def f_prime(self, x):
+        """dg/dx, from sqrt(1 - y^(2k-2))/y^(k-1) away from m_k and from
+        the differentiated series inside the guard; diverges at x = 0."""
+        return self._f_pair(x)[1]
+
+    def _f_pair(self, x, *, slope=True):
+        """(g(x), g'(x)) from one evaluation of g per point.
+
+        With ``slope`` x must lie in (0, m_k]; without it x may be 0 and
+        the second entry is None.
+        """
         x_arr, scalar = _prep(x)
         tol = 1e-12 * max(1.0, self.m_k)
-        if np.any(x_arr < -tol) or np.any(x_arr > self.m_k + tol):
-            raise ValueError(f"f argument must lie in [0, {self.m_k!r}]")
+        below = x_arr <= 0.0 if slope else x_arr < -tol
+        if np.any(below) or np.any(x_arr > self.m_k + tol):
+            name, left = ("f_prime", "(") if slope else ("f", "[")
+            raise ValueError(f"{name} argument must lie in {left}0, {self.m_k!r}]")
         x_arr = np.clip(x_arr, 0.0, self.m_k)
-        out = np.empty_like(x_arr)
+        y = np.empty_like(x_arr)
+        yp = np.empty_like(x_arr) if slope else None
         near = self.m_k - x_arr <= self.series_radius_guard
         if np.any(near):
-            out[near] = self._f_series(x_arr[near])
+            y[near] = self._f_series(x_arr[near])
+            if slope:
+                t = x_arr[near] - self.m_k
+                yp[near] = t * self.series_prime_ratio(t)
         if np.any(~near):
-            out[~near] = self._f_root(x_arr[~near])
-        return _unprep(out, scalar)
+            yf = self._f_root(x_arr[~near])
+            y[~near] = yf
+            if slope:
+                e = 2 * self.k - 2
+                yp[~near] = np.sqrt(np.clip(1.0 - yf ** e, 0.0, None)) / yf ** (self.k - 1)
+        return _unprep(y, scalar), (_unprep(yp, scalar) if slope else None)
 
     def _f_series(self, x):
         """Even Taylor expansion about m_k; valid within the guard radius."""
@@ -187,60 +216,64 @@ class ScalingFunction:
         return np.minimum(acc, 1.0)
 
     def _f_root(self, x):
-        """Invert f_inverse by bracketed Newton seeded from the node table."""
+        """Invert f_inverse by bracketed Newton seeded from the node table.
+
+        Convergence is per point: a point leaves the active set once its
+        step passes |dy| <= 1e-16 + 1e-15 y, so its value is the same in
+        any batch.  A zero step is accepted as convergence.  Any other
+        step that is not finite or not strictly inside the bracket
+        (lo, hi) is replaced by bisection: landing on the far end, which
+        is already evaluated, would let rounding noise in g^{-1} cycle
+        between two neighbouring floats.  x = 0 maps to exactly 0.
+        Points still moving after ``_NEWTON_CAP`` steps keep their last
+        iterate and raise a RuntimeWarning.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.clip(np.searchsorted(self.x_table, x, side="right") - 1,
+        out = np.zeros_like(x)
+        act = np.flatnonzero(x > 0.0)
+        xa = x[act]
+        idx = np.clip(np.searchsorted(self.x_table, xa, side="right") - 1,
                       0, len(self.x_table) - 2)
-        lo = self.y_table[idx].copy()
-        hi = self.y_table[idx + 1].copy()
+        lo = self.y_table[idx]
+        hi = self.y_table[idx + 1]
         # The Chebyshev table already brackets tighter than the required
         # width; bisect only if a coarser table was requested.
-        while np.max(hi - lo) > _BRACKET_WIDTH:
-            mid = 0.5 * (lo + hi)
-            low_side = self._raw_inverse(mid) < x
-            lo = np.where(low_side, mid, lo)
-            hi = np.where(low_side, hi, mid)
+        wide = np.flatnonzero(hi - lo > _BRACKET_WIDTH)
+        while wide.size:
+            mid = 0.5 * (lo[wide] + hi[wide])
+            low_side = self._raw_inverse(mid) < xa[wide]
+            lo[wide] = np.where(low_side, mid, lo[wide])
+            hi[wide] = np.where(low_side, hi[wide], mid)
+            wide = wide[hi[wide] - lo[wide] > _BRACKET_WIDTH]
         y = 0.5 * (lo + hi)
         e = 2 * self.k - 2
         for _ in range(_NEWTON_CAP):
-            g = self._raw_inverse(y) - x
+            if not act.size:
+                break
+            g = self._raw_inverse(y) - xa
             low_side = g < 0.0
             lo = np.where(low_side, y, lo)
             hi = np.where(low_side, hi, y)
             deriv = y ** (self.k - 1) / np.sqrt(np.clip(1.0 - y ** e, 1e-300, None))
             with np.errstate(divide="ignore", invalid="ignore"):
                 y_new = y - g / deriv
-            bad = ~np.isfinite(y_new) | (y_new <= lo) | (y_new >= hi)
+            bad = ~np.isfinite(y_new) | (((y_new <= lo) | (y_new >= hi)) & (y_new != y))
             y_new = np.where(bad, 0.5 * (lo + hi), y_new)
-            if np.all(np.abs(y_new - y) <= 1e-16 + 1e-15 * y_new):
-                y = y_new
-                break
-            y = y_new
-        return y
+            done = np.abs(y_new - y) <= 1e-16 + 1e-15 * y_new
+            out[act[done]] = y_new[done]
+            keep = ~done
+            act, xa, y, lo, hi = act[keep], xa[keep], y_new[keep], lo[keep], hi[keep]
+        if act.size:
+            warnings.warn(
+                f"profile inversion left {act.size} of {x.size} points "
+                f"unconverged after {_NEWTON_CAP} Newton steps",
+                RuntimeWarning, stacklevel=2,
+            )
+            out[act] = y
+        return out
 
     def _raw_inverse(self, y):
         return self.m_k * betainc_reg(_beta_p(self.k), 0.5, y ** (2 * self.k - 2))
-
-    # -- derivative -----------------------------------------------------
-
-    def f_prime(self, x):
-        """dg/dx, from sqrt(1 - y^(2k-2))/y^(k-1) away from m_k and from
-        the differentiated series inside the guard; diverges at x = 0."""
-        x_arr, scalar = _prep(x)
-        tol = 1e-12 * max(1.0, self.m_k)
-        if np.any(x_arr <= 0.0) or np.any(x_arr > self.m_k + tol):
-            raise ValueError(f"f_prime argument must lie in (0, {self.m_k!r}]")
-        x_arr = np.clip(x_arr, 0.0, self.m_k)
-        out = np.empty_like(x_arr)
-        near = self.m_k - x_arr <= self.series_radius_guard
-        if np.any(near):
-            t = x_arr[near] - self.m_k
-            out[near] = t * self.series_prime_ratio(t)
-        if np.any(~near):
-            y = self._f_root(x_arr[~near])
-            e = 2 * self.k - 2
-            out[~near] = np.sqrt(np.clip(1.0 - y ** e, 0.0, None)) / y ** (self.k - 1)
-        return _unprep(out, scalar)
 
     def series_prime_ratio(self, t):
         """g'(m_k + t)/t for |t| <= guard: the even series sum 2j c_j t^(2j-2).
@@ -275,8 +308,7 @@ class ScalingFunction:
 
     def defining_residual(self, x):
         """Residual y^(2k-2) + y^(2k-4) (y y')^2 - 1 of the profile relation."""
-        y = self.f(x)
-        yp = self.f_prime(x)
+        y, yp = self._f_pair(x)
         e = 2 * self.k - 2
         return y ** e + y ** (e - 2) * (y * yp) ** 2 - 1.0
 

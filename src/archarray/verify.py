@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .quadrature import DEFAULT_SPEC
-from .region import Region, clipped_quadrature, inside_mask
+from .region import Region, inside_mask
 from .special import gamma_q
 
 __all__ = [

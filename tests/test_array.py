@@ -167,6 +167,10 @@ def test_warp_vanishes_on_base_boundary():
     arr = make_archimedean(3, 2)
     assert abs(arr.warping([1.0])) < 1e-7
     assert abs(arr.warping([-1.0])) < 1e-7
+    # On the base's own boundary omega is exactly 0, and so is the warp.
+    assert arr.warping([arr.base.radius]) == 0.0
+    ball = make_archimedean(5, 2, r_scale=1.3)
+    assert ball.warping([0.0, -ball.base.radius, 0.0]) == 0.0
 
 
 def test_warp_single_point_returns_float():
@@ -547,6 +551,27 @@ def test_enclosed_monte_carlo_deterministic_by_seed():
     c = arr.enclosed_volume(samples=50000, seed=8)
     assert a.mc_value == b.mc_value
     assert a.mc_value != c.mc_value
+
+
+@pytest.mark.parametrize("n,k", [(4, 3), (3, 2)])
+def test_enclosed_monte_carlo_hits_match_forward_form(n, k):
+    # Regenerate the sample stream and count hits by |x'|^2 <= f(x'')^2.
+    arr = make_archimedean(n, k)
+    samples, seed = 100000, 3
+    blo, bhi = arr.base.bounding_box()
+    lo = np.concatenate([blo, -np.ones(k)])
+    hi = np.concatenate([bhi, np.ones(k)])
+    seq = np.random.SeedSequence([seed, 0xE2C])
+    philox = np.random.Philox(key=seq.generate_state(2, np.uint64))
+    hits = 0
+    for index, m in enumerate((65536, samples - 65536)):
+        pts = lo + np.random.Generator(philox.jumped(index)).random((m, n)) * (hi - lo)
+        xb, xf = pts[:, : n - k], pts[:, n - k:]
+        inside = arr.base.signed_distance(xb) >= 0.0
+        f = arr.warping(xb[inside])
+        hits += int(np.count_nonzero(np.sum(xf[inside] ** 2, axis=1) <= f * f))
+    value, _ = arr._enclosed_mc(samples, seed)
+    assert value == float(np.prod(hi - lo)) * (hits / samples)
 
 
 def test_cylinder_enclosed_volume_exact():

@@ -7,14 +7,17 @@ defining relation g^(2k-2) (1 + g'^2) = 1 itself.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from archarray import scaling
 from archarray.quadrature import QuadratureSpec
 from archarray.scaling import (
+    ScalingFunction,
     make_scaling,
     mk_closed_form,
     mk_quadrature,
@@ -124,7 +127,8 @@ def test_inverse_frozen_values(k, y, expected):
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
 def test_endpoints(k):
     s = make_scaling(k)
-    assert abs(s.f(0.0)) < 1e-9
+    assert s.f(0.0) == 0.0
+    assert s.f(np.array([0.0, 0.5 * s.m_k]))[0] == 0.0
     assert s.f(s.m_k) == pytest.approx(1.0, abs=1e-13)
     assert s.f_inverse(0.0) == 0.0
     assert s.f_inverse(1.0) == pytest.approx(s.m_k, abs=1e-15)
@@ -352,3 +356,51 @@ def test_inverse_table_property():
     assert table.shape[1] == 2
     assert table[0, 0] == 0.0 and table[-1, 0] == 1.0
     assert np.all(np.diff(table[:, 1]) > 0.0)
+
+
+# per-point inversion ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_f_does_not_depend_on_its_batch(k):
+    s = make_scaling(k)
+    xs = np.random.default_rng(11).uniform(0.0, s.m_k, 400)
+    whole = s.f(xs)
+    alone = np.array([s.f(x) for x in xs])
+    assert np.count_nonzero(whole != alone) == 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_inversion_converges_in_few_steps(k, monkeypatch):
+    s = make_scaling(k)
+    calls = []
+    raw = ScalingFunction._raw_inverse
+    monkeypatch.setattr(ScalingFunction, "_raw_inverse",
+                        lambda self, y: calls.append(y.size) or raw(self, y))
+    # The points f sends to the root solve: outside the series guard.
+    xs = np.random.default_rng(5).uniform(0.0, s.m_k - s.series_radius_guard, 65536)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s._f_root(xs)
+    assert len(calls) <= 8
+    assert calls[0] == 65536
+
+
+def test_newton_cap_warns_with_the_unconverged_count(monkeypatch):
+    s = make_scaling(3)
+    xs = np.linspace(0.1, 0.4, 50) * s.m_k
+    monkeypatch.setattr(scaling, "_NEWTON_CAP", 1)
+    with pytest.warns(RuntimeWarning, match=r"left 50 of 50 points unconverged after 1 "):
+        s._f_root(xs)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_pair_evaluator_matches_f_and_f_prime_bitwise(k):
+    s = make_scaling(k)
+    xs = np.linspace(0.0, s.m_k, 801)[1:]
+    y, yp = s._f_pair(xs)
+    assert np.array_equal(y, s.f(xs)) and np.array_equal(yp, s.f_prime(xs))
+    x = 0.3 * s.m_k
+    assert s._f_pair(x) == (s.f(x), s.f_prime(x))
+    with pytest.raises(ValueError):
+        s._f_pair(0.0)
