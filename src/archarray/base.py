@@ -13,6 +13,7 @@ vector to match.
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -57,10 +58,11 @@ def _vector_out(values, single):
 
 
 def box_corners(lo, hi):
-    """The 2^dim corners of the axis box [lo, hi], one per row."""
-    dim = lo.size
+    """The 2^dim corners of the axis box [lo, hi], one per row; a batch
+    of boxes, ``lo`` and ``hi`` of shape (m, dim), gives (m, 2^dim, dim)."""
+    dim = lo.shape[-1]
     bits = np.arange(2 ** dim)[:, None] >> np.arange(dim)[None, :] & 1
-    return np.where(bits == 1, hi[None, :], lo[None, :])
+    return np.where(bits == 1, hi[..., None, :], lo[..., None, :])
 
 
 class BaseDomain:
@@ -105,8 +107,9 @@ class BaseDomain:
         return self.contains(pts)
 
     def misses_box(self, lo, hi):
-        """True only if the axis box [lo, hi] provably misses the domain."""
-        return False
+        """True only if the axis box [lo, hi] provably misses the domain;
+        a batch of boxes, (m, dim) each, gets one answer per box."""
+        return np.zeros(np.shape(lo)[:-1], dtype=bool)
 
     def distance_to_boundary(self, x):
         """Interior distance omega(x) to the domain boundary."""
@@ -175,7 +178,7 @@ class Ball(BaseDomain):
 
     def misses_box(self, lo, hi):
         gap = np.maximum(np.maximum(lo - self.center, self.center - hi), 0.0)
-        return float(np.sum(gap * gap)) > self.radius ** 2
+        return np.sum(gap * gap, axis=-1) > self.radius ** 2
 
     def volume(self):
         return ball_volume(self.dim, self.radius)
@@ -211,6 +214,7 @@ class Ellipse(BaseDomain):
 
     _SCAN = 129
     _TOL = 1e-12
+    _NEWTON_CAP = 80
 
     def __init__(self, center, semi_axes, singular_band=None):
         center = np.asarray(center, dtype=float)
@@ -229,7 +233,7 @@ class Ellipse(BaseDomain):
 
         Works in the folded first quadrant: scan the squared distance on
         a parameter grid, then polish the stationarity condition with a
-        bracketed Newton iteration.
+        bracketed Newton iteration, which warns when it hits ``_NEWTON_CAP``.
         """
         a, b = self.semi_axes
         rel = pts - self.center
@@ -252,7 +256,7 @@ class Ellipse(BaseDomain):
                 - b * py * np.cos(t)
 
         s_lo = stat(lo)
-        for _ in range(80):
+        for _ in range(self._NEWTON_CAP):
             val = stat(th)
             neg = (val < 0.0) == (s_lo < 0.0)
             lo = np.where(neg, th, lo)
@@ -265,10 +269,16 @@ class Ellipse(BaseDomain):
             th_new = th - step
             bad = ~np.isfinite(th_new) | (th_new < lo) | (th_new > hi)
             th_new = np.where(bad, 0.5 * (lo + hi), th_new)
-            if np.all(np.abs(th_new - th) < self._TOL):
-                th = th_new
-                break
+            moving = ~(np.abs(th_new - th) < self._TOL)
             th = th_new
+            if not moving.any():
+                break
+        else:
+            warnings.warn(
+                f"ellipse nearest-point search left {np.count_nonzero(moving)} of "
+                f"{len(pts)} points unconverged after {self._NEWTON_CAP} Newton steps",
+                RuntimeWarning, stacklevel=2,
+            )
 
         nearest = np.stack([sx * a * np.cos(th), sy * b * np.sin(th)], axis=1)
         return nearest + self.center
@@ -284,7 +294,7 @@ class Ellipse(BaseDomain):
         s_lo = (lo - self.center) / self.semi_axes
         s_hi = (hi - self.center) / self.semi_axes
         gap = np.maximum(np.maximum(np.minimum(s_lo, s_hi), -np.maximum(s_lo, s_hi)), 0.0)
-        return float(np.sum(gap * gap)) > 1.0
+        return np.sum(gap * gap, axis=-1) > 1.0
 
     def _omega(self, pts):
         return self._signed(pts)
@@ -401,7 +411,7 @@ class ConvexPolygon(BaseDomain):
 
     def misses_box(self, lo, hi):
         margins = self._edge_margins(box_corners(lo, hi))
-        return bool(np.any(np.all(margins < 0.0, axis=0)))
+        return np.any(np.all(margins < 0.0, axis=-2), axis=-1)
 
     def _signed(self, pts):
         margins = self._edge_margins(pts)

@@ -2,26 +2,31 @@
 
 A region is an axis-aligned box or a ball in the same space as a base
 domain.  The engine here computes volumes and integrals over the convex
-intersection region ∩ domain by adaptive cell subdivision of the shared
-bounding box:
+intersection region ∩ domain by subdividing the shared bounding box
+level by level, each test running on all cells of a level at once:
 
+* cells separated from either set by a supporting hyperplane or a
+  distance test are discarded (exact);
 * cells whose corners all lie in both convex sets are entirely inside
   (exact, by convexity) and take a composite tensor Gauss rule refined
   to the depth cap;
-* cells separated from either set by a supporting hyperplane or a
-  distance test are discarded (exact);
-* undecided cells split along their longest axis down to a depth cap,
-  after which they are resolved by Monte Carlo with a per-cell
-  counter-based stream.
+* the other cells split along their longest axis, each lower half
+  listed before its upper half, so every level is in depth-first order.
+  Cells still undecided at the depth cap are Monte Carlo leaves, and
+  leaf i draws from its own counter-based stream.
 
-The Monte Carlo nodes depend only on (seed, leaf order), never on the
-integrand, so two quadratures over the same geometry share their nodes
-exactly and the geometric part of the error cancels in ratios.  In one
-dimension every intersection is an interval and is handled exactly.
+The integrand sees Gauss nodes and Monte Carlo hits in blocks of at most
+``_BLOCK`` points; volume, integral and variance are summed with
+``math.fsum``.  The Monte Carlo nodes depend only on (seed, leaf order),
+never on the integrand, so two quadratures over the same geometry share
+their nodes exactly and the geometric part of the error cancels in
+ratios.  In one dimension every intersection is an interval and is
+handled exactly.
 """
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -83,6 +88,14 @@ class Region:
             return np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
         d = pts - self.center
         return np.einsum("...d,...d->...", d, d) <= self.radius ** 2
+
+    def misses_box(self, lo, hi):
+        """True only if the axis box [lo, hi] misses the region; a batch of
+        boxes, (m, dim) each, gets one answer per box."""
+        if self.shape == "box":
+            return np.any((hi < self.lo) | (lo > self.hi), axis=-1)
+        gap = np.maximum(np.maximum(lo - self.center, self.center - hi), 0.0)
+        return np.sum(gap * gap, axis=-1) > self.radius ** 2
 
     def volume(self):
         """Exact volume of the region shape itself (unclipped)."""
@@ -150,22 +163,17 @@ def inside_mask(base, pts):
     return base.inside_mask(pts)
 
 
-def _region_outside_cell(region, lo, hi):
-    if region.shape == "box":
-        return bool(np.any(hi < region.lo) or np.any(lo > region.hi))
-    gap = np.maximum(np.maximum(lo - region.center, region.center - hi), 0.0)
-    return float(np.sum(gap * gap)) > region.radius ** 2
-
-
 def _halve(lo, hi):
-    """Split a cell at the midpoint of its longest axis: (lower, upper)."""
-    axis = int(np.argmax(hi - lo))
-    mid = 0.5 * (lo[axis] + hi[axis])
-    hi1 = hi.copy()
-    hi1[axis] = mid
-    lo2 = lo.copy()
-    lo2[axis] = mid
-    return (lo, hi1), (lo2, hi)
+    """Split each cell of an (m, dim) batch at the midpoint of its longest
+    axis.  Row 2i is cell i's lower half and row 2i + 1 its upper half, so
+    halving level by level keeps the cells in depth-first order."""
+    rows = np.arange(len(lo))
+    axis = np.argmax(hi - lo, axis=1)
+    mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
+    lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
+    hi[2 * rows, axis] = mid
+    lo[2 * rows + 1, axis] = mid
+    return lo, hi
 
 
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)
@@ -174,27 +182,17 @@ _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)
 # an accepted cell; 2^12 subcells caps the node count per cell.
 _GAUSS_SPLIT_CAP = 12
 
+# Points per integrand call and per batch of Monte Carlo draws.  It bounds
+# the memory of one call (an integrand holds many temporaries per point)
+# while keeping the number of calls small.
+_BLOCK = 8192
+
 
 def _gauss_nodes(lo, hi):
+    """Tensor two-point Gauss nodes of an (m, dim) batch of cells, cell by cell."""
     mid = 0.5 * (lo + hi)
     off = _GAUSS_OFFSET * (hi - lo)
-    return box_corners(mid - off, mid + off)
-
-
-def _composite_gauss_nodes(lo, hi, levels):
-    """Tensor Gauss nodes on the halving subgrid of an accepted cell.
-
-    Corner acceptance can trigger on large cells, where a single
-    two-point rule is poor for integrands with interior kinks (distance
-    functions of polygons).  Splitting ``levels`` more times along the
-    same longest-axis rule yields equal-volume subcells, so the cell
-    integral is the plain node mean times the cell volume, and a
-    constant integrand is still reproduced exactly.
-    """
-    cells = [(lo, hi)]
-    for _ in range(min(levels, _GAUSS_SPLIT_CAP)):
-        cells = [half for clo, chi in cells for half in _halve(clo, chi)]
-    return np.vstack([_gauss_nodes(clo, chi) for clo, chi in cells])
+    return box_corners(mid - off, mid + off).reshape(-1, lo.shape[1])
 
 
 def _interval_1d(base, region):
@@ -239,64 +237,54 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH,
     rng_key = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x7C1])
     philox = np.random.Philox(key=rng_key.generate_state(2, np.uint64))
 
-    vol_sum = 0.0
-    vol_comp = 0.0
-    int_sum = 0.0
-    int_comp = 0.0
-    var_sum = 0.0
-    leaf_counter = 0
+    dim = base.dim
+    lo, hi = lo[None, :], hi[None, :]
+    volume, variance, sums, rule = [], [], [], []
+    for d in range(depth + 1):
+        if d:
+            lo, hi = _halve(lo, hi)
+        keep = ~(region.misses_box(lo, hi) | base.misses_box(lo, hi))
+        lo, hi = lo[keep], hi[keep]
+        corners = box_corners(lo, hi).reshape(-1, dim)
+        inside = np.all((region.contains(corners) & inside_mask(base, corners))
+                        .reshape(len(lo), 2 ** dim), axis=1)
+        alo, ahi = lo[inside], hi[inside]
+        volume.append(np.prod(ahi - alo, axis=1))
+        if integrand is not None:
+            # One two-point rule on a large accepted cell is poor for kinked
+            # integrands (polygon distance functions).  Halving on to the depth
+            # cap gives equal-volume subcells, so each node carries the cell
+            # volume over its node count and constants integrate exactly.
+            splits = min(depth - d, _GAUSS_SPLIT_CAP)
+            for _ in range(splits):
+                alo, ahi = _halve(alo, ahi)
+            rule.append((alo, ahi, np.repeat(volume[-1] / 2 ** (splits + dim), 2 ** splits)))
+        lo, hi = lo[~inside], hi[~inside]
 
-    def accumulate_vol(v):
-        nonlocal vol_sum, vol_comp
-        y = v - vol_comp
-        t = vol_sum + y
-        vol_comp = (t - vol_sum) - y
-        vol_sum = t
+    if integrand is not None:
+        sub_lo, sub_hi, weights = (np.concatenate(a) for a in zip(*rule))
+        step = max(1, _BLOCK >> dim)
+        for s in range(0, len(sub_lo), step):
+            nodes = _gauss_nodes(sub_lo[s:s + step], sub_hi[s:s + step])
+            sums.append(math.fsum(np.repeat(weights[s:s + step], 2 ** dim) * integrand(nodes)))
 
-    def accumulate_int(v):
-        nonlocal int_sum, int_comp
-        y = v - int_comp
-        t = int_sum + y
-        int_comp = (t - int_sum) - y
-        int_sum = t
-
-    stack = [(lo, hi, 0)]
-    while stack:
-        clo, chi, d = stack.pop()
-        if _region_outside_cell(region, clo, chi) or base.misses_box(clo, chi):
-            continue
-        corners = box_corners(clo, chi)
-        inside = np.all(region.contains(corners)) and np.all(inside_mask(base, corners))
-        cell_vol = float(np.prod(chi - clo))
-        if inside:
-            accumulate_vol(cell_vol)
-            if integrand is not None:
-                nodes = _composite_gauss_nodes(clo, chi, depth - d)
-                accumulate_int(cell_vol * float(np.mean(integrand(nodes))))
-            else:
-                accumulate_int(cell_vol)
-            continue
-        if d < depth:
-            lower, upper = _halve(clo, chi)
-            # Push the upper half first so the lower half is processed
-            # first; leaf numbering is then a fixed depth-first order.
-            stack.append((*upper, d + 1))
-            stack.append((*lower, d + 1))
-            continue
-        # Monte Carlo leaf with its own deterministic stream.
-        gen = np.random.Generator(philox.jumped(leaf_counter))
-        leaf_counter += 1
-        u = gen.random((mc_points, base.dim))
-        pts = clo[None, :] + u * (chi - clo)[None, :]
+    # The cells left at the depth cap are the Monte Carlo leaves, in
+    # depth-first order; leaf i draws from its own stream philox.jumped(i).
+    step = max(1, _BLOCK // mc_points)
+    for s in range(0, len(lo), step):
+        clo, chi = lo[s:s + step], hi[s:s + step]
+        u = np.stack([np.random.Generator(philox.jumped(i)).random((mc_points, dim))
+                      for i in range(s, s + len(clo))])
+        pts = (clo[:, None, :] + u * (chi - clo)[:, None, :]).reshape(-1, dim)
         mask = region.contains(pts) & inside_mask(base, pts)
-        hits = int(np.count_nonzero(mask))
+        hits = np.count_nonzero(mask.reshape(len(clo), mc_points), axis=1)
+        cell_vol = np.prod(chi - clo, axis=1)
         frac = hits / mc_points
-        accumulate_vol(cell_vol * frac)
-        var_sum += cell_vol ** 2 * frac * (1.0 - frac) / mc_points
-        if integrand is None:
-            accumulate_int(cell_vol * frac)
-        elif hits:
-            vals = integrand(pts[mask])
-            accumulate_int(cell_vol * float(np.sum(vals)) / mc_points)
+        volume.append(cell_vol * frac)
+        variance.append(cell_vol ** 2 * frac * (1.0 - frac) / mc_points)
+        if integrand is not None and hits.any():
+            sums.append(math.fsum(np.repeat(cell_vol / mc_points, hits) * integrand(pts[mask])))
 
-    return ClippedIntegral(vol_sum, int_sum, math.sqrt(var_sum))
+    vol = math.fsum(chain.from_iterable(volume))
+    integral = vol if integrand is None else math.fsum(sums)
+    return ClippedIntegral(vol, integral, math.sqrt(math.fsum(chain.from_iterable(variance))))

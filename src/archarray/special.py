@@ -7,6 +7,7 @@ against stdlib ``math``, classical identities, and direct quadrature.
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -92,13 +93,15 @@ def gamma_ln(x):
 
 _TINY = 1e-300
 _CF_EPS = 1e-16
+_BETACF_CAP = 500
 
 
 def _betacf(a, b, x):
     """Continued fraction for the incomplete beta (modified Lentz).
 
     Scalar parameters ``a``, ``b`` and an ndarray ``x``; callers must
-    keep ``x`` below the symmetry split point (a+1)/(a+b+2).
+    keep ``x`` below the symmetry split point (a+1)/(a+b+2).  Points
+    not converged within ``_BETACF_CAP`` steps raise a RuntimeWarning.
     """
     x = np.asarray(x, dtype=float)
     qab = a + b
@@ -110,7 +113,7 @@ def _betacf(a, b, x):
     d = 1.0 / d
     h = d.copy()
     done = np.zeros(x.shape, dtype=bool)
-    for m in range(1, 500):
+    for m in range(1, _BETACF_CAP + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -130,6 +133,12 @@ def _betacf(a, b, x):
         done |= np.abs(delta - 1.0) < _CF_EPS
         if done.all():
             break
+    else:
+        warnings.warn(
+            f"incomplete-beta continued fraction left {np.count_nonzero(~done)} of "
+            f"{done.size} points unconverged after {_BETACF_CAP} steps",
+            RuntimeWarning, stacklevel=2,
+        )
     return h
 
 

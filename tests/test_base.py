@@ -12,6 +12,7 @@ import pytest
 
 from archarray.base import (
     Ball,
+    BaseDomain,
     ConvexPolygon,
     Ellipse,
     SingularRegionError,
@@ -297,12 +298,24 @@ def test_misses_box_never_drops_an_inside_point(base):
     inside = pts[base.signed_distance(pts) > 0.0][:300]
     lo, hi = base.bounding_box()
     size = hi - lo
+    boxes = []
     for p in inside:
         below = rng.uniform(0.0, 0.5, base.dim) * size
         above = rng.uniform(0.0, 0.5, base.dim) * size
         assert not base.misses_box(p - below, p + above)
+        boxes.append((p - below, p + above))
     # The test is not vacuous: a box clear of the bounding box is missed.
     assert base.misses_box(hi + 0.1 * size, hi + 0.3 * size)
+    # Asked as one batch, the boxes get the answers they got one by one,
+    # and so do small boxes around all points, some of which are missed.
+    blo, bhi = (np.array(side) for side in zip(*boxes))
+    assert not np.any(base.misses_box(blo, bhi))
+    blo = pts - rng.uniform(0.0, 0.05, pts.shape) * size
+    bhi = pts + rng.uniform(0.0, 0.05, pts.shape) * size
+    batch = base.misses_box(blo, bhi)
+    assert batch.shape == (len(pts),) and 0 < np.count_nonzero(batch)
+    assert batch.tolist() == [bool(base.misses_box(a, b)) for a, b in zip(blo, bhi)]
+    assert BaseDomain.misses_box(base, blo, bhi).shape == (len(pts),)
 
 
 def test_omega_equals_signed_inside():
@@ -341,6 +354,13 @@ def test_ellipse_nearest_point_accuracy():
         for d in (0.05, 0.2):
             p = np.array([bx, by]) - d * n
             assert e.distance_to_boundary(p) == pytest.approx(d, abs=1e-9)
+
+
+def test_ellipse_newton_cap_warns_with_the_unconverged_count(monkeypatch):
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, (40, 2))
+    monkeypatch.setattr(Ellipse, "_NEWTON_CAP", 1)
+    with pytest.warns(RuntimeWarning, match=r"left 40 of 40 points unconverged after 1 "):
+        Ellipse([0.0, 0.0], [2.0, 1.0]).signed_distance(pts)
 
 
 def test_ellipse_medial_segment():

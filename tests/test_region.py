@@ -257,3 +257,54 @@ def test_dimension_mismatch_raises():
     b = Ball([0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         clipped_quadrature(b, Region.box([0.0], [1.0]))
+
+
+# the level-wise cell walk ---------------------------------------------------
+
+def _smooth(p):
+    return 1.0 + p[:, 0] ** 2 - 0.5 * p[:, -1]
+
+
+# (volume, integral of _smooth, error estimate) at depth 9, seed 5, as the
+# cell-at-a-time walk computed them.  Monte Carlo leaves decide the fourth
+# digit, so a leaf drawing from another leaf's stream moves every row.
+PINNED_WALK = [
+    (Ball([0.0, 0.0], 1.0), Region.ball([0.6, 0.3], 0.5),
+     (0.6724525451660157, 0.8120571674242755, 0.0003744454164152042)),
+    (Ball([0.1, 0.0, -0.2], 0.9), Region.box([-0.2, -0.4, -0.5], [0.9, 0.5, 0.3]),
+     (0.7801386108398439, 0.9885900044801862, 0.00018823934504750235)),
+    (Ellipse([0.2, -0.1], [1.5, 0.7]), Region.box([0.5, -0.6], [2.0, 0.2]),
+     (0.87555908203125, 2.0197973153719344, 0.00022538760371637652)),
+    (regular_polygon(5, circumradius=1.3), Region.ball([-0.7, 0.5], 0.6),
+     (0.8318564592486797, 1.0032624302444222, 0.00040160827388875425)),
+]
+
+
+@pytest.mark.parametrize("base, region, pinned", PINNED_WALK,
+                         ids=["ball2", "ball3", "ellipse", "pentagon"])
+def test_walk_reproduces_pinned_values(base, region, pinned):
+    volume, integral, error = pinned
+    for integrand, want in ((None, volume), (_smooth, integral)):
+        out = clipped_quadrature(base, region, integrand, depth=9, seed=5)
+        assert out.volume == pytest.approx(volume, rel=1e-14)
+        assert out.integral == pytest.approx(want, rel=1e-14)
+        assert out.error_estimate == pytest.approx(error, rel=1e-14)
+
+
+def test_patch_volume_evaluates_the_integrand_in_few_blocks(monkeypatch):
+    from archarray.array import make_archimedean
+    from archarray.region import _BLOCK
+
+    h = make_archimedean(4, 2)
+    density = h._area_density
+    sizes = []
+
+    def counted(pts):
+        sizes.append(len(pts))
+        return density(pts)
+
+    monkeypatch.setattr(h, "_area_density", counted)
+    h.patch_volume(Region.ball([0.55, -0.1], 0.22), depth=8, seed=1)
+    # The cell-at-a-time walk made 108 calls here, one per accepted cell
+    # or Monte Carlo leaf with hits.
+    assert 1 <= len(sizes) <= 3 and max(sizes) <= _BLOCK

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from archarray import special
 from archarray.special import (
     ball_volume,
     betainc_reg,
@@ -167,6 +168,12 @@ def test_betainc_reg_monotone(p, q):
     z = np.linspace(0.0, 1.0, 41)
     vals = betainc_reg(p, q, z)
     assert np.all(np.diff(vals) >= -1e-14)
+
+
+def test_betacf_cap_warns_with_the_unconverged_count(monkeypatch):
+    monkeypatch.setattr(special, "_BETACF_CAP", 1)
+    with pytest.warns(RuntimeWarning, match=r"left 20 of 20 points unconverged after 1 "):
+        betainc_reg(2.5, 3.5, np.linspace(0.05, 0.3, 20))
 
 
 def test_betainc_reg_rejects_bad_arguments():
