@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .array import equizonal_enclosed_volume, make_archimedean
-from .mesh import graph_slice_mesh, profile_curve, revolve_mesh, write_obj, write_profile_csv
+from .mesh import csv_text, graph_slice_mesh, profile_curve, revolve_mesh, write_obj
 from .scaling import make_scaling, mk_closed_form, mk_quadrature
 from .special import sphere_area
 from .verify import app_statistical_test, interior_points, random_regions, sample_surface
@@ -152,11 +152,7 @@ def _cmd_mk_table(args):
 
 
 def _cmd_scaling(args):
-    points = profile_curve(make_scaling(args.k), args.samples)
-    if args.out:
-        write_profile_csv(points, args.out)
-    else:
-        _write("x,f\n" + "".join("%.17g,%.17g\n" % (x, y) for x, y in points), None)
+    _write(csv_text(["x", "f"], profile_curve(make_scaling(args.k), args.samples)), args.out)
     return 0
 
 
@@ -265,15 +261,12 @@ def _cmd_volume(args):
 
 
 def _cmd_mesh(args):
-    h = make_archimedean(args.n, args.k, args.r)
-    if h.n == 3:
-        mesh = revolve_mesh(h, args.res, args.res)
-    elif h.base_dim == 2:
-        mesh = graph_slice_mesh(h, args.res)
-    else:
-        raise ValueError("mesh export needs n = 3 or a 2-dimensional base")
     if not args.out:
         raise ValueError("mesh export needs --out")
+    h = make_archimedean(args.n, args.k, args.r)
+    if h.n != 3 and h.base_dim != 2:
+        raise ValueError("mesh export needs n = 3 or a 2-dimensional base")
+    mesh = revolve_mesh(h, args.res, args.res) if h.n == 3 else graph_slice_mesh(h, args.res)
     write_obj(mesh, args.out)
     return 0
 
@@ -281,11 +274,7 @@ def _cmd_mesh(args):
 def _cmd_sample(args):
     h = make_archimedean(args.n, args.k, args.r)
     pts = sample_surface(h, args.count, seed=args.seed)
-    header = ",".join(f"x{i}" for i in range(h.n))
-    lines = [header]
-    for p in pts:
-        lines.append(",".join("%.17g" % v for v in p))
-    _write("\n".join(lines) + "\n", args.out)
+    _write(csv_text([f"x{i}" for i in range(h.n)], pts), args.out)
     return 0
 
 

@@ -1,11 +1,21 @@
 """Triangle meshes and profile curves for inspecting 3D realizations.
 
-Two mesh builders are provided: a surface of revolution for arrays in
-R^3 (1-dimensional base, circle fibers), and a two-sheeted graph
-z = ±f(x'') over a 2-dimensional base, stitched along the rim where
-f = 0.  Vertex order is fixed by (ring index, angular index) so exports
-are byte-identical across runs.  Areas of closed meshes serve as an
+A surface of revolution for arrays in R^3 (1-dimensional base, circle
+fibers) and a two-sheeted graph z = ±f(x'') over a 2-dimensional base,
+stitched along the rim where f = 0; areas of closed meshes serve as an
 independent oracle for the quadrature-based totals.
+
+The layout is fixed, so exports are byte-identical across runs.  A ring
+is N vertices at angles 2*pi*l/N.  ``revolve_mesh`` lists the first
+pole, the rings at the interior axial stations, then the last pole;
+``graph_slice_mesh`` lists the top centre, the top rings out to the rim,
+the bottom centre, then the bottom rings without the rim, which both
+sheets share.  Triangles come in the same order: the fan at each pole
+or centre, the bands between consecutive rings.  A band from inner ring
+a to outer ring d lists (a_l, a_l+1, d_l+1) and (a_l, d_l+1, d_l) for
+each l; a fan around c lists (c, a_l+1, a_l).  The first pole and the
+bottom sheet keep this winding; the last pole and the top sheet swap
+the last two columns.  A mesh of negative signed volume is reversed.
 """
 
 import math
@@ -19,6 +29,7 @@ __all__ = [
     "graph_slice_mesh",
     "mesh_area",
     "write_obj",
+    "csv_text",
     "write_profile_csv",
 ]
 
@@ -41,23 +52,24 @@ class Mesh:
         if self.closed and not self.is_watertight():
             raise ValueError("closed mesh fails the shared-edge check")
 
+    def _edges(self):
+        """Sorted undirected edges (u < v) and their counts, by one 1-D unique of u*V + v."""
+        t = self.triangles
+        pairs = np.sort(np.stack([t, np.roll(t, -1, axis=1)], axis=2).reshape(-1, 2), axis=1)
+        v = len(self.vertices)
+        keys, counts = np.unique(pairs[:, 0] * v + pairs[:, 1], return_counts=True)
+        return np.stack([keys // v, keys % v], axis=1), counts
+
     def edge_counts(self):
         """Dictionary mapping undirected edges to incidence counts."""
-        counts = {}
-        for a, b, c in self.triangles:
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+        edges, counts = self._edges()
+        return dict(zip(map(tuple, edges.tolist()), counts.tolist()))
 
     def is_watertight(self):
-        return all(c == 2 for c in self.edge_counts().values())
+        return bool(np.all(self._edges()[1] == 2))
 
     def euler_characteristic(self):
-        v = len(self.vertices)
-        e = len(self.edge_counts())
-        t = len(self.triangles)
-        return v - e + t
+        return len(self.vertices) - len(self._edges()[1]) + len(self.triangles)
 
     def signed_volume(self):
         """Divergence-theorem volume; positive for outward orientation."""
@@ -83,18 +95,27 @@ def profile_curve(scaling, samples):
         raise ValueError("need at least 2 samples")
     i = np.arange(samples)
     x = 0.5 * scaling.m_k * (1.0 - np.cos(math.pi * i / (samples - 1)))
-    x[0] = 0.0
-    x[-1] = scaling.m_k
-    y = scaling.f(x)
-    return np.stack([x, y], axis=1)
+    x[0], x[-1] = 0.0, scaling.m_k
+    return np.stack([x, scaling.f(x)], axis=1)
 
 
-def _chebyshev_axis(lo, hi, segments):
-    j = np.arange(segments + 1)
-    x = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(math.pi * j / segments)
-    x[0] = lo
-    x[-1] = hi
-    return x
+def _band(inner, outer):
+    """Triangles joining the (b, N) rings ``inner`` to the (b, N) rings ``outer``."""
+    b, c = np.roll(inner, -1, axis=1), np.roll(outer, -1, axis=1)
+    return np.stack([inner, b, c, inner, c, outer], axis=2).reshape(-1, 3)
+
+
+def _fan(center, ring):
+    """Triangles joining the vertex ``center`` to the N-vertex ``ring``."""
+    return np.stack([np.full_like(ring, center), np.roll(ring, -1), ring], axis=1)
+
+
+def _closed_mesh(vertices, triangles):
+    """Checked closed mesh, reversed once if it comes out inside out."""
+    mesh = Mesh(vertices, triangles, closed=True)
+    if mesh.signed_volume() < 0.0:
+        mesh.triangles = mesh.triangles[:, ::-1]
+    return mesh
 
 
 def revolve_mesh(h, res_axial=64, res_angular=64):
@@ -109,41 +130,21 @@ def revolve_mesh(h, res_axial=64, res_angular=64):
     if res_axial < 2 or res_angular < 3:
         raise ValueError("resolution too small")
     (lo,), (hi,) = h.base.bounding_box()
-    x = _chebyshev_axis(lo, hi, res_axial)
-    radii = h.warping(x[:, None])
+    x = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(math.pi * np.arange(res_axial + 1) / res_axial)
+    x[0], x[-1] = lo, hi
+    radii = h.warping(x[:, None])[1:-1]
     theta = 2.0 * math.pi * np.arange(res_angular) / res_angular
-    ct, st = np.cos(theta), np.sin(theta)
+    rings = np.stack([np.repeat(x[1:-1], res_angular), np.outer(radii, np.cos(theta)).ravel(),
+                      np.outer(radii, np.sin(theta)).ravel()], axis=1)
+    vertices = np.vstack([[x[0], 0.0, 0.0], rings, [x[-1], 0.0, 0.0]])
 
-    verts = [np.array([x[0], 0.0, 0.0])]
-    for j in range(1, res_axial):
-        ring = np.stack(
-            [np.full(res_angular, x[j]), radii[j] * ct, radii[j] * st], axis=1
-        )
-        verts.append(ring)
-    verts.append(np.array([x[-1], 0.0, 0.0]))
-    vertices = np.vstack([v if v.ndim == 2 else v[None, :] for v in verts])
-
-    def ring_index(j, l):
-        return 1 + (j - 1) * res_angular + (l % res_angular)
-
-    tris = []
-    for l in range(res_angular):
-        tris.append((0, ring_index(1, l + 1), ring_index(1, l)))
-    for j in range(1, res_axial - 1):
-        for l in range(res_angular):
-            a = ring_index(j, l)
-            b = ring_index(j, l + 1)
-            c = ring_index(j + 1, l + 1)
-            d = ring_index(j + 1, l)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    last = len(vertices) - 1
-    for l in range(res_angular):
-        tris.append((last, ring_index(res_axial - 1, l), ring_index(res_axial - 1, l + 1)))
-    mesh = Mesh(vertices, np.array(tris, dtype=np.int64), closed=True)
-    if mesh.signed_volume() < 0.0:
-        mesh = Mesh(vertices, mesh.triangles[:, ::-1], closed=True)
-    return mesh
+    idx = 1 + np.arange(len(rings)).reshape(res_axial - 1, res_angular)
+    triangles = np.vstack([
+        _fan(0, idx[0]),
+        _band(idx[:-1], idx[1:]),
+        _fan(len(vertices) - 1, idx[-1])[:, [0, 2, 1]],
+    ])
+    return _closed_mesh(vertices, triangles)
 
 
 def graph_slice_mesh(h, res=48):
@@ -164,83 +165,46 @@ def graph_slice_mesh(h, res=48):
     n_ang = 2 * res
     theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
     rim = h.base.boundary_radius(origin, theta)
-    # Chebyshev radial stations cluster toward the rim, where the
-    # graph's slope diverges.
-    i = np.arange(1, res + 1)
-    shell = np.sin(0.5 * math.pi * i / res)
+    # Chebyshev radial stations cluster toward the rim, where the slope diverges.
+    shell = np.sin(0.5 * math.pi * np.arange(1, res + 1) / res)
+    r = np.outer(shell, rim)
+    xy = np.stack([origin[0] + (r * np.cos(theta)).ravel(),
+                   origin[1] + (r * np.sin(theta)).ravel()], axis=1)
+    f = np.concatenate([h.warping(np.vstack([origin, xy[:-n_ang]])), np.zeros(n_ang)])
+    top = np.column_stack([np.vstack([origin, xy]), f])
+    vertices = np.vstack([top, np.column_stack([top[:-n_ang, :2], -f[:-n_ang]])])
 
-    rings = []
-    for frac in shell:
-        r = frac * rim
-        rings.append(origin[None, :] + np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1))
+    top_rings = 1 + np.arange(res * n_ang).reshape(res, n_ang)
+    bottom_rings = np.vstack([len(top) + top_rings[:-1], top_rings[-1:]])
+    triangles = np.vstack([
+        _fan(0, top_rings[0])[:, [0, 2, 1]],
+        _band(top_rings[:-1], top_rings[1:])[:, [0, 2, 1]],
+        _fan(len(top), bottom_rings[0]),
+        _band(bottom_rings[:-1], bottom_rings[1:]),
+    ])
+    return _closed_mesh(vertices, triangles)
 
-    f_center = float(h.warping(origin))
-    ring_f = []
-    for idx, ring in enumerate(rings):
-        if idx == len(rings) - 1:
-            ring_f.append(np.zeros(n_ang))
-        else:
-            ring_f.append(h.warping(ring))
 
-    # Vertex layout: top center, top rings (including rim), bottom
-    # center, bottom interior rings (rim shared with top).
-    verts = [np.array([origin[0], origin[1], f_center])]
-    for ring, fv in zip(rings, ring_f):
-        verts.append(np.stack([ring[:, 0], ring[:, 1], fv], axis=1))
-    top_count = 1 + res * n_ang
-    verts.append(np.array([origin[0], origin[1], -f_center]))
-    for ring, fv in zip(rings[:-1], ring_f[:-1]):
-        verts.append(np.stack([ring[:, 0], ring[:, 1], -fv], axis=1))
-    vertices = np.vstack([v if v.ndim == 2 else v[None, :] for v in verts])
-
-    def top_index(i_ring, l):
-        return 1 + i_ring * n_ang + (l % n_ang)
-
-    def bottom_index(i_ring, l):
-        if i_ring == res - 1:
-            return top_index(i_ring, l)
-        return top_count + 1 + i_ring * n_ang + (l % n_ang)
-
-    tris = []
-    for l in range(n_ang):
-        tris.append((0, top_index(0, l), top_index(0, l + 1)))
-    for i_ring in range(res - 1):
-        for l in range(n_ang):
-            a = top_index(i_ring, l)
-            b = top_index(i_ring, l + 1)
-            c = top_index(i_ring + 1, l + 1)
-            d = top_index(i_ring + 1, l)
-            tris.append((a, c, b))
-            tris.append((a, d, c))
-    bc = top_count
-    for l in range(n_ang):
-        tris.append((bc, bottom_index(0, l + 1), bottom_index(0, l)))
-    for i_ring in range(res - 1):
-        for l in range(n_ang):
-            a = bottom_index(i_ring, l)
-            b = bottom_index(i_ring, l + 1)
-            c = bottom_index(i_ring + 1, l + 1)
-            d = bottom_index(i_ring + 1, l)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    mesh = Mesh(vertices, np.array(tris, dtype=np.int64), closed=True)
-    if mesh.signed_volume() < 0.0:
-        mesh = Mesh(vertices, mesh.triangles[:, ::-1], closed=True)
-    return mesh
+def _rows(row, table):
+    """``row % r`` for each row r of ``table``; a ``%`` per 4,096 rows bounds the live numbers."""
+    blocks = np.split(table, range(4096, len(table), 4096))
+    return "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
 
 
 def write_obj(mesh, path):
     """ASCII v/f records, 1-based indices, LF endings, 9 significant digits."""
     with open(path, "w", newline="\n") as fh:
-        for v in mesh.vertices:
-            fh.write("v %.9g %.9g %.9g\n" % (v[0], v[1], v[2]))
-        for t in mesh.triangles:
-            fh.write("f %d %d %d\n" % (t[0] + 1, t[1] + 1, t[2] + 1))
+        fh.write(_rows("v %.9g %.9g %.9g\n", mesh.vertices))
+        fh.write(_rows("f %d %d %d\n", mesh.triangles + 1))
+
+
+def csv_text(columns, table):
+    """CSV text: a header of ``columns``, then ``table`` in 17-significant-digit floats."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + _rows(row, np.asarray(table, dtype=float))
 
 
 def write_profile_csv(points, path):
     """Profile curve as CSV with header and 17-significant-digit floats."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("x,f\n")
-        for x, y in points:
-            fh.write("%.17g,%.17g\n" % (x, y))
+        fh.write(csv_text(["x", "f"], points))

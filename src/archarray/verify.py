@@ -132,6 +132,8 @@ def sample_surface(h, count, seed=0, *, return_rate=False):
     if h.warp_mode == "custom":
         raise ValueError("custom warps have non-uniform base density; not supported")
     count = int(count)
+    if count < 1:
+        raise ValueError("count must be at least 1")
     philox = _philox(seed, 0x5A11)
     xb, jumps, rate = _base_uniform(h.base, count, philox)
     f = h.warping(xb)

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from archarray import cli
 from archarray.array import make_archimedean
 from archarray.cli import run
 from archarray.mesh import Mesh, mesh_area, profile_curve
@@ -275,6 +276,18 @@ def test_mesh_unsupported_base_dimension(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_mesh_checks_out_before_building(n, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mesh built before the arguments were checked")
+
+    monkeypatch.setattr(cli, "revolve_mesh", refuse)
+    monkeypatch.setattr(cli, "graph_slice_mesh", refuse)
+    code, _, err = run_cli(capsys, ["mesh", "--n", n, "--k", "2", "--res", "512"])
+    assert code == 2
+    assert "needs --out" in err
+
+
 # sample ---------------------------------------------------------------------
 
 
@@ -290,6 +303,13 @@ def test_sample_points_on_surface(capsys):
     pts = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
     arr = make_archimedean(3, 2)
     assert np.max(np.abs(arr.implicit_eval(pts))) < 1e-9
+
+
+def test_sample_rejects_zero_count(capsys):
+    code, out, err = run_cli(capsys, ["sample", "--n", "3", "--k", "2", "--count", "0"])
+    assert code == 2
+    assert out == ""
+    assert "count must be at least 1" in err
 
 
 def test_sample_deterministic_by_seed(capsys):

@@ -8,6 +8,7 @@ a Gauss-Legendre rule independent of the package quadrature.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from archarray.array import SphericalArray, make_archimedean, make_cylinder
 from archarray.base import Ball, regular_polygon
 from archarray.mesh import (
     Mesh,
+    csv_text,
     graph_slice_mesh,
     mesh_area,
     profile_curve,
@@ -50,10 +52,26 @@ def test_orientation_flip_negates_volume():
 
 
 def test_open_mesh_is_not_watertight():
-    mesh = Mesh(TET_VERTS, TET_TRIS[:3], closed=False)
-    assert not mesh.is_watertight()
-    with pytest.raises(ValueError):
-        Mesh(TET_VERTS, TET_TRIS[:3], closed=True)
+    for tris in (
+        TET_TRIS[:3],  # open: the three rim edges are used once
+        np.vstack([TET_TRIS, TET_TRIS[:1]]),  # a duplicate: its edges are used 3 times
+        np.vstack([TET_TRIS, TET_TRIS[:1], TET_TRIS[:1, ::-1]]),  # and 4 times
+    ):
+        mesh = Mesh(TET_VERTS, tris, closed=False)
+        assert not mesh.is_watertight()
+        with pytest.raises(ValueError):
+            Mesh(TET_VERTS, tris, closed=True)
+
+
+def test_edge_counts_match_a_loop_count():
+    tet = Mesh(TET_VERTS, np.vstack([TET_TRIS, TET_TRIS[:1], TET_TRIS[:1, ::-1]]), closed=False)
+    assert sorted(tet.edge_counts().values()) == [2, 2, 2, 4, 4, 4]
+    for mesh in (tet, revolve_mesh(make_archimedean(3, 2), 6, 7),
+                 graph_slice_mesh(make_archimedean(4, 2), 5)):
+        loop = Counter(tuple(sorted(edge)) for a, b, c in mesh.triangles.tolist()
+                       for edge in ((a, b), (b, c), (c, a)))
+        assert mesh.edge_counts() == dict(loop)
+        assert mesh.euler_characteristic() == len(mesh.vertices) - len(loop) + len(mesh.triangles)
 
 
 def test_edge_counts():
@@ -276,6 +294,20 @@ def test_obj_format(tmp_path):
     assert len(lines) == len(mesh.vertices) + len(mesh.triangles)
     assert lines[0] == "v 0 0 0"
     assert lines[-1] == "f 2 3 4"
+
+
+def test_text_exports_match_a_row_loop(tmp_path):
+    # Over 4,096 rows, so the writers format more than one block.
+    mesh = revolve_mesh(make_archimedean(3, 2), 64, 70)
+    assert len(mesh.vertices) > 4096
+    path = tmp_path / "sphere.obj"
+    write_obj(mesh, path)
+    loop = "".join("v %.9g %.9g %.9g\n" % tuple(v) for v in mesh.vertices)
+    loop += "".join("f %d %d %d\n" % tuple(t + 1) for t in mesh.triangles)
+    assert path.read_text() == loop
+    table = np.random.default_rng(4).standard_normal((9000, 3)) * 10.0 ** np.arange(-8, 19, 9)
+    loop = "a,b,c\n" + "".join("%.17g,%.17g,%.17g\n" % tuple(r) for r in table)
+    assert csv_text(["a", "b", "c"], table) == loop
 
 
 def test_obj_byte_deterministic(tmp_path):

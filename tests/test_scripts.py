@@ -1,0 +1,51 @@
+"""Smoke runs of the scripts in ``scripts/`` on small inputs.
+
+Each script is loaded from its file and its ``main`` is called with a
+short argument list, so a change to the library calls they make shows
+up here rather than at the next manual run.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_convergence_study_second_order(capsys):
+    _load("convergence_study").main(["--resolutions", "16", "32"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    res, _, area_order, _, volume_order = lines[2].split()
+    assert res == "32"
+    assert 1.5 < float(area_order) < 2.5
+    assert 1.5 < float(volume_order) < 2.5
+
+
+def test_profile_curves_writes_csv(tmp_path, capsys):
+    _load("profile_curves").main(["--k-min", "2", "--k-max", "3", "--samples", "9",
+                                  "--out-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    for k in (2, 3):
+        path = tmp_path / f"profile_k{k}.csv"
+        assert f"wrote {path}" in out
+        lines = path.read_text().splitlines()
+        assert lines[0] == "x,f,f_prime"
+        assert len(lines) == 10
+
+
+def test_volume_table_rows(capsys):
+    _load("volume_table").main(["--n-max", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[1:] if "closed forms" not in line]
+    assert [(row[0], row[1]) for row in rows] == [("3", "2"), ("4", "2"), ("4", "3")]
+    for row in rows:
+        assert float(row[3]) == pytest.approx(0.0, abs=1e-8)

@@ -180,6 +180,12 @@ def test_sample_surface_rejects_custom():
         sample_surface(arr, 10)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_surface_rejects_empty_count(count):
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        sample_surface(make_archimedean(3, 2), count)
+
+
 def test_sample_surface_reports_rate():
     arr = make_archimedean(4, 2)
     pts, rate = sample_surface(arr, 200000, seed=8, return_rate=True)
