@@ -299,11 +299,19 @@ class SphericalArray:
 
     def patch_volume(self, region, spec=DEFAULT_SPEC, *, depth=CELL_DEPTH,
                      mc_points=MC_POINTS, seed=0):
-        """Area of the portion of the surface over region ∩ base."""
-        return clipped_quadrature(
+        """Area of the portion of the surface over region ∩ base.
+
+        The walk's volume is the region's ``clipped_volume`` for the same
+        depth and seed, so it is cached there and a later gate against
+        C * clipped volume walks the cells once.
+        """
+        result = clipped_quadrature(
             self.base, region, self._area_density,
             depth=depth, mc_points=mc_points, seed=seed, spec=spec,
-        ).integral
+        )
+        if mc_points == MC_POINTS:
+            region._remember_clipped_volume(self.base, result.volume, depth=depth, seed=seed)
+        return result.integral
 
     def _base_integral(self, profile, density, to_units, spec, depth, mc_points, seed):
         """Integral over the base, with an error estimate.

@@ -13,7 +13,9 @@ level by level, each test running on all cells of a level at once:
 * the other cells split along their longest axis, each lower half
   listed before its upper half, so every level is in depth-first order.
   Cells still undecided at the depth cap are Monte Carlo leaves, and
-  leaf i draws from its own counter-based stream.
+  leaf i draws from its own counter-based Philox stream, which starts
+  at counter (0, 0, i, 0); one generator reaches each leaf's start by
+  ``advance``.
 
 The integrand sees Gauss nodes and Monte Carlo hits in blocks of at most
 ``_BLOCK`` points; volume, integral and variance are summed with
@@ -112,11 +114,18 @@ class Region:
 
     def clipped_volume(self, base, *, depth=CELL_DEPTH, seed=0):
         """Volume of region ∩ base, cached per (base value, depth, seed)."""
-        key = (json.dumps(base.describe(), sort_keys=True), depth, seed)
+        key = _clip_key(base, depth, seed)
         if key not in self._clip_cache:
             result = clipped_quadrature(base, self, depth=depth, seed=seed)
             self._clip_cache[key] = result.volume
         return self._clip_cache[key]
+
+    def _remember_clipped_volume(self, base, volume, *, depth, seed):
+        """Cache the volume of a quadrature over region ∩ base with an
+        integrand, the same depth and seed and ``MC_POINTS`` leaf draws:
+        the integrand does not move the volume, so it is the value
+        ``clipped_volume`` would compute."""
+        self._clip_cache[_clip_key(base, depth, seed)] = volume
 
     def describe(self):
         if self.shape == "box":
@@ -130,6 +139,10 @@ class Region:
             "center": [float(v) for v in self.center],
             "radius": self.radius,
         }
+
+
+def _clip_key(base, depth, seed):
+    return json.dumps(base.describe(), sort_keys=True), depth, seed
 
 
 def region_from_description(desc):
@@ -269,12 +282,19 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH,
             sums.append(math.fsum(np.repeat(weights[s:s + step], 2 ** dim) * integrand(nodes)))
 
     # The cells left at the depth cap are the Monte Carlo leaves, in
-    # depth-first order; leaf i draws from its own stream philox.jumped(i).
+    # depth-first order.  Leaf i draws from counter (0, 0, i, 0), where
+    # philox.jumped(i) would start: one generator reads a leaf's draws,
+    # ceil(mc_points * dim / 4) counters, and ``advance`` takes it on to the
+    # next leaf's start (advancing also drops the unread part of a block).
+    gen = np.random.Generator(philox)
+    to_next_leaf = (1 << 128) - (mc_points * dim + 3) // 4
     step = max(1, _BLOCK // mc_points)
     for s in range(0, len(lo), step):
         clo, chi = lo[s:s + step], hi[s:s + step]
-        u = np.stack([np.random.Generator(philox.jumped(i)).random((mc_points, dim))
-                      for i in range(s, s + len(clo))])
+        u = np.empty((len(clo), mc_points, dim))
+        for leaf in u:
+            gen.random(out=leaf)
+            philox.advance(to_next_leaf)
         pts = (clo[:, None, :] + u * (chi - clo)[:, None, :]).reshape(-1, dim)
         mask = region.contains(pts) & inside_mask(base, pts)
         hits = np.count_nonzero(mask.reshape(len(clo), mc_points), axis=1)

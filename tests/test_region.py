@@ -308,3 +308,76 @@ def test_patch_volume_evaluates_the_integrand_in_few_blocks(monkeypatch):
     # The cell-at-a-time walk made 108 calls here, one per accepted cell
     # or Monte Carlo leaf with hits.
     assert 1 <= len(sizes) <= 3 and max(sizes) <= _BLOCK
+
+
+# Monte Carlo leaf streams ---------------------------------------------------
+
+# (mc_points, dim, depth): mc_points * dim is not a multiple of 4, so leaves
+# end inside a Philox block, and the leaves outnumber one group of
+# _BLOCK // mc_points.
+LEAF_CASES = [(3, 2, 19), (5, 2, 18), (3, 3, 15), (5, 3, 13)]
+
+
+@pytest.mark.parametrize("mc_points, dim, depth", LEAF_CASES)
+def test_leaf_i_draws_the_stream_of_philox_jumped_i(monkeypatch, mc_points, dim, depth):
+    from archarray.region import _BLOCK
+
+    generator = np.random.Generator
+    keys, draws = [], []
+
+    class Recording(generator):
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            keys.append(bit_generator.state["state"]["key"].copy())
+
+        def random(self, *args, **kwargs):
+            out = super().random(*args, **kwargs)
+            draws.append(out.copy())
+            return out
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    ones = np.ones(dim)
+    out = clipped_quadrature(Ball(np.zeros(dim), 1.0), Region.box(-1.5 * ones, 1.5 * ones),
+                             depth=depth, mc_points=mc_points, seed=7)
+    assert out.error_estimate > 0.0
+    assert len(keys) == 1 and len(draws) > _BLOCK // mc_points
+    philox = np.random.Philox(key=keys[0])
+    for i, got in enumerate(draws):
+        want = generator(philox.jumped(i)).random((mc_points, dim))
+        assert np.array_equal(got, want), i
+
+
+def test_quadrature_never_jumps_the_philox_stream(monkeypatch):
+    class NoJumps(np.random.Philox):
+        def jumped(self, jumps=1):
+            raise AssertionError("Philox.jumped called")
+
+    monkeypatch.setattr(np.random, "Philox", NoJumps)
+    base, region, (volume, integral, error) = PINNED_WALK[0]
+    out = clipped_quadrature(base, region, _smooth, depth=9, seed=5)
+    assert (out.volume, out.integral, out.error_estimate) == pytest.approx(
+        (volume, integral, error), rel=1e-14)
+
+
+def test_patch_volume_fills_the_clipped_volume_cache(monkeypatch):
+    import archarray.region as region_module
+    from archarray.array import make_archimedean
+
+    h = make_archimedean(4, 2)
+    # The box straddles the base boundary, so Monte Carlo leaves decide
+    # the volume's last digits.
+    window = Region.box([0.75, -0.3], [1.15, 0.1])
+    h.patch_volume(window, depth=8, seed=3)
+    walks = []
+    walk = region_module.clipped_quadrature
+    monkeypatch.setattr(region_module, "clipped_quadrature",
+                        lambda *args, **kwargs: walks.append(args) or walk(*args, **kwargs))
+    cached = window.clipped_volume(h.base, depth=8, seed=3)
+    assert walks == []
+    fresh = Region.box([0.75, -0.3], [1.15, 0.1]).clipped_volume(h.base, depth=8, seed=3)
+    assert len(walks) == 1
+    assert cached.hex() == fresh.hex()
+
+    other = Region.box([0.75, -0.3], [1.15, 0.1])
+    h.patch_volume(other, depth=8, seed=3, mc_points=64)
+    assert other._clip_cache == {}

@@ -9,12 +9,14 @@ few across the base.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 
 from archarray.array import make_archimedean, make_custom, make_cylinder
 from archarray.base import Ball, regular_polygon
+from archarray.region import Region
 from archarray.special import gamma_q
 from archarray.verify import (
     app_statistical_test,
@@ -328,3 +330,80 @@ def test_report_serializes_to_plain_data():
     assert set(doc["aggregate"]) == {"chi2", "dof", "p"}
     for entry in doc["regions"]:
         assert set(entry) == {"region", "expected", "observed", "z"}
+
+
+# Window counts on sorted samples --------------------------------------------
+
+
+def _edge_samples(regions, rng, base_lo, base_hi, count):
+    """Uniform points over the base box, plus for every window and axis the
+    points on its bounding box's faces, 1 ulp either side of them, and up
+    to 2 ulp of the half-width outside, the other coordinates at the
+    window's centre."""
+    pts = [rng.uniform(base_lo, base_hi, size=(count, len(base_lo)))]
+    for u in regions:
+        lo, hi = u.bounding_box()
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for axis in range(len(lo)):
+            for face, sign in ((lo[axis], -1.0), (hi[axis], 1.0)):
+                outside = face + sign * np.spacing(half[axis]) * np.array([0.5, 1.0, 2.0])
+                for value in (np.nextafter(face, -sign * np.inf), face,
+                              np.nextafter(face, sign * np.inf), *outside):
+                    p = mid.copy()
+                    p[axis] = value
+                    pts.append(p[None, :])
+    return np.concatenate(pts)
+
+
+def _window_sets():
+    # Balls whose rounded d.d <= r^2 test accepts points 1-3 ulp outside
+    # centre +- radius along the first axis, one whose lower bound is 0.0
+    # (so an ulp of the bound is far too small a margin), and windows
+    # straddling the base boundary.
+    one = [Region.ball([0.2739233746429086], 0.2770888466262316),
+           Region.ball([0.5], 0.5), Region.ball([0.7263578446997732], 0.5460466080466008),
+           Region.box([-1.3], [-0.6]), Region.box([0.1], [0.1 + 2 ** -40])]
+    two = [Region.ball([0.2739233746429086, 0.1], 0.2770888466262316),
+           Region.ball([0.5, 0.2], 0.5),
+           Region.ball([-0.40057621892523043, 0.3], 0.42846034898568186),
+           Region.ball([0.9, -0.2], 0.4), Region.box([-1.2, -0.3], [-0.7, 0.2]),
+           Region.box([0.0, 0.0], [0.5, 0.25])]
+    three = [Region.ball([0.2739233746429086, 0.0, -0.1], 0.2770888466262316),
+             Region.ball([0.25, 0.1, 0.0], 0.25),
+             Region.ball([0.0, 0.8, 0.3], 0.5), Region.box([0.6, -0.2, -0.2], [1.4, 0.2, 0.3]),
+             Region.box([-0.5, -0.5, -0.5], [0.25, 0.0, 0.5])]
+    return [(1, one), (2, two), (3, three)]
+
+
+@pytest.mark.parametrize("dim, regions", _window_sets(), ids=["1d", "2d", "3d"])
+def test_statistical_counts_equal_all_pairs_counts(monkeypatch, dim, regions):
+    import archarray.verify as verify
+
+    base = Ball(np.zeros(dim), 1.0)
+    lo, hi = base.bounding_box()
+    xb = _edge_samples(regions, np.random.default_rng(dim), lo, hi, 3000)
+    # The first ball accepts a sample beyond centre - radius, so a slice cut
+    # at the bounding box misses it; the second accepts one more than 8 ulp
+    # of its bound beyond it, so widening by ulps of the bound misses it too.
+    for u, margin in zip(regions, (0, 8)):
+        bound = u.bounding_box()[0][0]
+        assert np.any(u.contains(xb) & (xb[:, 0] < bound - margin * np.spacing(abs(bound))))
+    monkeypatch.setattr(verify, "_base_uniform", lambda base, count, philox: (xb, 1, 1.0))
+    monkeypatch.setattr(verify, "_expected_fractions",
+                        lambda h, regions, spec: [0.1] * len(regions))
+    h = types.SimpleNamespace(base=base)
+    report = app_statistical_test(h, regions, len(xb), seed=3)
+    for u, score in zip(regions, report.scores):
+        assert score.observed == np.count_nonzero(u.contains(xb)) / len(xb)
+
+
+def test_statistical_report_pinned_values():
+    # chi2, p and the hit counts of one seeded report, as the gate that
+    # tested every sample against every window computed them.
+    arr = make_archimedean(4, 2)
+    regions = random_regions(arr.base, 8, seed=31)
+    report = app_statistical_test(arr, regions, 20000, seed=32)
+    assert report.chi2 == 6.4509546187147615
+    assert report.p_value == 0.5968527601406719
+    assert [s.observed for s in report.scores] == [
+        0.0865, 0.0043, 0.0322, 0.156, 0.20455, 0.01355, 0.1538, 0.22865]
