@@ -196,17 +196,22 @@ class SphericalArray:
             if self._warp_gradient is None:
                 raise ValueError("custom mode has no gradient callable")
             grads = np.asarray(self._warp_gradient(pts), dtype=float)
-            return grads[0] if single else grads
-        if self.warp_mode == "cylinder":
+        elif self.warp_mode == "cylinder":
             grads = np.zeros((len(pts), self.base_dim))
-            return grads[0] if single else grads
+        else:
+            grads = self._profile_and_gradient(pts)[1]
+        return grads[0] if single else grads
 
+    def _profile_and_gradient(self, pts):
+        """(f/R, grad f) of the archimedean warp from one profile
+        evaluation per point; see :meth:`warping_gradient`."""
         scal = self.scaling
         r = self.r_scale
         omega = self.base.distance_to_boundary(pts)
         if np.any(omega <= 0.0):
             raise ValueError("gradient undefined on the base boundary")
         w = np.minimum(omega / r, scal.m_k)
+        y, yp = scal._f_pair(w)
         grads = np.empty((len(pts), self.base_dim))
         near = np.zeros(len(pts), dtype=bool)
         if isinstance(self.base, Ball):
@@ -219,20 +224,25 @@ class SphericalArray:
                 ratio = scal.series_prime_ratio(t)
                 grads[near] = (ratio / r)[:, None] * rel
         if np.any(~near):
-            sub = pts[~near]
-            fp = scal.f_prime(w[~near])
-            grads[~near] = fp[:, None] * self.base.omega_gradient(sub)
-        return grads[0] if single else grads
+            # omega_gradient raises in the singular band, which for a
+            # ball is the guarded center: call it off the guard only.
+            grads[~near] = yp[~near][:, None] * self.base.omega_gradient(pts[~near])
+        return r * y / r, grads
 
     def app_residual(self, x):
         """Deviation of the unit-normalized area element from 1.
 
         Returns g^{k-1} * sqrt(1 + |grad g|^2) - 1 with g = f/R; zero in
-        exact arithmetic for archimedean and cylinder modes.
+        exact arithmetic for archimedean and cylinder modes.  An
+        archimedean warp takes g and the gradient from one profile
+        inversion per point.
         """
         pts, single = self._pts(x)
-        g = self._warp_from_omega(self.base.distance_to_boundary(pts), pts) / self.r_scale
-        grad = self.warping_gradient(pts)
+        if self.warp_mode == "archimedean":
+            g, grad = self._profile_and_gradient(pts)
+        else:
+            g = self._warp_from_omega(self.base.distance_to_boundary(pts), pts) / self.r_scale
+            grad = self.warping_gradient(pts)
         gnorm2 = np.einsum("nd,nd->n", grad, grad)
         res = g ** (self.k - 1) * np.sqrt(1.0 + gnorm2) - 1.0
         return float(res[0]) if single else res
@@ -393,6 +403,15 @@ class SphericalArray:
         return EnclosedVolume(value, err, mc_value, mc_error)
 
     def _enclosed_mc(self, samples, seed):
+        """Monte Carlo estimate (value, error) of the enclosed volume from
+        hits in the bounding box.
+
+        An archimedean warp tests the boundary form f_k^{-1}(|x'|/R) <=
+        omega/R, which needs no forward root solve; the profile's node
+        table decides all but the samples near their bracket's ends
+        (``ScalingFunction.inverse_at_most``), so few samples cost an
+        incomplete beta.  Other warps compare |x'|^2 with f^2.
+        """
         blo, bhi = self.base.bounding_box()
         lo = np.concatenate([blo, -self.r_scale * np.ones(self.k)])
         hi = np.concatenate([bhi, self.r_scale * np.ones(self.k)])
@@ -414,12 +433,10 @@ class SphericalArray:
             sd = self.base.signed_distance(xb)
             inside = sd >= 0.0
             if self.warp_mode == "archimedean":
-                # Boundary form f_k^{-1}(|x'|/R) <= omega/R: one incomplete
-                # beta per sample instead of a forward root solve.
                 rho = np.linalg.norm(xf[inside], axis=1) / self.r_scale
                 tall = rho <= 1.0
-                hits += int(np.count_nonzero(
-                    self.scaling.f_inverse(rho[tall]) <= sd[inside][tall] / self.r_scale))
+                hits += int(np.count_nonzero(self.scaling.inverse_at_most(
+                    rho[tall], sd[inside][tall] / self.r_scale)))
             elif np.any(inside):
                 f = self._warp_from_omega(sd[inside], xb[inside])
                 rho2 = np.einsum("nd,nd->n", xf[inside], xf[inside])

@@ -49,6 +49,8 @@ _MAX_SERIES_TERMS = 32
 _MIN_SERIES_TERMS = 4
 _NEWTON_CAP = 100
 _BRACKET_WIDTH = 1e-3
+# Margin, in units of m_k, by which inverse_at_most widens a node bracket.
+_NODE_PAD = 1e-12
 
 
 def _beta_p(k):
@@ -166,6 +168,27 @@ class ScalingFunction:
         x = self.m_k * betainc_reg(_beta_p(self.k), 0.5, y_arr ** (2 * self.k - 2))
         x = np.where(y_arr >= 1.0, self.m_k, x)
         return _unprep(x, scalar)
+
+    def inverse_at_most(self, y, x):
+        """Mask of ``f_inverse(y) <= x`` for arrays y in [0, 1] and x.
+
+        f_inverse is monotone, so the table nodes bracketing y bound it:
+        x at or above the upper node's value plus a pad is a hit and x
+        below the lower node's value minus the pad a miss.  The pad,
+        1e-12 m_k, is far above the non-monotone rounding noise of
+        f_inverse (about 1.2e-15 m_k over neighbouring ulp of y), so the
+        mask equals the comparison itself.  Only points within the pad
+        of their bracket are inverted.
+        """
+        y = np.asarray(y, dtype=float)
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.y_table, y, side="right") - 1,
+                    0, len(self.y_table) - 2)
+        pad = _NODE_PAD * self.m_k
+        out = x >= self.x_table[i + 1] + pad
+        unsure = np.flatnonzero(~out & (x >= self.x_table[i] - pad))
+        out[unsure] = self.f_inverse(y[unsure]) <= x[unsure]
+        return out
 
     # -- forward profile ------------------------------------------------
 

@@ -35,6 +35,8 @@ _CHUNK = 65536
 # gate widens the window's slice of the sorted samples.
 _SLICE_ULPS = 8
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+# Factor by which interior_points overdraws its expected shortfall.
+_BATCH_MARGIN = 1.1
 
 
 def _philox(seed, salt):
@@ -71,17 +73,22 @@ def interior_points(base, count, *, boundary_offset=0.0, singular_offset=None,
     Points come from the Halton sequence over the bounding box, keeping
     those with distance to the boundary greater than ``boundary_offset``
     and distance to the singular set greater than ``singular_offset``
-    (default: the base's singular band).
+    (default: the base's singular band).  The result is the first
+    ``count`` kept points in sequence order.  Each batch draws the
+    shortfall divided by the expected keep rate, plus a margin: the
+    base's share of its box at first, the observed rate once a point
+    is kept.
     """
     if singular_offset is None:
         singular_offset = base.singular_band
     lo, hi = base.bounding_box()
+    rate = base.volume() / float(np.prod(hi - lo))
     picked = []
     have = 0
     cursor = start
     attempts = 0
     while have < count:
-        m = max(4 * (count - have), 1024)
+        m = max(math.ceil(_BATCH_MARGIN * (count - have) / rate), 1024)
         u = halton(m, base.dim, start=cursor)
         cursor += m
         pts = lo[None, :] + u * (hi - lo)[None, :]
@@ -93,6 +100,7 @@ def interior_points(base, count, *, boundary_offset=0.0, singular_offset=None,
             if len(sub):
                 picked.append(sub)
                 have += len(sub)
+                rate = have / (cursor - start)
         attempts += 1
         if attempts > 200:
             raise RuntimeError("interior point rejection failed to fill quota")

@@ -23,10 +23,11 @@ from archarray.array import (
     make_custom,
     make_cylinder,
 )
-from archarray.base import Ball, SingularRegionError, regular_polygon
+from archarray.base import Ball, Ellipse, SingularRegionError, regular_polygon
 from archarray.region import Region
 from archarray.scaling import make_scaling
 from archarray.special import ball_volume, sphere_area
+from archarray.verify import interior_points
 from testutil import nth_derivative
 
 # Frozen 40-digit evaluations of the closed-form areas and volumes of
@@ -359,6 +360,29 @@ def test_custom_warp_reproducing_scaling_profile_over_hexagon():
     assert np.max(np.abs(res)) < 1e-6
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("r", [1.0, 0.7])
+@pytest.mark.parametrize("shape", ["ball", "ellipse", "pentagon"])
+def test_residual_matches_two_call_composition(shape, r, k):
+    # app_residual takes f and its gradient from one profile inversion per
+    # point; it must equal f from the warp and the gradient from
+    # warping_gradient assembled separately, bit for bit.  The ball's
+    # center lies in the series guard, where omega_gradient would raise.
+    base = {
+        "ball": lambda: Ball(np.zeros(2), r * make_scaling(k).m_k),
+        "ellipse": lambda: Ellipse([0.1, -0.2], [0.5 * r, 0.35 * r]),
+        "pentagon": lambda: regular_polygon(5, inradius=0.5 * r),
+    }[shape]()
+    arr = SphericalArray(2 + k, k, base, make_scaling(k), r, "archimedean")
+    pts = interior_points(base, 1500, boundary_offset=1e-6 * base.inradius())
+    if shape == "ball":
+        pts = np.vstack([pts, base.center, base.center + 1e-9])
+    g = arr._warp_from_omega(base.distance_to_boundary(pts), pts) / r
+    grad = arr.warping_gradient(pts)
+    want = g ** (k - 1) * np.sqrt(1.0 + np.einsum("nd,nd->n", grad, grad)) - 1.0
+    assert [v.hex() for v in arr.app_residual(pts)] == [v.hex() for v in want]
+
+
 # Implicit and boundary forms ------------------------------------------------
 
 
@@ -564,13 +588,21 @@ def test_enclosed_monte_carlo_hits_match_forward_form(n, k):
     seq = np.random.SeedSequence([seed, 0xE2C])
     philox = np.random.Philox(key=seq.generate_state(2, np.uint64))
     hits = 0
+    inverse_hits = 0
     for index, m in enumerate((65536, samples - 65536)):
         pts = lo + np.random.Generator(philox.jumped(index)).random((m, n)) * (hi - lo)
         xb, xf = pts[:, : n - k], pts[:, n - k:]
-        inside = arr.base.signed_distance(xb) >= 0.0
+        sd = arr.base.signed_distance(xb)
+        inside = sd >= 0.0
         f = arr.warping(xb[inside])
         hits += int(np.count_nonzero(np.sum(xf[inside] ** 2, axis=1) <= f * f))
+        # The boundary form with an incomplete beta on every sample.
+        rho = np.linalg.norm(xf[inside], axis=1)
+        tall = rho <= 1.0
+        inverse_hits += int(np.count_nonzero(
+            arr.scaling.f_inverse(rho[tall]) <= sd[inside][tall]))
     value, _ = arr._enclosed_mc(samples, seed)
+    assert inverse_hits == hits
     assert value == float(np.prod(hi - lo)) * (hits / samples)
 
 

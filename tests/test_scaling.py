@@ -404,3 +404,27 @@ def test_pair_evaluator_matches_f_and_f_prime_bitwise(k):
     assert s._f_pair(x) == (s.f(x), s.f_prime(x))
     with pytest.raises(ValueError):
         s._f_pair(0.0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_inverse_at_most_matches_f_inverse(k):
+    s = make_scaling(k)
+    # Table nodes and their neighbours up to 4 ulp away: there f_inverse's
+    # rounding noise (~20 ulp of x) makes it locally non-monotone, so a
+    # neighbour can invert past the node's own value.
+    near = [s.y_table]
+    up = down = s.y_table
+    for _ in range(4):
+        up, down = np.nextafter(up, 2.0), np.nextafter(down, -1.0)
+        near += [up, down]
+    near = np.clip(np.concatenate(near), 0.0, 1.0)
+    node_x = np.tile(s.x_table, 9)
+    y = np.concatenate([near, np.random.default_rng(k).random(20000)])
+    fy = s.f_inverse(y)
+    # Each y against its own inverse and 1 ulp either side, and each
+    # neighbour against its node's value.
+    ys = np.concatenate([y, y, y, near])
+    xs = np.concatenate([fy, np.nextafter(fy, -1.0), np.nextafter(fy, 2.0), node_x])
+    got = s.inverse_at_most(ys, xs)
+    want = s.f_inverse(ys) <= xs
+    assert np.array_equal(got, want)
