@@ -57,6 +57,47 @@ def _vector_out(values, single):
     return values[0] if single else values
 
 
+# A reduction of fewer terms than this adds them in index order; numpy's
+# np.add.reduce switches to pairwise partial sums from 8 terms on.
+_IN_ORDER_TERMS = 8
+
+
+def sum_of_squares(column, dim):
+    """Sum over j < dim of the squares of ``column(j)``, a new array (or
+    scalar) of coordinate j that may be overwritten.
+
+    The terms are added in order 0, 1, ..., dim - 1, one whole column at
+    a time, which is the order ``np.linalg.norm(..., axis=-1)`` sums a
+    row in, so the square root equals the norm bit for bit.  From
+    ``_IN_ORDER_TERMS`` columns on, the columns are stacked and reduced
+    as the norm reduces them.
+    """
+    if dim >= _IN_ORDER_TERMS:
+        stacked = np.stack([column(j) for j in range(dim)], axis=-1)
+        return np.add.reduce(stacked * stacked, axis=-1)
+    total = column(0)
+    total *= total
+    for j in range(1, dim):
+        term = column(j)
+        term *= term
+        total += term
+    return total
+
+
+def squared_distance(pts, center):
+    """Squared distance of each point of ``pts`` (..., dim) to ``center``."""
+    return sum_of_squares(lambda j: pts[..., j] - center[j], len(center))
+
+
+def ball_misses_box(center, radius, lo, hi):
+    """True where the axis box [lo, hi] (a batch, (m, dim) each) misses the
+    ball: the squared gap from the centre to the box exceeds radius²."""
+    def gap(j):
+        return np.maximum(np.maximum(lo[..., j] - center[j], center[j] - hi[..., j]), 0.0)
+
+    return sum_of_squares(gap, len(center)) > radius ** 2
+
+
 def box_corners(lo, hi):
     """The 2^dim corners of the axis box [lo, hi], one per row; a batch
     of boxes, ``lo`` and ``hi`` of shape (m, dim), gives (m, 2^dim, dim)."""
@@ -158,7 +199,7 @@ class Ball(BaseDomain):
         super().__init__(singular_band)
 
     def _rho(self, pts):
-        return np.linalg.norm(pts - self.center, axis=1)
+        return np.sqrt(squared_distance(pts, self.center))
 
     def _omega(self, pts):
         return self.radius - self._rho(pts)
@@ -177,8 +218,7 @@ class Ball(BaseDomain):
         return self._rho(pts) <= self.radius
 
     def misses_box(self, lo, hi):
-        gap = np.maximum(np.maximum(lo - self.center, self.center - hi), 0.0)
-        return np.sum(gap * gap, axis=-1) > self.radius ** 2
+        return ball_misses_box(self.center, self.radius, lo, hi)
 
     def volume(self):
         return ball_volume(self.dim, self.radius)

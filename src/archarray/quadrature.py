@@ -8,6 +8,7 @@ smooth integrand.  Kronrod nodes are interior, so the singular endpoint
 itself is never evaluated.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,8 +123,9 @@ def integrate(f, a, b, spec=DEFAULT_SPEC, *, singular_left=False,
     cost).  ``singular_left``/``singular_right`` declare an integrable
     inverse-square-root blowup at the corresponding endpoint.
 
-    Raises ``QuadratureError`` when the achieved error estimate is not
-    within an order of magnitude of the requested tolerance.
+    The tolerance is max(abs_tol, rel_tol * |value|).  An error estimate
+    above it but within ten times it is accepted with a ``RuntimeWarning``;
+    a larger one raises ``QuadratureError``.
     """
     a = float(a)
     b = float(b)
@@ -152,11 +154,18 @@ def integrate(f, a, b, spec=DEFAULT_SPEC, *, singular_left=False,
     else:
         value, err = _integrate_plain(f, a, b, spec)
 
-    if err > 10.0 * max(spec.abs_tol, spec.rel_tol * abs(value)):
+    tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+    if err > 10.0 * tol:
         raise QuadratureError(
             f"quadrature did not converge: estimate {value!r} with error "
             f"estimate {err:.3e}",
             value,
             err,
+        )
+    if err > tol:
+        warnings.warn(
+            f"quadrature accepted estimate {value!r} with error estimate "
+            f"{err:.3e} above the tolerance {tol:.3e}",
+            RuntimeWarning, stacklevel=2,
         )
     return value

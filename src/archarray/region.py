@@ -22,8 +22,15 @@ The integrand sees Gauss nodes and Monte Carlo hits in blocks of at most
 ``math.fsum``.  The Monte Carlo nodes depend only on (seed, leaf order),
 never on the integrand, so two quadratures over the same geometry share
 their nodes exactly and the geometric part of the error cancels in
-ratios.  In one dimension every intersection is an interval and is
-handled exactly.
+ratios.  The unit-cube draws of a leaf do not depend on the region
+either: a :class:`LeafDraws` passed to several walks (the statistical
+gate's windows) makes each leaf's draws once for all of them, while a
+walk on its own holds one block of leaves at a time.  In one dimension
+every intersection is an interval and is handled exactly.
+
+Point tests work one coordinate column at a time: each coordinate is
+one long vector operation, where a row-wise reduction over a (N, dim)
+array would run numpy's inner loop over dim elements.
 """
 
 import json
@@ -32,13 +39,14 @@ from itertools import chain
 
 import numpy as np
 
-from .base import box_corners
+from .base import ball_misses_box, box_corners, squared_distance
 from .quadrature import DEFAULT_SPEC, integrate
 
 __all__ = [
     "Region",
     "ClippedIntegral",
     "clipped_quadrature",
+    "LeafDraws",
     "region_from_description",
     "inside_mask",
 ]
@@ -85,19 +93,22 @@ class Region:
         return cls("ball", center=center, radius=radius)
 
     def contains(self, pts):
+        """Inside mask of points (..., dim), one coordinate column at a time."""
         pts = np.asarray(pts, dtype=float)
-        if self.shape == "box":
-            return np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
-        d = pts - self.center
-        return np.einsum("...d,...d->...", d, d) <= self.radius ** 2
+        if self.shape == "ball":
+            return squared_distance(pts, self.center) <= self.radius ** 2
+        inside = (pts[..., 0] >= self.lo[0]) & (pts[..., 0] <= self.hi[0])
+        for j in range(1, self.dim):
+            inside &= pts[..., j] >= self.lo[j]
+            inside &= pts[..., j] <= self.hi[j]
+        return inside
 
     def misses_box(self, lo, hi):
         """True only if the axis box [lo, hi] misses the region; a batch of
         boxes, (m, dim) each, gets one answer per box."""
         if self.shape == "box":
             return np.any((hi < self.lo) | (lo > self.hi), axis=-1)
-        gap = np.maximum(np.maximum(lo - self.center, self.center - hi), 0.0)
-        return np.sum(gap * gap, axis=-1) > self.radius ** 2
+        return ball_misses_box(self.center, self.radius, lo, hi)
 
     def volume(self):
         """Exact volume of the region shape itself (unclipped)."""
@@ -112,11 +123,12 @@ class Region:
             return self.lo.copy(), self.hi.copy()
         return self.center - self.radius, self.center + self.radius
 
-    def clipped_volume(self, base, *, depth=CELL_DEPTH, seed=0):
-        """Volume of region ∩ base, cached per (base value, depth, seed)."""
+    def clipped_volume(self, base, *, depth=CELL_DEPTH, seed=0, draws=None):
+        """Volume of region ∩ base, cached per (base value, depth, seed);
+        ``draws`` is passed on to :func:`clipped_quadrature`."""
         key = _clip_key(base, depth, seed)
         if key not in self._clip_cache:
-            result = clipped_quadrature(base, self, depth=depth, seed=seed)
+            result = clipped_quadrature(base, self, depth=depth, seed=seed, draws=draws)
             self._clip_cache[key] = result.volume
         return self._clip_cache[key]
 
@@ -155,14 +167,24 @@ def region_from_description(desc):
 
 
 class ClippedIntegral:
-    """Volume and integral over region ∩ base with an error estimate."""
+    """Volume and integral over region ∩ base with an error estimate.
 
-    __slots__ = ("volume", "integral", "error_estimate")
+    The walk's counters ride along: ``cells_accepted`` cells lay inside
+    both sets, ``cells_discarded`` missed one of them, and ``mc_leaves``
+    were left undecided at the depth cap and scored by Monte Carlo.
+    """
 
-    def __init__(self, volume, integral, error_estimate):
+    __slots__ = ("volume", "integral", "error_estimate", "cells_accepted",
+                 "cells_discarded", "mc_leaves")
+
+    def __init__(self, volume, integral, error_estimate, *, cells_accepted=0,
+                 cells_discarded=0, mc_leaves=0):
         self.volume = volume
         self.integral = integral
         self.error_estimate = error_estimate
+        self.cells_accepted = cells_accepted
+        self.cells_discarded = cells_discarded
+        self.mc_leaves = mc_leaves
 
     def __repr__(self):
         return (
@@ -218,14 +240,56 @@ def _interval_1d(base, region):
     return lo, hi
 
 
+class LeafDraws:
+    """Unit-cube draws of the cell walk's Monte Carlo leaves.
+
+    Leaf i draws ``mc_points`` points of ``dim`` coordinates from its own
+    counter-based Philox stream, which starts at counter (0, 0, i, 0),
+    where ``philox.jumped(i)`` would start.  One generator reads a leaf's
+    draws, ceil(mc_points * dim / 4) counters, and ``advance`` takes it on
+    to the next leaf's start (advancing also drops the unread part of a
+    block).  The leaves depend only on (seed, mc_points, dim), never on
+    the region, so walks over several regions can share them: with
+    ``keep=True`` every leaf drawn is held and each is drawn once for all
+    walks; otherwise only the leaves of the last request are held.
+    """
+
+    def __init__(self, seed, mc_points, dim, *, keep=False):
+        rng_key = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x7C1])
+        self._philox = np.random.Philox(key=rng_key.generate_state(2, np.uint64))
+        self._gen = np.random.Generator(self._philox)
+        self._to_next_leaf = (1 << 128) - (mc_points * dim + 3) // 4
+        self.key = (seed, mc_points, dim)
+        self.keep = keep
+        self._first = 0
+        self._held = np.empty((0, mc_points, dim))
+
+    def leaves(self, start, count):
+        """Draws of leaves ``start`` to ``start + count - 1``, as a view
+        (count, mc_points, dim); leaves are asked for in order."""
+        drawn = self._first + len(self._held)
+        if start + count > drawn:
+            new = np.empty((start + count - drawn,) + self._held.shape[1:])
+            for leaf in new:
+                self._gen.random(out=leaf)
+                self._philox.advance(self._to_next_leaf)
+            if self.keep:
+                self._held = np.concatenate([self._held, new])
+            else:
+                self._first, self._held = drawn, new
+        return self._held[start - self._first:start - self._first + count]
+
+
 def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH,
-                       mc_points=MC_POINTS, seed=0, spec=DEFAULT_SPEC):
+                       mc_points=MC_POINTS, seed=0, spec=DEFAULT_SPEC, draws=None):
     """Quadrature of ``integrand`` over region ∩ base.
 
     Returns a :class:`ClippedIntegral`; with ``integrand=None`` the
     integral equals the volume.  Results are deterministic for fixed
     (base, region, depth, mc_points, seed) and use integrand-independent
-    nodes.
+    nodes.  ``draws``, a :class:`LeafDraws` for (seed, mc_points,
+    base.dim), supplies the Monte Carlo leaves when several walks share
+    them; the result does not depend on it.
     """
     if region.dim != base.dim:
         raise ValueError("region and base dimensions differ")
@@ -247,21 +311,26 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH,
     if np.any(hi <= lo):
         return ClippedIntegral(0.0, 0.0, 0.0)
 
-    rng_key = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x7C1])
-    philox = np.random.Philox(key=rng_key.generate_state(2, np.uint64))
-
     dim = base.dim
+    if draws is None:
+        draws = LeafDraws(seed, mc_points, dim)
+    elif draws.key != (seed, mc_points, dim):
+        raise ValueError(f"leaf draws for {draws.key}, not {(seed, mc_points, dim)}")
     lo, hi = lo[None, :], hi[None, :]
     volume, variance, sums, rule = [], [], [], []
+    accepted = discarded = 0
     for d in range(depth + 1):
         if d:
             lo, hi = _halve(lo, hi)
         keep = ~(region.misses_box(lo, hi) | base.misses_box(lo, hi))
+        discarded += len(lo)
         lo, hi = lo[keep], hi[keep]
+        discarded -= len(lo)
         corners = box_corners(lo, hi).reshape(-1, dim)
         inside = np.all((region.contains(corners) & inside_mask(base, corners))
                         .reshape(len(lo), 2 ** dim), axis=1)
         alo, ahi = lo[inside], hi[inside]
+        accepted += len(alo)
         volume.append(np.prod(ahi - alo, axis=1))
         if integrand is not None:
             # One two-point rule on a large accepted cell is poor for kinked
@@ -282,29 +351,30 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH,
             sums.append(math.fsum(np.repeat(weights[s:s + step], 2 ** dim) * integrand(nodes)))
 
     # The cells left at the depth cap are the Monte Carlo leaves, in
-    # depth-first order.  Leaf i draws from counter (0, 0, i, 0), where
-    # philox.jumped(i) would start: one generator reads a leaf's draws,
-    # ceil(mc_points * dim / 4) counters, and ``advance`` takes it on to the
-    # next leaf's start (advancing also drops the unread part of a block).
-    gen = np.random.Generator(philox)
-    to_next_leaf = (1 << 128) - (mc_points * dim + 3) // 4
+    # depth-first order; leaf i scores the draws of LeafDraws leaf i.
     step = max(1, _BLOCK // mc_points)
     for s in range(0, len(lo), step):
         clo, chi = lo[s:s + step], hi[s:s + step]
-        u = np.empty((len(clo), mc_points, dim))
-        for leaf in u:
-            gen.random(out=leaf)
-            philox.advance(to_next_leaf)
-        pts = (clo[:, None, :] + u * (chi - clo)[:, None, :]).reshape(-1, dim)
+        u = draws.leaves(s, len(clo))
+        width = chi - clo
+        # The leaf points clo + u * width, one coordinate column at a time.
+        pts = np.empty_like(u)
+        for j in range(dim):
+            np.multiply(u[:, :, j], width[:, j, None], out=pts[:, :, j])
+            pts[:, :, j] += clo[:, j, None]
+        pts = pts.reshape(-1, dim)
         mask = region.contains(pts) & inside_mask(base, pts)
         hits = np.count_nonzero(mask.reshape(len(clo), mc_points), axis=1)
-        cell_vol = np.prod(chi - clo, axis=1)
+        cell_vol = np.prod(width, axis=1)
         frac = hits / mc_points
         volume.append(cell_vol * frac)
         variance.append(cell_vol ** 2 * frac * (1.0 - frac) / mc_points)
         if integrand is not None and hits.any():
-            sums.append(math.fsum(np.repeat(cell_vol / mc_points, hits) * integrand(pts[mask])))
+            sums.append(math.fsum(np.repeat(cell_vol / mc_points, hits)
+                                  * integrand(np.compress(mask, pts, axis=0))))
 
     vol = math.fsum(chain.from_iterable(volume))
     integral = vol if integrand is None else math.fsum(sums)
-    return ClippedIntegral(vol, integral, math.sqrt(math.fsum(chain.from_iterable(variance))))
+    return ClippedIntegral(vol, integral, math.sqrt(math.fsum(chain.from_iterable(variance))),
+                           cells_accepted=accepted, cells_discarded=discarded,
+                           mc_leaves=len(lo))

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .quadrature import DEFAULT_SPEC
-from .region import Region, inside_mask
+from .region import MC_POINTS, LeafDraws, Region, inside_mask
 from .special import gamma_q
 
 __all__ = [
@@ -34,6 +34,9 @@ _CHUNK = 65536
 # Ulps of a window's largest first-coordinate bound by which the statistical
 # gate widens the window's slice of the sorted samples.
 _SLICE_ULPS = 8
+# First-coordinate buckets by which the statistical gate orders its samples;
+# the bucket index fits a uint16, which numpy argsorts by radix.
+_BUCKETS = 1 << 16
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 # Factor by which interior_points overdraws its expected shortfall.
 _BATCH_MARGIN = 1.1
@@ -108,27 +111,33 @@ def interior_points(base, count, *, boundary_offset=0.0, singular_offset=None,
 
 
 def _base_uniform(base, count, philox):
-    """Uniform points on the base by rejection from its bounding box."""
+    """Uniform points on the base by rejection from its bounding box.
+
+    Chunk i of ``_CHUNK`` proposals reads ``philox.jumped(i)``.  Its unit
+    draws are scaled and shifted in place, one coordinate column at a
+    time, and the proposals inside the base are gathered by
+    ``np.compress`` into the preallocated result.  Returns the first
+    ``count`` kept points, the number of chunks drawn and the acceptance
+    rate.
+    """
     lo, hi = base.bounding_box()
-    picked = []
+    width = hi - lo
+    out = np.empty((count, base.dim))
     have = 0
-    proposed = 0
     index = 0
     while have < count:
         gen = np.random.Generator(philox.jumped(index))
         index += 1
-        u = gen.random((_CHUNK, base.dim))
-        pts = lo[None, :] + u * (hi - lo)[None, :]
-        mask = inside_mask(base, pts)
-        proposed += _CHUNK
-        sub = pts[mask]
-        if len(sub):
-            picked.append(sub)
-            have += len(sub)
+        pts = gen.random((_CHUNK, base.dim))
+        for j in range(base.dim):
+            pts[:, j] *= width[j]
+            pts[:, j] += lo[j]
+        sub = np.compress(inside_mask(base, pts), pts, axis=0)[:count - have]
+        out[have:have + len(sub)] = sub
+        have += len(sub)
         if index > 100000:
             raise RuntimeError("rejection sampling failed to fill quota")
-    pts = np.concatenate(picked, axis=0)[:count]
-    return pts, index, count / proposed
+    return out, index, count / (index * _CHUNK)
 
 
 def sample_surface(h, count, seed=0, *, return_rate=False):
@@ -238,14 +247,17 @@ def _expected_fractions(h, regions, spec):
     """Surface-measure mass of each region under the warp's area density.
 
     For archimedean and cylinder warps the density is constant, so the
-    mass reduces to the clipped-volume fraction; for custom warps the
-    area integrand is evaluated by quadrature.
+    mass reduces to the clipped-volume fraction; the walks of the windows
+    missing from their clip caches share one set of Monte Carlo leaf
+    draws, held for this call only.  For custom warps the area integrand
+    is evaluated by quadrature.
     """
     if h.warp_mode == "custom":
         total = h.total_volume(spec).value
         return [h.patch_volume(u, spec) / total for u in regions]
     total = h.base.volume()
-    return [u.clipped_volume(h.base) / total for u in regions]
+    draws = LeafDraws(0, MC_POINTS, h.base.dim, keep=True)
+    return [u.clipped_volume(h.base, draws=draws) / total for u in regions]
 
 
 def app_statistical_test(h, regions, samples, seed=0, spec=DEFAULT_SPEC):
@@ -256,24 +268,47 @@ def app_statistical_test(h, regions, samples, seed=0, spec=DEFAULT_SPEC):
     projection property the uniform-base empirical fractions disagree
     with the surface-measure expectations and the test fails).
 
-    The samples are sorted once by their first coordinate.  A window's
-    hits then lie in the contiguous slice between its bounding box's
+    The samples are put in order of a 16-bit bucket of their first
+    coordinate (``_BUCKETS`` equal buckets across the base's bounding
+    box) by one stable radix argsort.  A window's hits then lie in the
+    contiguous run of whole buckets that covers its bounding box's
     first-coordinate bounds, widened by a few ulp (a ball's rounded
     ``d·d <= r²`` test can accept a point just outside ``center ±
-    radius``), and ``contains`` decides each point of that slice only.
-    The counts equal those of ``contains`` over all samples.
+    radius``), and ``contains`` decides each point of that run only.
+    The bucket of a coordinate never decreases as the coordinate grows,
+    so the run holds every sample between the widened bounds, and the
+    counts equal those of ``contains`` over all samples.
     """
     samples = int(samples)
     if not regions:
         raise ValueError("need at least one region")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     expected = _expected_fractions(h, regions, spec)
     philox = _philox(seed, 0x5A11)
     xb, _, _ = _base_uniform(h.base, samples, philox)
-    xb = xb.take(np.argsort(xb[:, 0]), axis=0)
+    lo, hi = h.base.bounding_box()
+    scale = _BUCKETS / (hi[0] - lo[0])
+
+    def bucket(x):
+        x = x - lo[0]
+        x *= scale
+        return np.clip(x, 0, _BUCKETS - 1, out=x).astype(np.uint16)
+
+    key = bucket(xb[:, 0])
+    order = np.argsort(key, kind="stable")
+    key = key.take(order)
+    # Permute the samples in place, one coordinate column at a time; with
+    # mode="clip" (the indices are in range) take writes straight into
+    # ``column`` instead of buffering it.
+    column = np.empty(len(xb))
+    for j in range(xb.shape[1]):
+        xb[:, j] = xb[:, j].take(order, out=column, mode="clip")
+    del order, column
     bounds = np.array([[corner[0] for corner in u.bounding_box()] for u in regions])
     pad = _SLICE_ULPS * np.spacing(np.max(np.abs(bounds), axis=1))
-    first = np.searchsorted(xb[:, 0], bounds[:, 0] - pad, side="left")
-    last = np.searchsorted(xb[:, 0], bounds[:, 1] + pad, side="right")
+    first = np.searchsorted(key, bucket(bounds[:, 0] - pad), side="left")
+    last = np.searchsorted(key, bucket(bounds[:, 1] + pad), side="right")
 
     scores = []
     low = []

@@ -93,6 +93,19 @@ def test_unflagged_singularity_fails_to_converge():
         integrate(lambda x: 1.0 / np.sqrt(x * (1.0 - x)), 0.0, 1.0)
 
 
+def test_result_over_tolerance_is_accepted_with_a_warning():
+    # The kink of sqrt at 0 needs more than 18 intervals for the default
+    # tolerance; at 18 the error estimate is about 2.8x the tolerance.
+    with pytest.warns(RuntimeWarning, match="above the tolerance"):
+        value = integrate(np.sqrt, 0.0, 1.0, QuadratureSpec(max_intervals=18))
+    assert value == pytest.approx(2.0 / 3.0, rel=1e-12)
+    # Beyond ten times the tolerance it still raises, without a warning.
+    with pytest.raises(QuadratureError):
+        integrate(np.sqrt, 0.0, 1.0, QuadratureSpec(max_intervals=8))
+    # With room to converge it is silent (tier-1 turns warnings into errors).
+    assert integrate(np.sqrt, 0.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
 def test_nonfinite_integrand_value_raises():
     # The midpoint of the first panel is an evaluation node, so a pole
     # there produces an inf that must be reported, not summed over.

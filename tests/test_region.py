@@ -381,3 +381,182 @@ def test_patch_volume_fills_the_clipped_volume_cache(monkeypatch):
     other = Region.box([0.75, -0.3], [1.15, 0.1])
     h.patch_volume(other, depth=8, seed=3, mc_points=64)
     assert other._clip_cache == {}
+
+
+def test_walk_reports_its_counters():
+    base, region, _ = PINNED_WALK[0]
+    out = clipped_quadrature(base, region, depth=9, seed=5)
+    assert (out.cells_accepted, out.cells_discarded, out.mc_leaves) == (58, 30, 92)
+    # The counters do not depend on the integrand, and the 1-D and
+    # empty cases report no cells.
+    again = clipped_quadrature(base, region, _smooth, depth=9, seed=5)
+    assert (again.cells_accepted, again.cells_discarded, again.mc_leaves) == (58, 30, 92)
+    far = clipped_quadrature(base, Region.box([5.0, 5.0], [6.0, 6.0]))
+    assert (far.cells_accepted, far.cells_discarded, far.mc_leaves) == (0, 0, 0)
+
+
+# column kernels ---------------------------------------------------------------
+
+def _ulp_neighbours(pts):
+    """Each point with every coordinate moved by -1, 0 and +1 ulp."""
+    out = [pts]
+    for j in range(pts.shape[1]):
+        for direction in (-np.inf, np.inf):
+            moved = pts.copy()
+            moved[:, j] = np.nextafter(moved[:, j], direction)
+            out.append(moved)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 7, 8, 9])
+def test_ball_rho_equals_the_norm_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    center = rng.normal(size=dim)
+    ball = Ball(center, 1.0)
+    for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+        pts = center + scale * rng.normal(size=(500, dim))
+        want = np.linalg.norm(pts - center, axis=1)
+        assert np.array_equal(ball._rho(pts), want)
+    # Columns of very different size in one point.
+    pts = center + rng.normal(size=(500, dim)) * np.logspace(-150, 150, dim)
+    assert np.array_equal(ball._rho(pts), np.linalg.norm(pts - center, axis=1))
+
+
+def _points_on_ball_and_box(rng):
+    angle = rng.uniform(0.0, 2.0 * math.pi, 200)
+    center, radius = np.array([0.3, -0.2]), 0.45
+    sphere = center + radius * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    lo, hi = np.array([-0.3, 0.1]), np.array([0.7, 0.45])
+    t = rng.uniform(size=(200, 2))
+    faces = lo + t * (hi - lo)
+    faces[:50, 0], faces[50:100, 0] = lo[0], hi[0]
+    faces[100:150, 1], faces[150:, 1] = lo[1], hi[1]
+    corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
+    exact = np.array([[3.0, 4.0], [-3.0, 4.0], [0.0, 5.0], [5.0, 0.0]])  # |d|^2 == 25
+    pts = _ulp_neighbours(np.concatenate([sphere, faces, corners]))
+    return pts, (center, radius), (lo, hi), _ulp_neighbours(exact)
+
+
+def test_region_contains_matches_the_row_formulas_on_boundaries():
+    pts, (center, radius), (lo, hi), exact = _points_on_ball_and_box(np.random.default_rng(4))
+    box = Region.box(lo, hi)
+    want = np.all((pts >= lo) & (pts <= hi), axis=-1)
+    assert np.array_equal(box.contains(pts), want)
+    assert want.any() and not want.all()
+    for c, r, p in ((center, radius, pts), (np.zeros(2), 5.0, exact)):
+        d = p - c
+        want = np.einsum("...d,...d->...", d, d) <= r ** 2
+        got = Region.ball(c, r).contains(p)
+        assert np.array_equal(got, want)
+        assert want.any() and not want.all()
+        # The base ball's test is the rounded norm against the radius.
+        assert np.array_equal(Ball(c, r).inside_mask(p), np.linalg.norm(d, axis=1) <= r)
+    # A single point gives a single answer.
+    assert box.contains(lo) and not box.contains(np.nextafter(lo, -np.inf))
+    assert Region.ball(np.zeros(2), 5.0).contains([3.0, 4.0])
+
+
+def test_region_and_ball_misses_box_match_the_row_formulas():
+    rng = np.random.default_rng(8)
+    lo = rng.uniform(-1.0, 1.0, size=(2000, 3))
+    hi = lo + rng.uniform(0.0, 0.5, size=(2000, 3))
+    center, radius = np.array([0.1, -0.2, 0.3]), 0.6
+    gap = np.maximum(np.maximum(lo - center, center - hi), 0.0)
+    want = np.sum(gap * gap, axis=-1) > radius ** 2
+    assert want.any() and not want.all()
+    assert np.array_equal(Region.ball(center, radius).misses_box(lo, hi), want)
+    assert np.array_equal(Ball(center, radius).misses_box(lo, hi), want)
+
+
+# leaf draws shared by many walks ----------------------------------------------
+
+def _walk_windows():
+    """Windows on the unit disc: one inside it (no leaves), one disjoint,
+    one tangent from outside, and several straddling its edge with leaf
+    counts below and above one draw block."""
+    return [
+        Region.box([-0.2, -0.2], [0.2, 0.2]),
+        Region.box([5.0, 5.0], [6.0, 6.0]),
+        Region.ball([1.5, 0.0], 0.5),
+        Region.ball([0.6, 0.3], 0.5),
+        Region.box([0.75, -0.3], [1.15, 0.1]),
+        Region.ball([0.9, 0.0], 0.3),
+        Region.box([-1.2, -1.2], [1.2, 1.2]),
+        Region.ball([-0.8, 0.55], 0.08),
+    ]
+
+
+@pytest.mark.parametrize("integrand", [None, _smooth], ids=["volume", "integral"])
+def test_walks_sharing_leaf_draws_equal_walks_drawing_their_own(integrand):
+    from archarray.region import _BLOCK, MC_POINTS, LeafDraws
+
+    base = Ball([0.0, 0.0], 1.0)
+    draws = LeafDraws(3, MC_POINTS, 2, keep=True)
+    for u in _walk_windows():
+        shared = clipped_quadrature(base, u, integrand, depth=8, seed=3, draws=draws)
+        alone = clipped_quadrature(base, u, integrand, depth=8, seed=3)
+        assert [v.hex() for v in (shared.volume, shared.integral, shared.error_estimate)] == \
+               [v.hex() for v in (alone.volume, alone.integral, alone.error_estimate)]
+        assert (shared.cells_accepted, shared.cells_discarded, shared.mc_leaves) == \
+               (alone.cells_accepted, alone.cells_discarded, alone.mc_leaves)
+    leaves = sorted({clipped_quadrature(base, u, depth=8, seed=3).mc_leaves
+                     for u in _walk_windows()})
+    assert leaves[0] == 0 and leaves[-1] > _BLOCK // MC_POINTS and len(leaves) >= 4
+
+
+def test_shared_leaf_draws_draw_each_leaf_once(monkeypatch):
+    from archarray.region import _BLOCK, MC_POINTS, LeafDraws
+
+    generator = np.random.Generator
+    draws = []
+
+    class Recording(generator):
+        def random(self, *args, **kwargs):
+            draws.append(1)
+            return super().random(*args, **kwargs)
+
+    base = Ball([0.0, 0.0], 1.0)
+    leaves = [clipped_quadrature(base, u, depth=8, seed=3).mc_leaves for u in _walk_windows()]
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    shared = LeafDraws(3, MC_POINTS, 2, keep=True)
+    for u in _walk_windows():
+        clipped_quadrature(base, u, depth=8, seed=3, draws=shared)
+    assert len(draws) == max(leaves) < sum(leaves)
+    # A walk's own draws hold one block at a time.
+    own = LeafDraws(3, MC_POINTS, 2)
+    out = clipped_quadrature(base, Region.box([-1.2, -1.2], [1.2, 1.2]), depth=8, seed=3,
+                             draws=own)
+    assert out.mc_leaves > _BLOCK // MC_POINTS >= len(own._held)
+
+
+def test_leaf_draws_must_match_the_walk():
+    from archarray.region import LeafDraws
+
+    base, region = Ball([0.0, 0.0], 1.0), Region.ball([0.9, 0.0], 0.3)
+    for key in ((4, 256, 2), (3, 128, 2), (3, 256, 3)):
+        with pytest.raises(ValueError, match="leaf draws"):
+            clipped_quadrature(base, region, depth=8, seed=3, draws=LeafDraws(*key))
+
+
+def test_statistical_windows_share_one_set_of_leaf_draws(monkeypatch):
+    import archarray.region as region_module
+    from archarray.array import make_archimedean
+    from archarray.verify import _expected_fractions
+
+    h = make_archimedean(4, 2)
+    windows = _walk_windows()
+    want = [u.clipped_volume(h.base) / h.base.volume() for u in _walk_windows()]
+    shared = []
+    walk = region_module.clipped_quadrature
+
+    def recording(*args, draws=None, **kwargs):
+        shared.append(draws)
+        return walk(*args, draws=draws, **kwargs)
+
+    monkeypatch.setattr(region_module, "clipped_quadrature", recording)
+    got = _expected_fractions(h, windows, None)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    # One walk per window, all on the same draws; a second gate walks none.
+    assert len(shared) == len(windows) and shared[0].keep
+    assert all(d is shared[0] for d in shared)
+    assert _expected_fractions(h, windows, None) == got and len(shared) == len(windows)

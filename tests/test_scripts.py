@@ -49,3 +49,19 @@ def test_volume_table_rows(capsys):
     assert [(row[0], row[1]) for row in rows] == [("3", "2"), ("4", "2"), ("4", "3")]
     for row in rows:
         assert float(row[3]) == pytest.approx(0.0, abs=1e-8)
+
+
+def test_bench_layers_of_a_checkout():
+    import json
+    import subprocess
+    import sys
+
+    root = SCRIPTS.parent
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "bench.py"), "--layers-of", str(root),
+                           "--reps", "1", "--seeds", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert sorted(doc["checksums"]) == ["bulk-eval.1", "integral-gate.1", "stat-mesh.1"]
+    assert all(row["s"] > 0.0 and len(row["checksum"]) == 64 for row in doc["layers"].values())
+    assert doc["src_lines"] > 1000
