@@ -5,7 +5,8 @@ hot kernels of the statistical gate in a fresh process, hashes the
 results bit for bit, counts the lines under ``src/`` and writes it all,
 with the machine it ran on, to one JSON file.  With ``--baseline`` the
 same is done for a second checkout, and the end-to-end runs of the two
-alternate, so both see the same phases of a shared host.
+alternate, each pair starting with the other checkout, so both see the
+same phases of a shared host.
 
 Usage, from the root of a source checkout:
 
@@ -182,8 +183,10 @@ def main(argv=None):
     for workload in args.workloads.split(","):
         for seed in seeds:
             key = f"{workload}.{seed}"
-            for _ in range(args.pairs):
-                for label, root in roots.items():
+            for pair in range(args.pairs):
+                # Alternate which checkout runs first.
+                order = list(roots.items())[::-1 if pair % 2 else 1]
+                for label, root in order:
                     runs = doc["checkouts"][label]["runs"].setdefault(key, [])
                     runs.append(_run_bench(root, workload, seed, args.seconds))
             for label in roots:

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .base import Ball, BaseDomain, base_from_description
+from .base import Ball, BaseDomain, base_from_description, to_box
 from .quadrature import DEFAULT_SPEC, integrate
 from .region import CELL_DEPTH, MC_POINTS, Region, clipped_quadrature
 from .scaling import make_scaling
@@ -426,8 +426,7 @@ class SphericalArray:
             m = min(chunk, samples - done)
             gen = np.random.Generator(philox.jumped(index))
             index += 1
-            u = gen.random((m, self.n))
-            pts = lo[None, :] + u * (hi - lo)[None, :]
+            pts = to_box(gen.random((m, self.n)), lo, hi)
             xb = pts[:, : self.base_dim]
             xf = pts[:, self.base_dim:]
             sd = self.base.signed_distance(xb)

@@ -98,6 +98,17 @@ def ball_misses_box(center, radius, lo, hi):
     return sum_of_squares(gap, len(center)) > radius ** 2
 
 
+def to_box(u, lo, hi):
+    """Map unit-cube draws ``u`` (npoints, dim) onto the box [lo, hi] in
+    place, one coordinate column at a time; the result is lo + u * (hi - lo)
+    bit for bit.  Returns ``u``."""
+    width = hi - lo
+    for j in range(u.shape[1]):
+        u[:, j] *= width[j]
+        u[:, j] += lo[j]
+    return u
+
+
 def box_corners(lo, hi):
     """The 2^dim corners of the axis box [lo, hi], one per row; a batch
     of boxes, ``lo`` and ``hi`` of shape (m, dim), gives (m, 2^dim, dim)."""

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .base import to_box
 from .quadrature import DEFAULT_SPEC
 from .region import MC_POINTS, LeafDraws, Region, inside_mask
 from .special import gamma_q
@@ -92,9 +93,8 @@ def interior_points(base, count, *, boundary_offset=0.0, singular_offset=None,
     attempts = 0
     while have < count:
         m = max(math.ceil(_BATCH_MARGIN * (count - have) / rate), 1024)
-        u = halton(m, base.dim, start=cursor)
+        pts = to_box(halton(m, base.dim, start=cursor), lo, hi)
         cursor += m
-        pts = lo[None, :] + u * (hi - lo)[None, :]
         keep = base.signed_distance(pts) > boundary_offset
         if np.any(keep):
             sub = pts[keep]
@@ -114,24 +114,20 @@ def _base_uniform(base, count, philox):
     """Uniform points on the base by rejection from its bounding box.
 
     Chunk i of ``_CHUNK`` proposals reads ``philox.jumped(i)``.  Its unit
-    draws are scaled and shifted in place, one coordinate column at a
-    time, and the proposals inside the base are gathered by
+    draws are mapped onto the box in place, one coordinate column at a
+    time (``to_box``), and the proposals inside the base are gathered by
     ``np.compress`` into the preallocated result.  Returns the first
     ``count`` kept points, the number of chunks drawn and the acceptance
     rate.
     """
     lo, hi = base.bounding_box()
-    width = hi - lo
     out = np.empty((count, base.dim))
     have = 0
     index = 0
     while have < count:
         gen = np.random.Generator(philox.jumped(index))
         index += 1
-        pts = gen.random((_CHUNK, base.dim))
-        for j in range(base.dim):
-            pts[:, j] *= width[j]
-            pts[:, j] += lo[j]
+        pts = to_box(gen.random((_CHUNK, base.dim)), lo, hi)
         sub = np.compress(inside_mask(base, pts), pts, axis=0)[:count - have]
         out[have:have + len(sub)] = sub
         have += len(sub)

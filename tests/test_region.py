@@ -422,6 +422,18 @@ def test_ball_rho_equals_the_norm_bit_for_bit(dim):
     assert np.array_equal(ball._rho(pts), np.linalg.norm(pts - center, axis=1))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_to_box_equals_the_broadcast_affine_map(dim):
+    from archarray.base import to_box
+
+    rng = np.random.default_rng(dim)
+    u = rng.random((1000, dim))
+    lo, hi = rng.normal(size=dim), rng.normal(size=dim) + 3.0
+    want = lo[None, :] + u * (hi - lo)[None, :]
+    got = to_box(u, lo, hi)
+    assert got is u and np.array_equal(got, want)
+
+
 def _points_on_ball_and_box(rng):
     angle = rng.uniform(0.0, 2.0 * math.pi, 200)
     center, radius = np.array([0.3, -0.2]), 0.45
