@@ -163,7 +163,6 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=3,
                     help="bench/run.py runs per checkout, workload and seed")
     ap.add_argument("--reps", type=int, default=15, help="repetitions of each layer row")
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--layers-of", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
@@ -180,7 +179,7 @@ def main(argv=None):
     doc = {"machine": _machine(), "settings": settings, "checkouts": {}}
     for label, root in roots.items():
         doc["checkouts"][label] = {**_layers_subprocess(root, args.reps, seeds), "runs": {}}
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         for seed in seeds:
             key = f"{workload}.{seed}"
             for pair in range(args.pairs):

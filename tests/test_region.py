@@ -393,6 +393,8 @@ def test_walk_reports_its_counters():
     assert (again.cells_accepted, again.cells_discarded, again.mc_leaves) == (58, 30, 92)
     far = clipped_quadrature(base, Region.box([5.0, 5.0], [6.0, 6.0]))
     assert (far.cells_accepted, far.cells_discarded, far.mc_leaves) == (0, 0, 0)
+    line = clipped_quadrature(Ball([0.0], 1.0), Region.box([0.0], [0.5]))
+    assert (line.cells_accepted, line.cells_discarded, line.mc_leaves) == (0, 0, 0)
 
 
 # column kernels ---------------------------------------------------------------
