@@ -95,6 +95,8 @@ class Region:
     def contains(self, pts):
         """Inside mask of points (..., dim), one coordinate column at a time."""
         pts = np.asarray(pts, dtype=float)
+        if pts.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected points of dimension {self.dim}, got shape {pts.shape}")
         if self.shape == "ball":
             return squared_distance(pts, self.center) <= self.radius ** 2
         inside = (pts[..., 0] >= self.lo[0]) & (pts[..., 0] <= self.hi[0])

@@ -465,9 +465,13 @@ def test_region_contains_matches_the_row_formulas_on_boundaries():
         assert want.any() and not want.all()
         # The base ball's test is the rounded norm against the radius.
         assert np.array_equal(Ball(c, r).inside_mask(p), np.linalg.norm(d, axis=1) <= r)
-    # A single point gives a single answer.
+    # A single point gives a single answer; points of another dimension
+    # are refused.
     assert box.contains(lo) and not box.contains(np.nextafter(lo, -np.inf))
     assert Region.ball(np.zeros(2), 5.0).contains([3.0, 4.0])
+    for region in (box, Region.ball(center, radius)):
+        with pytest.raises(ValueError, match="dimension"):
+            region.contains(np.zeros((4, 3)))
 
 
 def test_region_and_ball_misses_box_match_the_row_formulas():
