@@ -62,40 +62,26 @@ def _vector_out(values, single):
 _IN_ORDER_TERMS = 8
 
 
-def sum_of_squares(column, dim):
-    """Sum over j < dim of the squares of ``column(j)``, a new array (or
-    scalar) of coordinate j that may be overwritten.
+def squared_distance(pts, center):
+    """Squared distance of each point of ``pts`` (..., dim) to ``center``.
 
-    The terms are added in order 0, 1, ..., dim - 1, one whole column at
-    a time, which is the order ``np.linalg.norm(..., axis=-1)`` sums a
-    row in, so the square root equals the norm bit for bit.  From
-    ``_IN_ORDER_TERMS`` columns on, the columns are stacked and reduced
-    as the norm reduces them.
+    The squares are added in order 0, 1, ..., dim - 1, one whole
+    coordinate column at a time, which is the order
+    ``np.linalg.norm(..., axis=-1)`` sums a row in, so the square root
+    equals the norm bit for bit.  From ``_IN_ORDER_TERMS`` coordinates on,
+    the rows are reduced as the norm reduces them.
     """
+    dim = len(center)
     if dim >= _IN_ORDER_TERMS:
-        stacked = np.stack([column(j) for j in range(dim)], axis=-1)
-        return np.add.reduce(stacked * stacked, axis=-1)
-    total = column(0)
+        d = pts - center
+        return np.add.reduce(d * d, axis=-1)
+    total = pts[..., 0] - center[0]
     total *= total
     for j in range(1, dim):
-        term = column(j)
+        term = pts[..., j] - center[j]
         term *= term
         total += term
     return total
-
-
-def squared_distance(pts, center):
-    """Squared distance of each point of ``pts`` (..., dim) to ``center``."""
-    return sum_of_squares(lambda j: pts[..., j] - center[j], len(center))
-
-
-def ball_misses_box(center, radius, lo, hi):
-    """True where the axis box [lo, hi] (a batch, (m, dim) each) misses the
-    ball: the squared gap from the centre to the box exceeds radius²."""
-    def gap(j):
-        return np.maximum(np.maximum(lo[..., j] - center[j], center[j] - hi[..., j]), 0.0)
-
-    return sum_of_squares(gap, len(center)) > radius ** 2
 
 
 def to_box(u, lo, hi):
@@ -229,7 +215,8 @@ class Ball(BaseDomain):
         return self._rho(pts) <= self.radius
 
     def misses_box(self, lo, hi):
-        return ball_misses_box(self.center, self.radius, lo, hi)
+        # The box point nearest the centre is the centre clipped to the box.
+        return squared_distance(np.clip(self.center, lo, hi), self.center) > self.radius ** 2
 
     def volume(self):
         return ball_volume(self.dim, self.radius)

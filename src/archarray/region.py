@@ -39,7 +39,7 @@ from itertools import chain
 
 import numpy as np
 
-from .base import ball_misses_box, box_corners, squared_distance
+from .base import box_corners, squared_distance
 from .quadrature import DEFAULT_SPEC, integrate
 
 __all__ = [
@@ -110,7 +110,8 @@ class Region:
         boxes, (m, dim) each, gets one answer per box."""
         if self.shape == "box":
             return np.any((hi < self.lo) | (lo > self.hi), axis=-1)
-        return ball_misses_box(self.center, self.radius, lo, hi)
+        # The box point nearest the centre is the centre clipped to the box.
+        return squared_distance(np.clip(self.center, lo, hi), self.center) > self.radius ** 2
 
     def volume(self):
         """Exact volume of the region shape itself (unclipped)."""

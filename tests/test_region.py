@@ -474,11 +474,12 @@ def test_region_contains_matches_the_row_formulas_on_boundaries():
             region.contains(np.zeros((4, 3)))
 
 
-def test_region_and_ball_misses_box_match_the_row_formulas():
-    rng = np.random.default_rng(8)
-    lo = rng.uniform(-1.0, 1.0, size=(2000, 3))
-    hi = lo + rng.uniform(0.0, 0.5, size=(2000, 3))
-    center, radius = np.array([0.1, -0.2, 0.3]), 0.6
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+def test_region_and_ball_misses_box_match_the_row_formulas(dim):
+    rng = np.random.default_rng(dim)
+    lo = rng.uniform(-1.0, 1.0, size=(2000, dim))
+    hi = lo + rng.uniform(0.0, 0.5, size=(2000, dim))
+    center, radius = rng.uniform(-0.3, 0.3, size=dim), 0.3 * math.sqrt(dim)
     gap = np.maximum(np.maximum(lo - center, center - hi), 0.0)
     want = np.sum(gap * gap, axis=-1) > radius ** 2
     assert want.any() and not want.all()
