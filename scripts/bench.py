@@ -1,7 +1,8 @@
 """Benchmark record of a checkout: end-to-end runs, layer timings, checksums.
 
 Runs ``bench/run.py`` (untraced) on every workload and seed, times the
-hot kernels of the statistical gate in a fresh process, hashes the
+hot kernels of the statistical gate and of the profile layer in a fresh
+process, counts the incomplete betas per forward profile value, hashes the
 results bit for bit, counts the lines under ``src/`` and writes it all,
 with the machine it ran on, to one JSON file.  With ``--baseline`` the
 same is done for a second checkout, and the end-to-end runs of the two
@@ -68,6 +69,8 @@ def layers(root, reps, seeds):
     import archarray.cli  # noqa: F401  (workloads call the CLI)
     import workloads
     from archarray.quadrature import DEFAULT_SPEC
+    from archarray.scaling import ScalingFunction, make_scaling
+    from archarray.special import betainc_reg
     from archarray.verify import _base_uniform, _expected_fractions, _philox
 
     h = archarray.make_archimedean(4, 2)
@@ -84,6 +87,12 @@ def layers(root, reps, seeds):
 
     cached = regions()
     _expected_fractions(h, cached, DEFAULT_SPEC)
+    # The profile layer on 65,536 points (k = 3) and the enclosed-volume
+    # Monte Carlo, whose hit test reads the profile's node table.
+    prof = make_scaling(3)
+    xs = (1.0 - rng.random(65_536)) * prof.m_k
+    ys = rng.random(65_536)
+    h43 = archarray.make_archimedean(4, 3)
     rows = {
         "ball.inside_mask.200k": lambda: h.base.inside_mask(pts),
         "region.contains.box.200k": lambda: box.contains(pts),
@@ -94,6 +103,11 @@ def layers(root, reps, seeds):
             archarray.app_statistical_test(h, cached, 200_000, seed=5)),
         "region.patch_volume.depth8": lambda: h.patch_volume(
             archarray.Region.ball([0.55, -0.1], 0.22), depth=8, seed=1),
+        "scaling.f.65536": lambda: prof.f(xs),
+        "scaling.f_prime.65536": lambda: prof.f_prime(xs),
+        "scaling.f_inverse.65536": lambda: prof.f_inverse(ys),
+        "special.betainc_reg.65536": lambda: betainc_reg(0.75, 0.5, ys ** 4),
+        "array.enclosed_mc.1e6": lambda: h43._enclosed_mc(1_000_000, 7),
     }
     out = {"layers": {}, "checksums": {}}
     for name, fn in rows.items():
@@ -103,6 +117,21 @@ def layers(root, reps, seeds):
         else:
             check = _digest(result)
         out["layers"][name] = {"s": seconds, "checksum": check}
+
+    # Incomplete betas per point of one forward solve on the points f
+    # sends to it (outside the series guard), for k = 2, 3 and 6.
+    out["newton_evals_per_point"] = {}
+    raw = ScalingFunction._raw_inverse
+    for k in (2, 3, 6):
+        sk = make_scaling(k)
+        pts_k = np.random.default_rng(5).uniform(0.0, sk.m_k - sk.series_radius_guard, 65_536)
+        sizes = []
+        ScalingFunction._raw_inverse = lambda self, y: sizes.append(y.size) or raw(self, y)
+        try:
+            sk._f_root(pts_k)
+        finally:
+            ScalingFunction._raw_inverse = raw
+        out["newton_evals_per_point"][str(k)] = sum(sizes) / pts_k.size
 
     # One round of every workload: the sha256 of its values, floats as hex.
     with open(os.path.join(root, "bench", "reference.json")) as fh:

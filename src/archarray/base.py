@@ -271,7 +271,9 @@ class Ellipse(BaseDomain):
 
         Works in the folded first quadrant: scan the squared distance on
         a parameter grid, then polish the stationarity condition with a
-        bracketed Newton iteration, which warns when it hits ``_NEWTON_CAP``.
+        bracketed Newton iteration.  A point leaves the iteration once its
+        step falls below ``_TOL``, so its result does not depend on the
+        batch; points still moving at ``_NEWTON_CAP`` raise a warning.
         """
         a, b = self.semi_axes
         rel = pts - self.center
@@ -289,13 +291,17 @@ class Ellipse(BaseDomain):
         hi = grid[np.minimum(best + 1, self._SCAN - 1)]
         th = grid[best]
 
-        def stat(t):
+        def stat(t, px, py):
             return (b * b - a * a) * np.sin(t) * np.cos(t) + a * px * np.sin(t) \
                 - b * py * np.cos(t)
 
-        s_lo = stat(lo)
+        s_lo = stat(lo, px, py)
+        out = np.empty_like(th)
+        act = np.arange(len(pts))
         for _ in range(self._NEWTON_CAP):
-            val = stat(th)
+            if not act.size:
+                break
+            val = stat(th, px, py)
             neg = (val < 0.0) == (s_lo < 0.0)
             lo = np.where(neg, th, lo)
             s_lo = np.where(neg, val, s_lo)
@@ -307,18 +313,20 @@ class Ellipse(BaseDomain):
             th_new = th - step
             bad = ~np.isfinite(th_new) | (th_new < lo) | (th_new > hi)
             th_new = np.where(bad, 0.5 * (lo + hi), th_new)
-            moving = ~(np.abs(th_new - th) < self._TOL)
-            th = th_new
-            if not moving.any():
-                break
-        else:
+            done = np.abs(th_new - th) < self._TOL
+            out[act[done]] = th_new[done]
+            keep = ~done
+            act, px, py, th, lo, hi, s_lo = (
+                v[keep] for v in (act, px, py, th_new, lo, hi, s_lo))
+        if act.size:
             warnings.warn(
-                f"ellipse nearest-point search left {np.count_nonzero(moving)} of "
+                f"ellipse nearest-point search left {act.size} of "
                 f"{len(pts)} points unconverged after {self._NEWTON_CAP} Newton steps",
                 RuntimeWarning, stacklevel=2,
             )
+            out[act] = th
 
-        nearest = np.stack([sx * a * np.cos(th), sy * b * np.sin(th)], axis=1)
+        nearest = np.stack([sx * a * np.cos(out), sy * b * np.sin(out)], axis=1)
         return nearest + self.center
 
     def _level(self, pts):

@@ -17,9 +17,15 @@ k = 2 reproduces the quarter circle g(x) = sqrt(2x - x^2) with M_2 = 1.
 The profile satisfies y^(2k-2) * (1 + y'^2) = 1.  Near x = M_k all odd
 derivatives vanish and g has an even Taylor expansion, which is used as
 the evaluation path inside ``series_radius_guard`` of M_k; elsewhere
-evaluation inverts g^{-1} with a table-seeded safeguarded Newton that
-converges per point: each point stops on its own step test, so its value
-does not depend on the batch it is evaluated in.  A zero Newton step is
+evaluation inverts g^{-1} with a safeguarded Newton that converges per
+point: each point stops on its own step test, so its value does not
+depend on the batch it is evaluated in.  The start is a cubic Hermite
+interpolant of y(x) on the bracketing nodes of a Chebyshev table, whose
+slopes dy/dx = sqrt(1 - y^(2k-2))/y^(k-1) are exact, so one or two
+incomplete betas finish most points.  In the first bracket, where that
+slope is infinite, the start is the leading term of
+g^{-1}(y) = y^k/k + O(y^(3k-2)); where the omitted term is below
+rounding that start is the root itself.  A zero Newton step is
 convergence, not a bracket violation; only a step that leaves the open
 bracket any other way falls back to bisection.  One inversion serves
 both g and g', which is derived from y through the profile relation.
@@ -51,6 +57,8 @@ _NEWTON_CAP = 100
 _BRACKET_WIDTH = 1e-3
 # Margin, in units of m_k, by which inverse_at_most widens a node bracket.
 _NODE_PAD = 1e-12
+# Relative rounding of a float64: half an ulp of 1.
+_EPS = 2.0 ** -53
 
 
 def _beta_p(k):
@@ -149,6 +157,7 @@ class ScalingFunction:
     m_k: float
     y_table: np.ndarray = field(repr=False)
     x_table: np.ndarray = field(repr=False)
+    slope_table: np.ndarray = field(repr=False)
     taylor: np.ndarray = field(repr=False)
     series_radius_guard: float
 
@@ -182,13 +191,27 @@ class ScalingFunction:
         """
         y = np.asarray(y, dtype=float)
         x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(self.y_table, y, side="right") - 1,
-                    0, len(self.y_table) - 2)
+        i = self._y_bracket(y)
         pad = _NODE_PAD * self.m_k
         out = x >= self.x_table[i + 1] + pad
         unsure = np.flatnonzero(~out & (x >= self.x_table[i] - pad))
         out[unsure] = self.f_inverse(y[unsure]) <= x[unsure]
         return out
+
+    def _y_bracket(self, y):
+        """Index i of the node bracket [y_i, y_(i+1)) holding each y in [0, 1].
+
+        Equal to ``searchsorted(y_table, y, side="right") - 1`` clipped to
+        the last bracket, but read off the node formula
+        y_i = (1 - cos(pi i/(N-1)))/2 and corrected by one node where
+        rounding put y on the wrong side.
+        """
+        last = len(self.y_table) - 2
+        t = np.arccos(np.clip(1.0 - 2.0 * y, -1.0, 1.0))
+        i = np.minimum((t * ((last + 1) / math.pi)).astype(np.intp), last)
+        i -= self.y_table[i] > y
+        i += (self.y_table[i + 1] <= y) & (i < last)
+        return i
 
     # -- forward profile ------------------------------------------------
 
@@ -239,11 +262,15 @@ class ScalingFunction:
         return np.minimum(acc, 1.0)
 
     def _f_root(self, x):
-        """Invert f_inverse by bracketed Newton seeded from the node table.
+        """Invert f_inverse by bracketed Newton from the seed of ``_seed``.
 
-        Convergence is per point: a point leaves the active set once its
-        step passes |dy| <= 1e-16 + 1e-15 y, so its value is the same in
-        any batch.  A zero step is accepted as convergence.  Any other
+        The node table brackets each root; a seed that is not finite or
+        not strictly inside the bracket falls back to its midpoint.  In
+        the first bracket a power-law seed whose omitted term is below
+        rounding is returned without a Newton step.  Convergence is per
+        point: a point leaves the active set once its step passes
+        |dy| <= 1e-16 + 1e-15 y, so its value is the same in any batch.
+        A zero step is accepted as convergence.  Any other
         step that is not finite or not strictly inside the bracket
         (lo, hi) is replaced by bisection: landing on the far end, which
         is already evaluated, would let rounding noise in g^{-1} cycle
@@ -259,6 +286,16 @@ class ScalingFunction:
                       0, len(self.x_table) - 2)
         lo = self.y_table[idx]
         hi = self.y_table[idx + 1]
+        seed = self._seed(xa, idx)
+        e = 2 * self.k - 2
+        # Where the power law's first omitted term (y^(2k-2)/(6k-4),
+        # relative) is below rounding, the seed is the root; g^{-1} there
+        # underflows for k >= 3, and a Newton step could only move it away.
+        exact = (idx == 0) & (seed < hi) & (seed ** e < _EPS)
+        if exact.any():
+            out[act[exact]] = seed[exact]
+            keep = ~exact
+            act, xa, seed, lo, hi = act[keep], xa[keep], seed[keep], lo[keep], hi[keep]
         # The Chebyshev table already brackets tighter than the required
         # width; bisect only if a coarser table was requested.
         wide = np.flatnonzero(hi - lo > _BRACKET_WIDTH)
@@ -268,8 +305,7 @@ class ScalingFunction:
             lo[wide] = np.where(low_side, mid, lo[wide])
             hi[wide] = np.where(low_side, hi[wide], mid)
             wide = wide[hi[wide] - lo[wide] > _BRACKET_WIDTH]
-        y = 0.5 * (lo + hi)
-        e = 2 * self.k - 2
+        y = np.where(np.isfinite(seed) & (seed > lo) & (seed < hi), seed, 0.5 * (lo + hi))
         for _ in range(_NEWTON_CAP):
             if not act.size:
                 break
@@ -294,6 +330,27 @@ class ScalingFunction:
             )
             out[act] = y
         return out
+
+    def _seed(self, x, idx):
+        """Start for the root of g^{-1}(y) = x in node bracket ``idx``.
+
+        Cubic Hermite interpolation of y(x) between the bracket's nodes,
+        whose slopes dy/dx are exact; in the first bracket, where the
+        slope at y = 0 is infinite, the leading term of
+        g^{-1}(y) = y^k/k + O(y^(3k-2)) instead.
+        """
+        x0 = self.x_table[idx]
+        h = self.x_table[idx + 1] - x0
+        y0 = self.y_table[idx]
+        dy = self.y_table[idx + 1] - y0
+        with np.errstate(invalid="ignore"):
+            m0 = h * self.slope_table[idx]
+            m1 = h * self.slope_table[idx + 1]
+            t = (x - x0) / h
+            y = y0 + t * (m0 + t * ((3.0 * dy - 2.0 * m0 - m1) + t * (m0 + m1 - 2.0 * dy)))
+        first = idx == 0
+        y[first] = np.minimum((self.k * x[first]) ** (1.0 / self.k), self.y_table[1])
+        return y
 
     def _raw_inverse(self, y):
         return self.m_k * betainc_reg(_beta_p(self.k), 0.5, y ** (2 * self.k - 2))
@@ -409,12 +466,17 @@ def make_scaling(k, spec=DEFAULT_SPEC, *, table_size=TABLE_SIZE,
     x_nodes[-1] = m_k
     if np.any(np.diff(x_nodes) <= 0.0):
         raise ValueError("inverse table failed to be strictly increasing")
+    # dy/dx at each node; infinite at y = 0, where the first bracket
+    # seeds from the power law instead.
+    with np.errstate(divide="ignore"):
+        slopes = np.sqrt(1.0 - y_nodes ** (2 * k - 2)) / y_nodes ** (k - 1)
 
     s = ScalingFunction(
         k=int(k),
         m_k=m_k,
         y_table=y_nodes,
         x_table=x_nodes,
+        slope_table=slopes,
         taylor=coef,
         series_radius_guard=guard,
     )

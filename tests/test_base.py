@@ -363,6 +363,14 @@ def test_ellipse_newton_cap_warns_with_the_unconverged_count(monkeypatch):
         Ellipse([0.0, 0.0], [2.0, 1.0]).signed_distance(pts)
 
 
+def test_ellipse_distance_does_not_depend_on_its_batch():
+    e = Ellipse([0.1, -0.2], [0.9, 0.5])
+    pts = np.random.default_rng(3).uniform(-1.2, 1.2, (2000, 2))
+    whole = e.signed_distance(pts)[:400]
+    alone = np.array([e.signed_distance(p[None])[0] for p in pts[:400]])
+    assert np.count_nonzero(whole != alone) == 0
+
+
 def test_ellipse_medial_segment():
     a, b = 2.0, 1.0
     e = Ellipse([0.0, 0.0], [a, b])

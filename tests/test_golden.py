@@ -33,9 +33,9 @@ CLI_DIGESTS = {
     ("mesh", "--n", "4", "--k", "2", "--res", "12"):
         "da2308e38bf534dcc0bcce307b4d0c2934a456bf58a112efc037380655256e19",
     ("sample", "--n", "4", "--k", "3", "--count", "200", "--seed", "5"):
-        "9efdcf5dedec339acf8b241fa14cc38c4b1cfd4efd4b864ebce630f0b91dc138",
+        "3538cfdf7cdc0790a214be96cfe517525b4d873706063fe3f13b5c797b415e0b",
     ("scaling", "--k", "3", "--samples", "33"):
-        "1a848e87122422f4e8fe8b60a23900b79e855c17c24ddb26ca67b95eb5bba2c9",
+        "70b6c2c871c9959e7bfb13ef150fbb4f423296da78e9d726a1924ce9eba755ff",
     ("volume", "--n", "4", "--k", "3", "--enclosed", "--samples", "200000", "--seed", "7"):
         "2ffccd17063637db4c2963622d76a936f8b0a1044500dc219e56b7a8046eace7",
 }
@@ -49,12 +49,12 @@ RESIDUAL_MAX = {
 # sha256 of warping_gradient's float64 bytes at 1,000 interior points of
 # an n=4, k=2 archimedean array.
 GRADIENT_DIGESTS = {
-    ("ball", 1.0): "99424d95ba5e2a1a1565be475e6f06a30e01c7bce6eb09d9208ca5e8345f4a0b",
-    ("ball", 0.7): "e05d330fcabf567ad797a76e170f81b87825a871441f35b21a40d67d9476924b",
-    ("ellipse", 1.0): "aa1bd58b8f32f972d5cf7b8416bd0134ccca4ae37f4692fa8ee6326cf5bbbfca",
-    ("ellipse", 0.7): "308d3009c23cb2532f163b400baffea96e755b33a1c75fdffc588d2e6cb054bc",
-    ("pentagon", 1.0): "4e48a4487498030963772c63fceb578453ccecf712e0eea4e7505965a0af7478",
-    ("pentagon", 0.7): "065709a7e9353fdbaabdc196b1f4148d5f78a6c1b6c09c039788d53814883c2f",
+    ("ball", 1.0): "44103746b1c641aa8000bdb6c7ad9e7bcefe9bb5db42e0a218e738ee8e8d1d92",
+    ("ball", 0.7): "e7100b09446c33d41359bb6c3e505795a8759975a2386b9f00020de36bbea0ec",
+    ("ellipse", 1.0): "99445e3b400d1cc9cef6051c251a05e58cb3f94fa864b20c4c8c16509a613b32",
+    ("ellipse", 0.7): "6591c58d996fe3c24acd1b196395a330d5f80eb2a4741856ec23b8c080f8d6fb",
+    ("pentagon", 1.0): "6dd1a8cbe2c5ba25ffb4666a3597a57c8ea2cc7d81e5032c3cae09ace36b2604",
+    ("pentagon", 0.7): "0a13fe8c8c89473e68af163c68f5b55c542f2c3d3aeab68dfd5bc92a22d38ca8",
 }
 
 
@@ -99,9 +99,9 @@ STAT_VOLUMES = [
 # base points take two rejection chunks on every base.
 SAMPLE_DIGESTS = {
     "ball-n4-k2": (lambda: make_archimedean(4, 2),
-        "13cd288ce18d2cb3575814e70b0bd29e4a2584e0a191fa1aa8218ececdfca907"),
+        "75a0278e62bbd96f08814a303c3d926fa78e68cb0d496d791d15f84121c8ee31"),
     "ball-n5-k2": (lambda: make_archimedean(5, 2),
-        "0f5058641ae76b0fcbdb8d696c7eddc893c3f7b0704a9fb8c61f17db72558936"),
+        "bc03a6717568aeefbbc66531c816fbf26ba70cf0c0bb722d2ae3138c329037bf"),
     "ellipse-cylinder": (
         lambda: make_cylinder(2, Ellipse([0.1, -0.2], [0.9, 0.5]), r_scale=0.4),
         "059d39d183642ff57f5235045151ce33e32e17267f39435944aa0508c15f3e39"),

@@ -65,3 +65,4 @@ def test_bench_layers_of_a_checkout():
     assert sorted(doc["checksums"]) == ["bulk-eval.1", "integral-gate.1", "stat-mesh.1"]
     assert all(row["s"] > 0.0 and len(row["checksum"]) == 64 for row in doc["layers"].values())
     assert doc["src_lines"] > 1000
+    assert sorted(doc["newton_evals_per_point"]) == ["2", "3", "6"]
