@@ -1,13 +1,14 @@
 """Benchmark record of a checkout: end-to-end runs, layer timings, checksums.
 
 Runs ``bench/run.py`` (untraced) on every workload and seed, times the
-hot kernels of the statistical gate and of the profile layer in a fresh
-process, counts the incomplete betas per forward profile value, hashes the
-results bit for bit, counts the lines under ``src/`` and writes it all,
-with the machine it ran on, to one JSON file.  With ``--baseline`` the
-same is done for a second checkout, and the end-to-end runs of the two
-alternate, each pair starting with the other checkout, so both see the
-same phases of a shared host.
+hot kernels of the statistical gate, of the profile layer and of the
+ellipse and hexagon bases in a fresh process, counts the incomplete
+betas per forward profile value, hashes the results bit for bit, counts
+the lines under ``src/`` and writes it all, with the machine it ran on,
+to one JSON file.  With ``--baseline`` the same is done for a second
+checkout, and the end-to-end runs of the two alternate, each pair
+starting with the other checkout, so both see the same phases of a
+shared host.
 
 Usage, from the root of a source checkout:
 
@@ -93,6 +94,15 @@ def layers(root, reps, seeds):
     xs = (1.0 - rng.random(65_536)) * prof.m_k
     ys = rng.random(65_536)
     h43 = archarray.make_archimedean(4, 3)
+    # Non-ball bases under the n=4, k=2 profile: an ellipse with semi-axes
+    # m_2 and 0.6 m_2 (65,536 points in its bounding box) and a regular
+    # hexagon of inradius 0.8.
+    m2 = h.scaling.m_k
+    ellipse = archarray.Ellipse(np.zeros(2), [m2, 0.6 * m2])
+    ell_pts = rng.uniform(-1.2, 1.2, (65_536, 2)) * ellipse.semi_axes
+    h_ell = archarray.SphericalArray(4, 2, ellipse, h.scaling, 1.0, "archimedean")
+    h_hex = archarray.SphericalArray(4, 2, archarray.regular_polygon(6, inradius=0.8),
+                                     h.scaling, 1.0, "archimedean")
     rows = {
         "ball.inside_mask.200k": lambda: h.base.inside_mask(pts),
         "region.contains.box.200k": lambda: box.contains(pts),
@@ -108,6 +118,10 @@ def layers(root, reps, seeds):
         "scaling.f_inverse.65536": lambda: prof.f_inverse(ys),
         "special.betainc_reg.65536": lambda: betainc_reg(0.75, 0.5, ys ** 4),
         "array.enclosed_mc.1e6": lambda: h43._enclosed_mc(1_000_000, 7),
+        "base.ellipse.signed_distance.65536": lambda: ellipse.signed_distance(ell_pts),
+        "array.ellipse.total_volume": lambda: h_ell.total_volume().value,
+        "array.hexagon.patch_volume.depth8": lambda: h_hex.patch_volume(
+            archarray.Region.ball([0.3, -0.1], 0.4), depth=8, seed=1),
     }
     out = {"layers": {}, "checksums": {}}
     for name, fn in rows.items():

@@ -29,12 +29,13 @@ verify numerically rather than assume.
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Ball, BaseDomain, base_from_description, to_box
+from .base import Ball, BaseDomain, _points, base_from_description, to_box
 from .quadrature import DEFAULT_SPEC, integrate
-from .region import CELL_DEPTH, MC_POINTS, Region, clipped_quadrature
+from .region import CELL_DEPTH, MC_POINTS, Region, clipped_quadrature, philox
 from .scaling import make_scaling
 from .special import ball_volume, gamma, sphere_area
 
@@ -58,39 +59,23 @@ BOUNDARY_OFFSET_FRACTION = 1e-6
 _MODES = ("archimedean", "cylinder", "custom")
 
 
+@dataclass(slots=True)
 class TotalVolume:
     """Total area with an optional closed form for the canonical array."""
 
-    __slots__ = ("value", "closed_form", "error_estimate")
-
-    def __init__(self, value, closed_form, error_estimate):
-        self.value = value
-        self.closed_form = closed_form
-        self.error_estimate = error_estimate
-
-    def __repr__(self):
-        return (
-            f"TotalVolume(value={self.value!r}, closed_form={self.closed_form!r}, "
-            f"error_estimate={self.error_estimate!r})"
-        )
+    value: float
+    closed_form: float | None
+    error_estimate: float
 
 
+@dataclass(slots=True)
 class EnclosedVolume:
     """Enclosed n-volume: deterministic value plus optional MC cross-check."""
 
-    __slots__ = ("value", "error_estimate", "mc_value", "mc_error")
-
-    def __init__(self, value, error_estimate, mc_value=None, mc_error=None):
-        self.value = value
-        self.error_estimate = error_estimate
-        self.mc_value = mc_value
-        self.mc_error = mc_error
-
-    def __repr__(self):
-        return (
-            f"EnclosedVolume(value={self.value!r}, error_estimate={self.error_estimate!r}, "
-            f"mc_value={self.mc_value!r}, mc_error={self.mc_error!r})"
-        )
+    value: float
+    error_estimate: float
+    mc_value: float | None = None
+    mc_error: float | None = None
 
 
 class SphericalArray:
@@ -140,6 +125,13 @@ class SphericalArray:
     def base_dim(self):
         return self.n - self.k
 
+    @property
+    def projection_constant(self):
+        """The constant C = Vol(S^{k-1}(R)) of the projection law: for an
+        archimedean or cylinder warp the area over a window U is C times
+        the volume of U ∩ Omega."""
+        return sphere_area(self.k - 1, self.r_scale)
+
     def _is_canonical_ball(self):
         return (
             self.warp_mode == "archimedean"
@@ -159,15 +151,9 @@ class SphericalArray:
 
     # -- warp evaluation ------------------------------------------------
 
-    def _pts(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return x[None, :], True
-        return x, False
-
     def warping(self, x):
         """Fiber radius f(x'') at base points; zero on the base boundary."""
-        pts, single = self._pts(x)
+        pts, single = _points(x, self.base_dim)
         sd = self.base.signed_distance(pts)
         if np.any(sd < -1e-12 * max(1.0, self.base.inradius())):
             raise ValueError("warping requires points in the closed base")
@@ -191,7 +177,7 @@ class SphericalArray:
         0/0).  Elsewhere the chain rule applies and points must stay
         outside the base's singular band.
         """
-        pts, single = self._pts(x)
+        pts, single = _points(x, self.base_dim)
         if self.warp_mode == "custom":
             if self._warp_gradient is None:
                 raise ValueError("custom mode has no gradient callable")
@@ -237,7 +223,7 @@ class SphericalArray:
         archimedean warp takes g and the gradient from one profile
         inversion per point.
         """
-        pts, single = self._pts(x)
+        pts, single = _points(x, self.base_dim)
         if self.warp_mode == "archimedean":
             g, grad = self._profile_and_gradient(pts)
         else:
@@ -280,17 +266,16 @@ class SphericalArray:
         """Coarea integrand f^{k-1} sqrt(1+|grad f|^2) times the
         unit-sphere constant, clamped to its analytic limit within the
         boundary offset."""
-        coeff = sphere_area(self.k - 1, 1.0)
-        delta = BOUNDARY_OFFSET_FRACTION * self.base.inradius()
         if self.warp_mode == "cylinder":
-            return np.full(len(pts), coeff * self.r_scale ** (self.k - 1))
+            return np.full(len(pts), self.projection_constant)
         if self.warp_mode == "custom":
             f = np.asarray(self._warp(pts), dtype=float)
             grad = np.asarray(self._warp_gradient(pts), dtype=float)
             gnorm2 = np.einsum("nd,nd->n", grad, grad)
-            return coeff * f ** (self.k - 1) * np.sqrt(1.0 + gnorm2)
+            return sphere_area(self.k - 1, 1.0) * f ** (self.k - 1) * np.sqrt(1.0 + gnorm2)
+        delta = BOUNDARY_OFFSET_FRACTION * self.base.inradius()
         omega = np.maximum(self.base.signed_distance(pts), 0.0)
-        return coeff * self.r_scale ** (self.k - 1) * self._profile_density(omega, delta)
+        return self.projection_constant * self._profile_density(omega, delta)
 
     def _profile_density(self, omega, delta):
         """Unit-normalized area density as a function of omega alone.
@@ -358,7 +343,7 @@ class SphericalArray:
         a ball base of radius R*m_k: the area factorizes into the unit
         fiber-sphere area times the base-ball volume, scaled by R^{n-1}.
         """
-        coeff = sphere_area(self.k - 1, 1.0) * self.r_scale ** (self.k - 1)
+        coeff = self.projection_constant
         if self.warp_mode == "cylinder":
             value = coeff * self.base.volume()
             return TotalVolume(value, value, 0.0)
@@ -410,21 +395,21 @@ class SphericalArray:
         omega/R, which needs no forward root solve; the profile's node
         table decides all but the samples near their bracket's ends
         (``ScalingFunction.inverse_at_most``), so few samples cost an
-        incomplete beta.  Other warps compare |x'|^2 with f^2.
+        incomplete beta.  Other warps compare |x'|^2 with f^2; a fiber
+        radius above R, which the box would clip, raises ``ValueError``.
         """
         blo, bhi = self.base.bounding_box()
         lo = np.concatenate([blo, -self.r_scale * np.ones(self.k)])
         hi = np.concatenate([bhi, self.r_scale * np.ones(self.k)])
         box_vol = float(np.prod(hi - lo))
-        seq = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0xE2C])
-        philox = np.random.Philox(key=seq.generate_state(2, np.uint64))
+        bits = philox(seed, 0xE2C)
         chunk = 65536
         hits = 0
         done = 0
         index = 0
         while done < samples:
             m = min(chunk, samples - done)
-            gen = np.random.Generator(philox.jumped(index))
+            gen = np.random.Generator(bits.jumped(index))
             index += 1
             pts = to_box(gen.random((m, self.n)), lo, hi)
             xb = pts[:, : self.base_dim]
@@ -438,6 +423,9 @@ class SphericalArray:
                     rho[tall], sd[inside][tall] / self.r_scale)))
             elif np.any(inside):
                 f = self._warp_from_omega(sd[inside], xb[inside])
+                if np.any(f > self.r_scale):
+                    raise ValueError("fiber radius exceeds r_scale, the half-height "
+                                     "of the Monte Carlo box")
                 rho2 = np.einsum("nd,nd->n", xf[inside], xf[inside])
                 hits += int(np.count_nonzero(rho2 <= f * f))
             done += m

@@ -6,6 +6,9 @@ distance to the singular set Sigma where that gradient is undefined
 (the center of a ball, the medial axis of a polygon or ellipse).
 Gradients are constructed from nearest-feature geometry, never by
 numerical differencing, so they have unit norm to machine precision.
+The ellipse finds its nearest boundary point with one bracket-free
+Newton iteration per point on the Lagrange multiplier of the distance
+(Eberly, 2013) and takes its gradient from the boundary normal there.
 
 Points are numpy arrays; every query accepts a single point of shape
 (dim,) or a batch of shape (npoints, dim) and returns a scalar or a
@@ -248,10 +251,12 @@ class Ball(BaseDomain):
 
 
 class Ellipse(BaseDomain):
-    """Axis-aligned solid ellipse in the plane."""
+    """Axis-aligned solid ellipse in the plane.
 
-    _SCAN = 129
-    _TOL = 1e-12
+    Nearest points follow D. Eberly, "Distance from a Point to an
+    Ellipse, an Ellipsoid, or a Hyperellipsoid" (Geometric Tools, 2013).
+    """
+
     _NEWTON_CAP = 80
 
     def __init__(self, center, semi_axes, singular_band=None):
@@ -269,65 +274,57 @@ class Ellipse(BaseDomain):
     def _nearest_boundary(self, pts):
         """Nearest boundary point for each query point.
 
-        Works in the folded first quadrant: scan the squared distance on
-        a parameter grid, then polish the stationarity condition with a
-        bracketed Newton iteration.  A point leaves the iteration once its
-        step falls below ``_TOL``, so its result does not depend on the
-        batch; points still moving at ``_NEWTON_CAP`` raise a warning.
+        Works in the folded first quadrant (x, y) >= 0 with the long
+        semi-axis a first and c = a^2 - b^2.  Off the long axis the nearest
+        point is (a^2 x / (u + c), b^2 y / u), where u > 0 is the root of
+        F(u) = (a x / (u + c))^2 + (b y / u)^2 - 1.  F is convex and
+        decreasing with F(b y) >= 0, so Newton's method from u = b y rises
+        to the root with no bracket.  A point leaves the iteration once a
+        step no longer raises u by more than 2e-16 u, so its result does
+        not depend on the batch; points still rising at ``_NEWTON_CAP``
+        raise a warning.  On the long axis the nearest point has a closed
+        form.  Each point is put back on the ellipse through its angle, so
+        an error left in u moves it along the boundary, which the distance
+        feels only to second order.
         """
-        a, b = self.semi_axes
+        i, j = (0, 1) if self.semi_axes[0] >= self.semi_axes[1] else (1, 0)
+        a, b = self.semi_axes[i], self.semi_axes[j]
+        c = a * a - b * b
         rel = pts - self.center
-        sx = np.where(rel[:, 0] < 0.0, -1.0, 1.0)
-        sy = np.where(rel[:, 1] < 0.0, -1.0, 1.0)
-        px = np.abs(rel[:, 0])
-        py = np.abs(rel[:, 1])
-
-        grid = np.linspace(0.0, 0.5 * math.pi, self._SCAN)
-        gx = a * np.cos(grid)
-        gy = b * np.sin(grid)
-        d2 = (px[:, None] - gx[None, :]) ** 2 + (py[:, None] - gy[None, :]) ** 2
-        best = np.argmin(d2, axis=1)
-        lo = grid[np.maximum(best - 1, 0)]
-        hi = grid[np.minimum(best + 1, self._SCAN - 1)]
-        th = grid[best]
-
-        def stat(t, px, py):
-            return (b * b - a * a) * np.sin(t) * np.cos(t) + a * px * np.sin(t) \
-                - b * py * np.cos(t)
-
-        s_lo = stat(lo, px, py)
-        out = np.empty_like(th)
-        act = np.arange(len(pts))
+        ax = a * np.abs(rel[:, i])
+        by = b * np.abs(rel[:, j])
+        theta = np.zeros(len(pts))
+        # Below the smallest normal float, b y counts as on the axis: the
+        # distance moves by less than y, and u would round to subnormals.
+        axis = by < np.finfo(float).tiny
+        if c > 0.0:
+            theta[axis] = np.arccos(np.minimum(ax[axis], c) / c)
+        act = np.flatnonzero(~axis)
+        root, u = np.empty_like(by), by[act]
         for _ in range(self._NEWTON_CAP):
             if not act.size:
                 break
-            val = stat(th, px, py)
-            neg = (val < 0.0) == (s_lo < 0.0)
-            lo = np.where(neg, th, lo)
-            s_lo = np.where(neg, val, s_lo)
-            hi = np.where(neg, hi, th)
-            dval = (b * b - a * a) * np.cos(2.0 * th) + a * px * np.cos(th) \
-                + b * py * np.sin(th)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = val / dval
-            th_new = th - step
-            bad = ~np.isfinite(th_new) | (th_new < lo) | (th_new > hi)
-            th_new = np.where(bad, 0.5 * (lo + hi), th_new)
-            done = np.abs(th_new - th) < self._TOL
-            out[act[done]] = th_new[done]
-            keep = ~done
-            act, px, py, th, lo, hi, s_lo = (
-                v[keep] for v in (act, px, py, th_new, lo, hi, s_lo))
+            p = ax[act] / (u + c)
+            q = by[act] / u
+            # -F / F'(u), multiplied through by u so that a tiny u cannot overflow.
+            step = u * (p * p + q * q - 1.0) / (2.0 * (p * p * u / (u + c) + q * q))
+            done = ~(step > 2e-16 * u)
+            u = u + step
+            root[act[done]] = u[done]
+            act, u = act[~done], u[~done]
         if act.size:
             warnings.warn(
                 f"ellipse nearest-point search left {act.size} of "
                 f"{len(pts)} points unconverged after {self._NEWTON_CAP} Newton steps",
                 RuntimeWarning, stacklevel=2,
             )
-            out[act] = th
-
-        nearest = np.stack([sx * a * np.cos(out), sy * b * np.sin(out)], axis=1)
-        return nearest + self.center
+            root[act] = u
+        live = ~axis
+        theta[live] = np.arctan2(by[live] / root[live], ax[live] / (root[live] + c))
+        near = np.empty_like(rel)
+        near[:, i] = np.copysign(a * np.cos(theta), rel[:, i])
+        near[:, j] = np.copysign(b * np.sin(theta), rel[:, j])
+        return near + self.center
 
     def _level(self, pts):
         rel = (pts - self.center) / self.semi_axes
@@ -351,9 +348,9 @@ class Ellipse(BaseDomain):
         return np.where(self._level(pts) <= 1.0, dist, -dist)
 
     def _gradient(self, pts):
-        near = self._nearest_boundary(pts)
-        d = pts - near
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
+        # The inward normal at the nearest boundary point.
+        normal = (self.center - self._nearest_boundary(pts)) / self.semi_axes ** 2
+        return normal / np.linalg.norm(normal, axis=1, keepdims=True)
 
     def _medial_segment(self):
         a, b = self.semi_axes

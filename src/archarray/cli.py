@@ -14,7 +14,6 @@ import numpy as np
 from .array import equizonal_enclosed_volume, make_archimedean
 from .mesh import csv_text, graph_slice_mesh, profile_curve, revolve_mesh, write_obj
 from .scaling import make_scaling, mk_closed_form, mk_quadrature
-from .special import sphere_area
 from .verify import app_statistical_test, interior_points, random_regions, sample_surface
 
 __all__ = ["main", "run"]
@@ -173,7 +172,7 @@ def _verify_residual(h, args):
 
 def _verify_integral(h, args):
     regions = random_regions(h.base, args.regions, seed=args.seed)
-    coeff = sphere_area(h.k - 1, 1.0) * h.r_scale ** (h.k - 1)
+    coeff = h.projection_constant
     rows = []
     worst = 0.0
     for u in regions:

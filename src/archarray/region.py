@@ -35,6 +35,7 @@ array would run numpy's inner loop over dim elements.
 
 import json
 import math
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -49,10 +50,18 @@ __all__ = [
     "LeafDraws",
     "region_from_description",
     "inside_mask",
+    "philox",
 ]
 
 CELL_DEPTH = 12
 MC_POINTS = 256
+
+
+def philox(seed, salt):
+    """Philox bit generator keyed by (seed, salt); each random stream of
+    the package has its own salt."""
+    seq = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, salt])
+    return np.random.Philox(key=seq.generate_state(2, np.uint64))
 
 
 class Region:
@@ -169,6 +178,7 @@ def region_from_description(desc):
     raise ValueError(f"unknown region shape {shape!r}")
 
 
+@dataclass(slots=True)
 class ClippedIntegral:
     """Volume and integral over region ∩ base with an error estimate.
 
@@ -177,23 +187,12 @@ class ClippedIntegral:
     were left undecided at the depth cap and scored by Monte Carlo.
     """
 
-    __slots__ = ("volume", "integral", "error_estimate", "cells_accepted",
-                 "cells_discarded", "mc_leaves")
-
-    def __init__(self, volume, integral, error_estimate, *, cells_accepted=0,
-                 cells_discarded=0, mc_leaves=0):
-        self.volume = volume
-        self.integral = integral
-        self.error_estimate = error_estimate
-        self.cells_accepted = cells_accepted
-        self.cells_discarded = cells_discarded
-        self.mc_leaves = mc_leaves
-
-    def __repr__(self):
-        return (
-            f"ClippedIntegral(volume={self.volume!r}, integral={self.integral!r}, "
-            f"error_estimate={self.error_estimate!r})"
-        )
+    volume: float
+    integral: float
+    error_estimate: float
+    cells_accepted: int = field(default=0, kw_only=True, repr=False)
+    cells_discarded: int = field(default=0, kw_only=True, repr=False)
+    mc_leaves: int = field(default=0, kw_only=True, repr=False)
 
 
 def inside_mask(base, pts):
@@ -258,8 +257,7 @@ class LeafDraws:
     """
 
     def __init__(self, seed, mc_points, dim, *, keep=False):
-        rng_key = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x7C1])
-        self._philox = np.random.Philox(key=rng_key.generate_state(2, np.uint64))
+        self._philox = philox(seed, 0x7C1)
         self._gen = np.random.Generator(self._philox)
         self._to_next_leaf = (1 << 128) - (mc_points * dim + 3) // 4
         self.key = (seed, mc_points, dim)

@@ -13,12 +13,13 @@ divided.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .base import to_box
 from .quadrature import DEFAULT_SPEC
-from .region import MC_POINTS, LeafDraws, Region, inside_mask
+from .region import MC_POINTS, LeafDraws, Region, inside_mask, philox as _philox
 from .special import gamma_q
 
 __all__ = [
@@ -41,11 +42,6 @@ _BUCKETS = 1 << 16
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 # Factor by which interior_points overdraws its expected shortfall.
 _BATCH_MARGIN = 1.1
-
-
-def _philox(seed, salt):
-    seq = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, salt])
-    return np.random.Philox(key=seq.generate_state(2, np.uint64))
 
 
 def halton(count, dim, *, start=1):
@@ -185,17 +181,15 @@ def random_regions(base, count, seed=0):
     return out
 
 
+@dataclass(slots=True)
 class RegionScore:
     """Per-region comparison of observed and expected projection mass."""
 
-    __slots__ = ("region", "expected", "observed", "z", "expected_hits")
-
-    def __init__(self, region, expected, observed, z, expected_hits):
-        self.region = region
-        self.expected = expected
-        self.observed = observed
-        self.z = z
-        self.expected_hits = expected_hits
+    region: Region
+    expected: float
+    observed: float
+    z: float
+    expected_hits: float
 
     def as_dict(self):
         return {
@@ -206,16 +200,16 @@ class RegionScore:
         }
 
 
+@dataclass
 class StatReport:
     """Aggregate result of the projection goodness-of-fit test."""
 
-    def __init__(self, scores, chi2, dof, p_value, samples, low_expected):
-        self.scores = scores
-        self.chi2 = chi2
-        self.dof = dof
-        self.p_value = p_value
-        self.samples = samples
-        self.low_expected = low_expected
+    scores: list
+    chi2: float
+    dof: int
+    p_value: float
+    samples: int
+    low_expected: list
 
     def max_abs_z(self):
         return max(abs(s.z) for s in self.scores)

@@ -645,6 +645,46 @@ def test_custom_warp_enclosed_volume():
     assert abs(enc.value - expected) < 4.0 * enc.error_estimate + 1e-9
 
 
+def test_cylinder_monte_carlo_matches_closed_form():
+    # The forward hit test |x'|^2 <= f^2 with f = R on the whole base.
+    arr = make_cylinder(2, regular_polygon(5, inradius=0.7), r_scale=0.3)
+    enc = arr.enclosed_volume(samples=200000, seed=3)
+    assert enc.value == pytest.approx(math.pi * 0.09 * arr.base.volume(), rel=1e-14)
+    assert abs(enc.mc_value - enc.value) < 4.0 * enc.mc_error
+
+
+def test_custom_monte_carlo_matches_deterministic_value():
+    # f = (1 - |x|^2) / 2 on the unit disk: enclosed = pi^2 / 12.
+    arr = make_custom(
+        2, Ball(np.zeros(2), 1.0),
+        warp=lambda pts: 0.5 * (1.0 - np.einsum("nd,nd->n", pts, pts)),
+        warp_gradient=lambda pts: -pts,
+    )
+    enc = arr.enclosed_volume(samples=200000, seed=3, depth=8)
+    assert enc.value == pytest.approx(math.pi ** 2 / 12.0, rel=2e-3)
+    assert abs(enc.mc_value - enc.value) < 4.0 * enc.mc_error
+
+
+def test_monte_carlo_rejects_a_warp_taller_than_its_box():
+    # The sampling box reaches R in each fiber coordinate, so a fiber
+    # radius of 2R would be clipped to about a third of its true volume.
+    arr = make_custom(2, Ball(np.zeros(2), 1.0),
+                      warp=lambda pts: np.full(len(pts), 2.0),
+                      warp_gradient=lambda pts: np.zeros_like(pts))
+    assert arr.enclosed_volume(depth=8).value == pytest.approx(4.0 * math.pi ** 2, rel=2e-3)
+    with pytest.raises(ValueError, match="exceeds r_scale"):
+        arr.enclosed_volume(samples=100000, seed=3, depth=8)
+
+
+@pytest.mark.parametrize("mode", ["archimedean", "cylinder"])
+def test_projection_constant_is_the_fiber_sphere_area(mode):
+    base = regular_polygon(5, inradius=0.6)
+    arr = (SphericalArray(5, 3, base, make_scaling(3), 1.5, "archimedean")
+           if mode == "archimedean" else make_cylinder(3, base, r_scale=1.5))
+    assert arr.projection_constant == sphere_area(2, 1.0) * 1.5 ** 2
+    assert arr.projection_constant == pytest.approx(4.0 * math.pi * 2.25, rel=1e-15)
+
+
 # Serialization --------------------------------------------------------------
 
 

@@ -1,11 +1,13 @@
 """Base-domain geometry: distances, gradients, and medial axes.
 
-Hand-computed oracles cover the square, rectangle, triangle, regular
-polygons, and the ellipse; a brute-force grid classifier cross-checks
-the polygon medial axis on randomized inputs.
+Hand-computed oracles cover the square, rectangle, parallelogram,
+triangle, regular polygons, and the ellipse; a brute-force grid
+classifier cross-checks the polygon medial axis on randomized inputs,
+and a 60-digit ``decimal`` solve checks ellipse distances and gradients.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from archarray.base import (
     polygon_from_csv,
     regular_polygon,
 )
+from archarray.verify import interior_points
 from testutil import nth_derivative
 
 
@@ -147,6 +150,38 @@ def test_rectangle_skeleton_ridge():
         0.4 * math.sqrt(2.0), abs=1e-12
     )
     assert rect.distance_to_boundary([2.0, 1.0]) == pytest.approx(1.0)
+
+
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _rotated(points, shift=(0.5, -0.3)):
+    """Points turned by 30 degrees about the origin, then shifted."""
+    c, s = math.cos(math.pi / 6.0), math.sin(math.pi / 6.0)
+    return np.asarray(points, dtype=float) @ np.array([[c, s], [-s, c]]) + shift
+
+
+@pytest.mark.parametrize("name", ["rectangle", "parallelogram"])
+def test_strip_polygon_medial_segment(name):
+    # Two parallel edges 2 apart: inradius 1 and a medial segment on the
+    # mid-line y = 1, from x = 1 to 3 in the 4 x 2 rectangle and from
+    # x = phi to 5 - phi in the parallelogram, whose acute corner has
+    # cot(alpha / 2) = (1 + cos alpha) / sin alpha = phi.
+    if name == "rectangle":
+        verts, ends = [[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]], (1.0, 3.0)
+    else:
+        verts, ends = [[0.0, 0.0], [4.0, 0.0], [5.0, 2.0], [1.0, 2.0]], (PHI, 5.0 - PHI)
+    poly = ConvexPolygon(_rotated(verts))
+    assert poly.inradius() == pytest.approx(1.0, abs=1e-12)
+    on = _rotated([[ends[0], 1.0], [2.5, 1.0], [ends[1], 1.0]])
+    assert np.allclose(poly.singular_set_distance(on), 0.0, atol=1e-12)
+    assert np.allclose(poly.distance_to_boundary(on), 1.0, atol=1e-12)
+    off = _rotated([[2.5, 0.4], [2.5, 1.5]])
+    assert np.allclose(poly.singular_set_distance(off), [0.6, 0.5], atol=1e-12)
+    assert np.allclose(poly.distance_to_boundary(off), [0.4, 0.5], atol=1e-12)
+    # Off the mid-line the gradient is the nearer long edge's inward normal.
+    normals = _rotated([[0.0, 1.0], [0.0, -1.0]], shift=(0.0, 0.0))
+    assert np.allclose(poly.omega_gradient(off), normals, atol=1e-12)
 
 
 def test_triangle_incenter():
@@ -369,6 +404,103 @@ def test_ellipse_distance_does_not_depend_on_its_batch():
     whole = e.signed_distance(pts)[:400]
     alone = np.array([e.signed_distance(p[None])[0] for p in pts[:400]])
     assert np.count_nonzero(whole != alone) == 0
+
+
+def _ellipse_reference(e, pts):
+    """Signed distances and inward unit normals at the nearest boundary
+    points of ``pts``, from a 60-digit Newton solve of the Lagrange
+    condition on the exact (decimal) offsets of the points.  Also returns
+    the largest residual of the nearest point's level, |q/s|^2 - 1, and of
+    p - q across the normal, which check the reference itself."""
+    sd, normals, on, across = [], [], Decimal(0), Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = (Decimal(float(v)) for v in e.semi_axes)
+        swap = b > a
+        if swap:
+            a, b = b, a
+        c = a * a - b * b
+        for p in pts:
+            rx, ry = (Decimal(float(v)) - Decimal(float(w)) for v, w in zip(p, e.center))
+            if swap:
+                rx, ry = ry, rx
+            x, y = abs(rx), abs(ry)
+            if y == 0:
+                qx = a * a * x / c if a * x < c else a
+                qy = b * (1 - (qx / a) ** 2).sqrt()
+            else:
+                u = b * y
+                for _ in range(500):
+                    pp, qq = a * x / (u + c), b * y / u
+                    step = (pp * pp + qq * qq - 1) / (2 * (pp * pp / (u + c) + qq * qq / u))
+                    u += step
+                    if abs(step) <= Decimal("1e-55") * u:
+                        break
+                qx, qy = a * a * x / (u + c), b * b * y / u
+            nx, ny = qx / (a * a), qy / (b * b)
+            norm = (nx * nx + ny * ny).sqrt()
+            on = max(on, abs(nx * qx + ny * qy - 1))
+            across = max(across, abs((x - qx) * ny - (y - qy) * nx) / norm)
+            dist = ((x - qx) ** 2 + (y - qy) ** 2).sqrt()
+            sd.append(dist if (x / a) ** 2 + (y / b) ** 2 <= 1 else -dist)
+            gx, gy = (nx / norm).copy_sign(-rx), (ny / norm).copy_sign(-ry)
+            normals.append((gy, gx) if swap else (gx, gy))
+    return sd, normals, on, across
+
+
+REFERENCE_ELLIPSES = {
+    "wide": Ellipse([0.0, 0.0], [1.0, 0.6]),
+    "small": Ellipse([0.1, -0.2], [0.35, 0.245]),
+    "long": Ellipse([0.3, -0.1], [2.0, 0.7]),
+    "tall": Ellipse([-0.2, 0.4], [0.5, 1.3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_ELLIPSES))
+def test_ellipse_distance_matches_a_60_digit_reference(name):
+    e = REFERENCE_ELLIPSES[name]
+    c, s = e.center, e.semi_axes
+    rng = np.random.default_rng(11)
+    box = rng.uniform(c - 1.2 * s, c + 1.2 * s, (400, 2))
+    t = rng.uniform(0.0, 2.0 * math.pi, 300)
+    rim = c + (1.0 + rng.uniform(-1e-4, 1e-4, 300))[:, None] * s * np.stack(
+        [np.cos(t), np.sin(t)], axis=1)
+    # Within 1e-6 of the long axis, inside and beyond the medial segment.
+    long = int(s[1] > s[0])
+    axis = np.empty((300, 2))
+    axis[:, long] = c[long] + rng.uniform(-1.2, 1.2, 300) * s[long]
+    axis[:, 1 - long] = c[1 - long] + rng.uniform(-1e-6, 1e-6, 300) * s[long]
+    pts = np.concatenate([box, rim, axis])
+    sd, _, on, across = _ellipse_reference(e, pts)
+    assert on <= Decimal("1e-40") and across <= Decimal("1e-40")
+    err = max(abs(Decimal(v) - r) for v, r in zip(e.signed_distance(pts).tolist(), sd))
+    assert err <= 4.4e-16
+
+
+@pytest.mark.filterwarnings("error")
+def test_ellipse_distance_on_and_next_to_the_long_axis():
+    # Offsets down to subnormal ones, at the centre, inside the medial
+    # segment, at its end x = c / a = 0.64, beyond it and outside.
+    e = REFERENCE_ELLIPSES["wide"]
+    pts = np.array([(x, sy * y) for x in (0.0, -0.3, 0.64, 0.9, 1.5)
+                    for y in (0.0, 5e-324, 1e-310, 1e-300, 1e-60, 1e-15)
+                    for sy in (1.0, -1.0)])
+    sd, _, _, _ = _ellipse_reference(e, pts)
+    err = max(abs(Decimal(v) - r) for v, r in zip(e.signed_distance(pts).tolist(), sd))
+    assert err <= 4.4e-16
+
+
+@pytest.mark.parametrize("semi_axes", [(0.35, 0.245), (0.5, 0.35), (0.5, 1.3)])
+def test_ellipse_gradient_matches_a_60_digit_reference(semi_axes):
+    # Points within 1e-6 inradius of the boundary, as the golden gradient
+    # pins use, where p - q would lose its leading digits.
+    e = Ellipse([0.1, -0.2], semi_axes)
+    pts = interior_points(e, 1000, boundary_offset=1e-6 * e.inradius())
+    _, normals, _, _ = _ellipse_reference(e, pts)
+    grad = e.omega_gradient(pts)
+    err = max(abs(Decimal(v) - r) for g, n in zip(grad.tolist(), normals)
+              for v, r in zip(g, n))
+    assert err <= 1e-14
 
 
 def test_ellipse_medial_segment():
