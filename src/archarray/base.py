@@ -277,15 +277,19 @@ class Ellipse(BaseDomain):
         Works in the folded first quadrant (x, y) >= 0 with the long
         semi-axis a first and c = a^2 - b^2.  Off the long axis the nearest
         point is (a^2 x / (u + c), b^2 y / u), where u > 0 is the root of
-        F(u) = (a x / (u + c))^2 + (b y / u)^2 - 1.  F is convex and
-        decreasing with F(b y) >= 0, so Newton's method from u = b y rises
-        to the root with no bracket.  A point leaves the iteration once a
-        step no longer raises u by more than 2e-16 u, so its result does
-        not depend on the batch; points still rising at ``_NEWTON_CAP``
-        raise a warning.  On the long axis the nearest point has a closed
-        form.  Each point is put back on the ellipse through its angle, so
-        an error left in u moves it along the boundary, which the distance
-        feels only to second order.
+        F(u) = p^2 + q^2 - 1, p = a x / (u + c), q = b y / u.  F is convex
+        and decreasing, so Newton's method rises to the root with no
+        bracket from the largest of three points where F >= 0: b y, a x - c,
+        and t sqrt(t / max(t, c - a x)), t^3 = c (b y)^2 / 4, near the
+        cube-root small root at the end of the medial segment.  F takes the
+        larger of p and q through p - 1 = (a x - c - u) / (u + c) or
+        q - 1 = (b y - u) / u, so it keeps its digits where that one rounds
+        to 1.  A point leaves once a step no longer raises u by more than
+        2e-16 u, so its result does not depend on the batch; points still
+        rising at ``_NEWTON_CAP`` raise a warning.  On the long axis the
+        nearest point has a closed form.  Each point goes back onto the
+        ellipse through its angle, so an error left in u moves it along the
+        boundary, which the distance feels only to second order.
         """
         i, j = (0, 1) if self.semi_axes[0] >= self.semi_axes[1] else (1, 0)
         a, b = self.semi_axes[i], self.semi_axes[j]
@@ -294,20 +298,23 @@ class Ellipse(BaseDomain):
         ax = a * np.abs(rel[:, i])
         by = b * np.abs(rel[:, j])
         theta = np.zeros(len(pts))
-        # Below the smallest normal float, b y counts as on the axis: the
-        # distance moves by less than y, and u would round to subnormals.
-        axis = by < np.finfo(float).tiny
+        # A zero or subnormal b y counts as on the axis: the distance moves by < y.
+        tiny = np.finfo(float).tiny
+        axis = by < tiny
         if c > 0.0:
             theta[axis] = np.arccos(np.minimum(ax[axis], c) / c)
+        d, t = ax - c, np.cbrt(c / 4.0) * np.cbrt(by) ** 2
+        u = np.maximum(np.maximum(by, d), t * np.sqrt(t / np.maximum(np.maximum(t, -d), tiny)))
         act = np.flatnonzero(~axis)
-        root, u = np.empty_like(by), by[act]
+        root, u = np.empty_like(by), u[act]
         for _ in range(self._NEWTON_CAP):
             if not act.size:
                 break
-            p = ax[act] / (u + c)
-            q = by[act] / u
+            p, q = ax[act] / (u + c), by[act] / u
+            f = np.where(p > q, q * q + (p + 1.0) * (d[act] - u) / (u + c),
+                         p * p + (q + 1.0) * (by[act] - u) / u)
             # -F / F'(u), multiplied through by u so that a tiny u cannot overflow.
-            step = u * (p * p + q * q - 1.0) / (2.0 * (p * p * u / (u + c) + q * q))
+            step = u * f / (2.0 * (p * p * u / (u + c) + q * q))
             done = ~(step > 2e-16 * u)
             u = u + step
             root[act[done]] = u[done]
@@ -354,12 +361,8 @@ class Ellipse(BaseDomain):
 
     def _medial_segment(self):
         a, b = self.semi_axes
-        if a >= b:
-            half = (a * a - b * b) / a
-            end = np.array([half, 0.0])
-        else:
-            half = (b * b - a * a) / b
-            end = np.array([0.0, half])
+        end = np.zeros(2)
+        end[int(b > a)] = abs(a * a - b * b) / max(a, b)
         return self.center - end, self.center + end
 
     def _singular_distance(self, pts):

@@ -161,19 +161,14 @@ def _rotated(points, shift=(0.5, -0.3)):
     return np.asarray(points, dtype=float) @ np.array([[c, s], [-s, c]]) + shift
 
 
-@pytest.mark.parametrize("name", ["rectangle", "parallelogram"])
-def test_strip_polygon_medial_segment(name):
-    # Two parallel edges 2 apart: inradius 1 and a medial segment on the
-    # mid-line y = 1, from x = 1 to 3 in the 4 x 2 rectangle and from
-    # x = phi to 5 - phi in the parallelogram, whose acute corner has
-    # cot(alpha / 2) = (1 + cos alpha) / sin alpha = phi.
-    if name == "rectangle":
-        verts, ends = [[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]], (1.0, 3.0)
-    else:
-        verts, ends = [[0.0, 0.0], [4.0, 0.0], [5.0, 2.0], [1.0, 2.0]], (PHI, 5.0 - PHI)
-    poly = ConvexPolygon(_rotated(verts))
+def test_parallelogram_medial_segment():
+    # Two parallel edges 2 apart, turned and shifted: inradius 1 and a
+    # medial segment on the mid-line y = 1 from x = phi to 5 - phi, since
+    # the acute corner has cot(alpha / 2) = (1 + cos alpha) / sin alpha = phi.
+    # The rectangle's ridge is tested above.
+    poly = ConvexPolygon(_rotated([[0.0, 0.0], [4.0, 0.0], [5.0, 2.0], [1.0, 2.0]]))
     assert poly.inradius() == pytest.approx(1.0, abs=1e-12)
-    on = _rotated([[ends[0], 1.0], [2.5, 1.0], [ends[1], 1.0]])
+    on = _rotated([[PHI, 1.0], [2.5, 1.0], [5.0 - PHI, 1.0]])
     assert np.allclose(poly.singular_set_distance(on), 0.0, atol=1e-12)
     assert np.allclose(poly.distance_to_boundary(on), 1.0, atol=1e-12)
     off = _rotated([[2.5, 0.4], [2.5, 1.5]])
@@ -408,11 +403,15 @@ def test_ellipse_distance_does_not_depend_on_its_batch():
 
 def _ellipse_reference(e, pts):
     """Signed distances and inward unit normals at the nearest boundary
-    points of ``pts``, from a 60-digit Newton solve of the Lagrange
-    condition on the exact (decimal) offsets of the points.  Also returns
-    the largest residual of the nearest point's level, |q/s|^2 - 1, and of
-    p - q across the normal, which check the reference itself."""
-    sd, normals, on, across = [], [], Decimal(0), Decimal(0)
+    points of ``pts``, in 60-digit arithmetic on the exact (decimal)
+    offsets of the points.  Off the long axis the root u of
+    F(u) = (a x / (u + c))^2 + (b y / u)^2 - 1 is bisected, in log u while
+    the bracket spans more than a factor 2 and then in u, from
+    [max(b y, a x - c), |(a x, b y)|], where F >= 0 and F <= 0, to a
+    relative width of 1e-50.  Fails unless the bisection closes and the
+    nearest point q is on the ellipse, with p - q along its normal, to
+    1e-40."""
+    sd, normals = [], []
     with localcontext() as ctx:
         ctx.prec = 60
         a, b = (Decimal(float(v)) for v in e.semi_axes)
@@ -429,23 +428,33 @@ def _ellipse_reference(e, pts):
                 qx = a * a * x / c if a * x < c else a
                 qy = b * (1 - (qx / a) ** 2).sqrt()
             else:
-                u = b * y
-                for _ in range(500):
-                    pp, qq = a * x / (u + c), b * y / u
-                    step = (pp * pp + qq * qq - 1) / (2 * (pp * pp / (u + c) + qq * qq / u))
-                    u += step
-                    if abs(step) <= Decimal("1e-55") * u:
+                lo, hi = max(b * y, a * x - c), (a * a * x * x + b * b * y * y).sqrt()
+                for _ in range(400):
+                    if hi - lo <= Decimal("1e-50") * hi:
                         break
+                    u = (lo * hi).sqrt() if hi > 2 * lo else (lo + hi) / 2
+                    # F, with p^2 - 1 written so that it keeps its digits.
+                    pp = a * x / (u + c)
+                    f = (b * y / u) ** 2 + (pp + 1) * (a * x - c - u) / (u + c)
+                    lo, hi = (u, hi) if f >= 0 else (lo, u)
+                else:
+                    raise AssertionError(f"reference bisection did not close at {p}")
+                u = (lo + hi) / 2
                 qx, qy = a * a * x / (u + c), b * b * y / u
             nx, ny = qx / (a * a), qy / (b * b)
             norm = (nx * nx + ny * ny).sqrt()
-            on = max(on, abs(nx * qx + ny * qy - 1))
-            across = max(across, abs((x - qx) * ny - (y - qy) * nx) / norm)
+            assert abs(nx * qx + ny * qy - 1) <= Decimal("1e-40")
+            assert abs((x - qx) * ny - (y - qy) * nx) / norm <= Decimal("1e-40")
             dist = ((x - qx) ** 2 + (y - qy) ** 2).sqrt()
             sd.append(dist if (x / a) ** 2 + (y / b) ** 2 <= 1 else -dist)
             gx, gy = (nx / norm).copy_sign(-rx), (ny / norm).copy_sign(-ry)
             normals.append((gy, gx) if swap else (gx, gy))
-    return sd, normals, on, across
+    return sd, normals
+
+
+def _max_error(values, reference):
+    return max(abs(Decimal(v) - r) for v, r in zip(np.ravel(values).tolist(),
+                                                    np.ravel(reference)))
 
 
 REFERENCE_ELLIPSES = {
@@ -471,23 +480,35 @@ def test_ellipse_distance_matches_a_60_digit_reference(name):
     axis[:, long] = c[long] + rng.uniform(-1.2, 1.2, 300) * s[long]
     axis[:, 1 - long] = c[1 - long] + rng.uniform(-1e-6, 1e-6, 300) * s[long]
     pts = np.concatenate([box, rim, axis])
-    sd, _, on, across = _ellipse_reference(e, pts)
-    assert on <= Decimal("1e-40") and across <= Decimal("1e-40")
-    err = max(abs(Decimal(v) - r) for v, r in zip(e.signed_distance(pts).tolist(), sd))
-    assert err <= 4.4e-16
+    sd, _ = _ellipse_reference(e, pts)
+    assert _max_error(e.signed_distance(pts), sd) <= 4.4e-16
 
 
 @pytest.mark.filterwarnings("error")
-def test_ellipse_distance_on_and_next_to_the_long_axis():
+@pytest.mark.parametrize("name", ["wide", "circle"])
+def test_ellipse_distance_on_and_next_to_the_long_axis(name):
     # Offsets down to subnormal ones, at the centre, inside the medial
-    # segment, at its end x = c / a = 0.64, beyond it and outside.
-    e = REFERENCE_ELLIPSES["wide"]
+    # segment, at its end x = c / a = 0.64 of the wide ellipse (where
+    # 1 - 0.6^2 == 0.64 in floats, and the root u is cube-root small),
+    # beyond it and outside; the circle has c = 0.
+    e = REFERENCE_ELLIPSES["wide"] if name == "wide" else Ellipse([0.0, 0.0], [1.0, 1.0])
     pts = np.array([(x, sy * y) for x in (0.0, -0.3, 0.64, 0.9, 1.5)
-                    for y in (0.0, 5e-324, 1e-310, 1e-300, 1e-60, 1e-15)
+                    for y in (0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-60, 1e-16, 1e-15)
                     for sy in (1.0, -1.0)])
-    sd, _, _, _ = _ellipse_reference(e, pts)
-    err = max(abs(Decimal(v) - r) for v, r in zip(e.signed_distance(pts).tolist(), sd))
-    assert err <= 4.4e-16
+    sd, _ = _ellipse_reference(e, pts)
+    assert _max_error(e.signed_distance(pts), sd) <= 4.4e-16
+
+
+def test_ellipse_gradient_at_the_end_of_the_medial_segment():
+    # 1 - 0.75^2 = 0.4375 is exact in floats, so (0.4375, y) is at the end
+    # of the medial segment exactly (unlike 0.64 above, which ends 2.7e-17
+    # further out in exact arithmetic); there the root u is cube-root small.
+    e = Ellipse([0.0, 0.0], [1.0, 0.75], singular_band=0.0)
+    pts = np.array([(x, sy * y) for x in (0.4375, 0.9)
+                    for y in (5e-324, 1e-300, 1e-200, 1e-60, 1e-16)
+                    for sy in (1.0, -1.0)])
+    _, normals = _ellipse_reference(e, pts)
+    assert _max_error(e.omega_gradient(pts), normals) <= 1e-14
 
 
 @pytest.mark.parametrize("semi_axes", [(0.35, 0.245), (0.5, 0.35), (0.5, 1.3)])
@@ -496,11 +517,8 @@ def test_ellipse_gradient_matches_a_60_digit_reference(semi_axes):
     # pins use, where p - q would lose its leading digits.
     e = Ellipse([0.1, -0.2], semi_axes)
     pts = interior_points(e, 1000, boundary_offset=1e-6 * e.inradius())
-    _, normals, _, _ = _ellipse_reference(e, pts)
-    grad = e.omega_gradient(pts)
-    err = max(abs(Decimal(v) - r) for g, n in zip(grad.tolist(), normals)
-              for v, r in zip(g, n))
-    assert err <= 1e-14
+    _, normals = _ellipse_reference(e, pts)
+    assert _max_error(e.omega_gradient(pts), normals) <= 1e-14
 
 
 def test_ellipse_medial_segment():

@@ -51,8 +51,8 @@ RESIDUAL_MAX = {
 GRADIENT_DIGESTS = {
     ("ball", 1.0): "44103746b1c641aa8000bdb6c7ad9e7bcefe9bb5db42e0a218e738ee8e8d1d92",
     ("ball", 0.7): "e7100b09446c33d41359bb6c3e505795a8759975a2386b9f00020de36bbea0ec",
-    ("ellipse", 1.0): "857c00d63d7c404d3a65fb2ac385dda80974fc242ef46d692fc0f6648a70d973",
-    ("ellipse", 0.7): "d6f561ef499d8197dddb4b041da48ffb1d82b4cfd9d71603c49c4ef8e5dcd5ed",
+    ("ellipse", 1.0): "8f7fbfce0a8966a201793be96050c360603a4ce967ea241a6dd0674f426b2713",
+    ("ellipse", 0.7): "2be27fdf4962aacbc761f985a879628855d2881391b4bbe23cab014f3f7a5500",
     ("pentagon", 1.0): "6dd1a8cbe2c5ba25ffb4666a3597a57c8ea2cc7d81e5032c3cae09ace36b2604",
     ("pentagon", 0.7): "0a13fe8c8c89473e68af163c68f5b55c542f2c3d3aeab68dfd5bc92a22d38ca8",
 }
