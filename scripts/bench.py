@@ -3,12 +3,12 @@
 Runs ``bench/run.py`` (untraced) on every workload and seed, times the
 hot kernels of the statistical gate, of the profile layer and of the
 ellipse and hexagon bases in a fresh process, counts the incomplete
-betas per forward profile value, hashes the results bit for bit, counts
-the lines under ``src/`` and writes it all, with the machine it ran on,
-to one JSON file.  With ``--baseline`` the same is done for a second
-checkout, and the end-to-end runs of the two alternate, each pair
-starting with the other checkout, so both see the same phases of a
-shared host.
+betas per forward profile value and the share of values answered with
+none, hashes the results bit for bit, counts the lines under ``src/``
+and writes it all, with the machine it ran on, to one JSON file.  With
+``--baseline`` the same is done for a second checkout, and the
+end-to-end runs of the two alternate, each pair starting with the other
+checkout, so both see the same phases of a shared host.
 
 Usage, from the root of a source checkout:
 
@@ -133,8 +133,11 @@ def layers(root, reps, seeds):
         out["layers"][name] = {"s": seconds, "checksum": check}
 
     # Incomplete betas per point of one forward solve on the points f
-    # sends to it (outside the series guard), for k = 2, 3 and 6.
+    # sends to it (outside the series guard), for k = 2, 3 and 6, and the
+    # share of those points answered with none: the first batch of
+    # incomplete betas holds every point that reaches Newton.
     out["newton_evals_per_point"] = {}
+    out["interpolated_share"] = {}
     raw = ScalingFunction._raw_inverse
     for k in (2, 3, 6):
         sk = make_scaling(k)
@@ -146,6 +149,7 @@ def layers(root, reps, seeds):
         finally:
             ScalingFunction._raw_inverse = raw
         out["newton_evals_per_point"][str(k)] = sum(sizes) / pts_k.size
+        out["interpolated_share"][str(k)] = 1.0 - (sizes[0] if sizes else 0) / pts_k.size
 
     # One round of every workload: the sha256 of its values, floats as hex.
     with open(os.path.join(root, "bench", "reference.json")) as fh:

@@ -16,19 +16,24 @@ k = 2 reproduces the quarter circle g(x) = sqrt(2x - x^2) with M_2 = 1.
 
 The profile satisfies y^(2k-2) * (1 + y'^2) = 1.  Near x = M_k all odd
 derivatives vanish and g has an even Taylor expansion, which is used as
-the evaluation path inside ``series_radius_guard`` of M_k; elsewhere
-evaluation inverts g^{-1} with a safeguarded Newton that converges per
-point: each point stops on its own step test, so its value does not
-depend on the batch it is evaluated in.  The start is a cubic Hermite
-interpolant of y(x) on the bracketing nodes of a Chebyshev table, whose
-slopes dy/dx = sqrt(1 - y^(2k-2))/y^(k-1) are exact, so one or two
-incomplete betas finish most points.  In the first bracket, where that
-slope is infinite, the start is the leading term of
-g^{-1}(y) = y^k/k + O(y^(3k-2)); where the omitted term is below
-rounding that start is the root itself.  A zero Newton step is
-convergence, not a bracket violation; only a step that leaves the open
-bracket any other way falls back to bisection.  One inversion serves
-both g and g', which is derived from y through the profile relation.
+the evaluation path inside ``series_radius_guard`` of M_k.  Elsewhere g
+is a piecewise quintic Hermite interpolant of y(x) on a Chebyshev node
+table (de Boor, A Practical Guide to Splines, 1978): on each bracket it
+matches y, y' = sqrt(1 - y^(2k-2))/y^(k-1) and, from the derivative of
+the profile relation, y'' = -(k-1)/y^(2k-1) at both nodes.  Its error
+is at most max|y^(6)| h^6/46080 on a bracket of width h.  Every
+derivative of y is a polynomial in 1/y, times y' for odd orders, so the
+sum of the absolute terms of y^(6) at the left node bounds it.  Where
+that bound is below rounding, both of y and of M_k in x, the bracket is
+trusted and the interpolant is the value, with no incomplete beta.  The
+other brackets (the first ones, where the power law y ~ (kx)^(1/k)
+spoils the polynomial, and all of a coarse table) invert g^{-1} by a
+safeguarded Newton started from the same interpolant; in the first
+bracket, where y' is infinite, from the leading term of
+g^{-1}(y) = y^k/k + O(y^(3k-2)) instead, which is the root where the
+omitted term is below rounding.  Each point is answered on its own, so
+its value does not depend on its batch.  One evaluation serves both g
+and g', which is derived from y through the profile relation.
 """
 
 import math
@@ -54,7 +59,6 @@ _SERIES_TAIL_TOL = 1e-12
 _MAX_SERIES_TERMS = 32
 _MIN_SERIES_TERMS = 4
 _NEWTON_CAP = 100
-_BRACKET_WIDTH = 1e-3
 # Margin, in units of m_k, by which inverse_at_most widens a node bracket.
 _NODE_PAD = 1e-12
 # Relative rounding of a float64: half an ulp of 1.
@@ -157,13 +161,14 @@ class ScalingFunction:
     m_k: float
     y_table: np.ndarray = field(repr=False)
     x_table: np.ndarray = field(repr=False)
-    slope_table: np.ndarray = field(repr=False)
+    hermite: np.ndarray = field(repr=False)
+    trusted: np.ndarray = field(repr=False)
     taylor: np.ndarray = field(repr=False)
     series_radius_guard: float
 
     @property
     def inverse_table(self):
-        """The (y, x) node pairs used to seed inversion, shape (N, 2)."""
+        """The (y, x) nodes of the interpolant, shape (N, 2)."""
         return np.column_stack([self.y_table, self.x_table])
 
     # -- inverse profile ------------------------------------------------
@@ -262,50 +267,45 @@ class ScalingFunction:
         return np.minimum(acc, 1.0)
 
     def _f_root(self, x):
-        """Invert f_inverse by bracketed Newton from the seed of ``_seed``.
+        """g(x) from the quintic Hermite of its node bracket (module docstring).
 
-        The node table brackets each root; a seed that is not finite or
-        not strictly inside the bracket falls back to its midpoint.  In
-        the first bracket a power-law seed whose omitted term is below
-        rounding is returned without a Newton step.  Convergence is per
-        point: a point leaves the active set once its step passes
-        |dy| <= 1e-16 + 1e-15 y, so its value is the same in any batch.
-        A zero step is accepted as convergence.  Any other
-        step that is not finite or not strictly inside the bracket
-        (lo, hi) is replaced by bisection: landing on the far end, which
-        is already evaluated, would let rounding noise in g^{-1} cycle
-        between two neighbouring floats.  x = 0 maps to exactly 0.
-        Points still moving after ``_NEWTON_CAP`` steps keep their last
-        iterate and raise a RuntimeWarning.
+        Outside the trusted brackets it starts a bracketed Newton; a
+        start that is not finite or not strictly inside the bracket falls
+        back to its midpoint.  A point leaves the active set once its step
+        passes |dy| <= 1e-16 + 1e-15 y.  A zero step is accepted as
+        convergence.  Any other step that is not finite or not strictly
+        inside the bracket (lo, hi) is replaced by bisection: landing on
+        the far end, which is already evaluated, would let rounding noise
+        in g^{-1} cycle between two neighbouring floats.  x = 0 maps to
+        exactly 0.  Points still moving after ``_NEWTON_CAP`` steps keep
+        their last iterate and raise a RuntimeWarning.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        act = np.flatnonzero(x > 0.0)
-        xa = x[act]
-        idx = np.clip(np.searchsorted(self.x_table, xa, side="right") - 1,
-                      0, len(self.x_table) - 2)
+        idx = np.searchsorted(self.x_table, x, side="right")
+        idx -= 1
+        np.clip(idx, 0, len(self.x_table) - 2, out=idx)
+        x0 = self.x_table[idx]
+        t = x - x0
+        t /= self.x_table[idx + 1] - x0
+        out = self.hermite[5, idx]
+        for row in self.hermite[4::-1]:
+            out *= t
+            out += row[idx]
+        act = np.flatnonzero(~self.trusted[idx])
+        xa, idx, y = x[act], idx[act], out[act]
         lo = self.y_table[idx]
         hi = self.y_table[idx + 1]
-        seed = self._seed(xa, idx)
         e = 2 * self.k - 2
+        first = idx == 0
+        y[first] = (self.k * xa[first]) ** (1.0 / self.k)
         # Where the power law's first omitted term (y^(2k-2)/(6k-4),
-        # relative) is below rounding, the seed is the root; g^{-1} there
+        # relative) is below rounding, it is the root; g^{-1} there
         # underflows for k >= 3, and a Newton step could only move it away.
-        exact = (idx == 0) & (seed < hi) & (seed ** e < _EPS)
-        if exact.any():
-            out[act[exact]] = seed[exact]
-            keep = ~exact
-            act, xa, seed, lo, hi = act[keep], xa[keep], seed[keep], lo[keep], hi[keep]
-        # The Chebyshev table already brackets tighter than the required
-        # width; bisect only if a coarser table was requested.
-        wide = np.flatnonzero(hi - lo > _BRACKET_WIDTH)
-        while wide.size:
-            mid = 0.5 * (lo[wide] + hi[wide])
-            low_side = self._raw_inverse(mid) < xa[wide]
-            lo[wide] = np.where(low_side, mid, lo[wide])
-            hi[wide] = np.where(low_side, hi[wide], mid)
-            wide = wide[hi[wide] - lo[wide] > _BRACKET_WIDTH]
-        y = np.where(np.isfinite(seed) & (seed > lo) & (seed < hi), seed, 0.5 * (lo + hi))
+        exact = first & (y < hi) & (y ** e < _EPS)
+        out[act[exact]] = y[exact]
+        keep = ~exact
+        act, xa, y, lo, hi = act[keep], xa[keep], y[keep], lo[keep], hi[keep]
+        y = np.where(np.isfinite(y) & (y > lo) & (y < hi), y, 0.5 * (lo + hi))
         for _ in range(_NEWTON_CAP):
             if not act.size:
                 break
@@ -330,27 +330,6 @@ class ScalingFunction:
             )
             out[act] = y
         return out
-
-    def _seed(self, x, idx):
-        """Start for the root of g^{-1}(y) = x in node bracket ``idx``.
-
-        Cubic Hermite interpolation of y(x) between the bracket's nodes,
-        whose slopes dy/dx are exact; in the first bracket, where the
-        slope at y = 0 is infinite, the leading term of
-        g^{-1}(y) = y^k/k + O(y^(3k-2)) instead.
-        """
-        x0 = self.x_table[idx]
-        h = self.x_table[idx + 1] - x0
-        y0 = self.y_table[idx]
-        dy = self.y_table[idx + 1] - y0
-        with np.errstate(invalid="ignore"):
-            m0 = h * self.slope_table[idx]
-            m1 = h * self.slope_table[idx + 1]
-            t = (x - x0) / h
-            y = y0 + t * (m0 + t * ((3.0 * dy - 2.0 * m0 - m1) + t * (m0 + m1 - 2.0 * dy)))
-        first = idx == 0
-        y[first] = np.minimum((self.k * x[first]) ** (1.0 / self.k), self.y_table[1])
-        return y
 
     def _raw_inverse(self, y):
         return self.m_k * betainc_reg(_beta_p(self.k), 0.5, y ** (2 * self.k - 2))
@@ -401,6 +380,47 @@ def _prep(x):
 
 def _unprep(arr, scalar):
     return float(arr[0]) if scalar else arr
+
+
+def _quintic_table(k, m_k, x, y):
+    """Row j: the t^j coefficient of the quintic Hermite of y(x) on each
+    node bracket, t = (x - x_i)/h_i; and the mask of trusted brackets,
+    whose remainder bound (module docstring) is below eps y_i and below
+    eps m_k y'_(i+1).  The first bracket, where y'(0) is infinite, never is.
+    """
+    e = 2 * k - 2
+    # Coefficients of v^0..v^(n-1), v = 1/y: y'' = F, y'^2 = G, d/dy v^m = -m v^(m+1), and d/dx
+    # takes A to A_y y' and B y' to B_y G + B F: y^(5) = b5 y', and d6 bounds y^(6).
+    n = 6 * k
+    F = np.zeros(n)
+    F[e + 1] = 1.0 - k
+    G = np.zeros(n)
+    G[[0, e]] = -1.0, 1.0
+
+    def dy(c):
+        return np.concatenate([[0.0], -np.arange(n - 1) * c[:-1]])
+
+    def mul(a, b):
+        return np.convolve(a, b)[:n]
+
+    b5 = dy(mul(dy(dy(F)), G) + mul(dy(F), F))
+    d6 = np.abs(mul(dy(b5), G) + mul(b5, F))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d1 = np.sqrt(1.0 - y ** e) / y ** (k - 1)
+        d2 = (1.0 - k) / y ** (e + 1)
+        h = np.diff(x)
+        s0, s1 = h * d1[:-1], h * d1[1:]
+        c0, c1 = h * h * d2[:-1], h * h * d2[1:]
+        r = np.diff(y)
+        coef = np.array([
+            y[:-1], s0, 0.5 * c0,
+            10.0 * r - 6.0 * s0 - 4.0 * s1 - 1.5 * c0 + 0.5 * c1,
+            -15.0 * r + 8.0 * s0 + 7.0 * s1 + 1.5 * c0 - c1,
+            6.0 * r - 3.0 * s0 - 3.0 * s1 - 0.5 * c0 + 0.5 * c1,
+        ])
+        bound = np.polyval(d6[::-1], 1.0 / y[:-1]) * h ** 6 / 46080.0
+    coef[:, 0] = np.nan
+    return coef, bound <= _EPS * np.minimum(y[:-1], m_k * d1[1:])
 
 
 _CACHE = {}
@@ -466,17 +486,15 @@ def make_scaling(k, spec=DEFAULT_SPEC, *, table_size=TABLE_SIZE,
     x_nodes[-1] = m_k
     if np.any(np.diff(x_nodes) <= 0.0):
         raise ValueError("inverse table failed to be strictly increasing")
-    # dy/dx at each node; infinite at y = 0, where the first bracket
-    # seeds from the power law instead.
-    with np.errstate(divide="ignore"):
-        slopes = np.sqrt(1.0 - y_nodes ** (2 * k - 2)) / y_nodes ** (k - 1)
+    hermite, trusted = _quintic_table(k, m_k, x_nodes, y_nodes)
 
     s = ScalingFunction(
         k=int(k),
         m_k=m_k,
         y_table=y_nodes,
         x_table=x_nodes,
-        slope_table=slopes,
+        hermite=hermite,
+        trusted=trusted,
         taylor=coef,
         series_radius_guard=guard,
     )

@@ -33,11 +33,11 @@ CLI_DIGESTS = {
     ("mesh", "--n", "4", "--k", "2", "--res", "12"):
         "da2308e38bf534dcc0bcce307b4d0c2934a456bf58a112efc037380655256e19",
     ("sample", "--n", "4", "--k", "3", "--count", "200", "--seed", "5"):
-        "3538cfdf7cdc0790a214be96cfe517525b4d873706063fe3f13b5c797b415e0b",
+        "7526a296cf1bf0aa4a99f5eda42af86c7137645bd20472ab1902648dfe5567e2",
     ("scaling", "--k", "3", "--samples", "33"):
-        "70b6c2c871c9959e7bfb13ef150fbb4f423296da78e9d726a1924ce9eba755ff",
+        "489e2b31eb96e8ed03760988312437ac78d371f536938ae31b838445d0dbe7cb",
     ("volume", "--n", "4", "--k", "3", "--enclosed", "--samples", "200000", "--seed", "7"):
-        "2ffccd17063637db4c2963622d76a936f8b0a1044500dc219e56b7a8046eace7",
+        "7d2531ce2cf7edf2eb3292ee1b078a462e4bafd30c259ba94246de1056b68964",
 }
 
 # float.hex of max_abs_residual from `archarray verify --mode residual`.
@@ -49,12 +49,12 @@ RESIDUAL_MAX = {
 # sha256 of warping_gradient's float64 bytes at 1,000 interior points of
 # an n=4, k=2 archimedean array.
 GRADIENT_DIGESTS = {
-    ("ball", 1.0): "44103746b1c641aa8000bdb6c7ad9e7bcefe9bb5db42e0a218e738ee8e8d1d92",
-    ("ball", 0.7): "e7100b09446c33d41359bb6c3e505795a8759975a2386b9f00020de36bbea0ec",
-    ("ellipse", 1.0): "8f7fbfce0a8966a201793be96050c360603a4ce967ea241a6dd0674f426b2713",
-    ("ellipse", 0.7): "2be27fdf4962aacbc761f985a879628855d2881391b4bbe23cab014f3f7a5500",
-    ("pentagon", 1.0): "6dd1a8cbe2c5ba25ffb4666a3597a57c8ea2cc7d81e5032c3cae09ace36b2604",
-    ("pentagon", 0.7): "0a13fe8c8c89473e68af163c68f5b55c542f2c3d3aeab68dfd5bc92a22d38ca8",
+    ("ball", 1.0): "03996fa49401c53f09abd65b8106ecb864e83213e98dce5a27d5edd499c4fdd4",
+    ("ball", 0.7): "54431bfffd8247711205dd93ca6a651f5ae602571a8c8d29127f9449401c0e58",
+    ("ellipse", 1.0): "6f16766f284f46e61afac7fd0dfb1952b5a31ce3efe109527c8aa2509ae9ad67",
+    ("ellipse", 0.7): "6e06d3b0e82875c3283a68ba39793b7c292aa66cb17a74eba42b0a5282dcbebc",
+    ("pentagon", 1.0): "23e9816d8a11099b5afdd923385de4814d8e6f3ab21c159d51be11dfa835b6be",
+    ("pentagon", 0.7): "8aa74a13625b62e1706ce1f183f7abfa71e431278f22b9a135574d976b424068",
 }
 
 
@@ -99,9 +99,9 @@ STAT_VOLUMES = [
 # base points take two rejection chunks on every base.
 SAMPLE_DIGESTS = {
     "ball-n4-k2": (lambda: make_archimedean(4, 2),
-        "75a0278e62bbd96f08814a303c3d926fa78e68cb0d496d791d15f84121c8ee31"),
+        "c23ebf9d615ae768b756ed1ff8a028f37738bde7957e2799a98544cb27eb1d77"),
     "ball-n5-k2": (lambda: make_archimedean(5, 2),
-        "bc03a6717568aeefbbc66531c816fbf26ba70cf0c0bb722d2ae3138c329037bf"),
+        "5236688f9eebadf27a29d6aed3ef5c49746ef1ce6b2f5cf1fc95afe9e34c0405"),
     "ellipse-cylinder": (
         lambda: make_cylinder(2, Ellipse([0.1, -0.2], [0.9, 0.5]), r_scale=0.4),
         "059d39d183642ff57f5235045151ce33e32e17267f39435944aa0508c15f3e39"),

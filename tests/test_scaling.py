@@ -6,6 +6,7 @@ coefficients; higher k is pinned by frozen mpmath references and by the
 defining relation g^(2k-2) (1 + g'^2) = 1 itself.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -370,6 +371,10 @@ def test_f_does_not_depend_on_its_batch(k):
     assert np.count_nonzero(whole != alone) == 0
 
 
+def _bracket(s, x):
+    return np.clip(np.searchsorted(s.x_table, x, side="right") - 1, 0, len(s.x_table) - 2)
+
+
 @pytest.mark.parametrize("k", [2, 3, 6])
 def test_inversion_converges_in_few_steps(k, monkeypatch):
     s = make_scaling(k)
@@ -382,18 +387,79 @@ def test_inversion_converges_in_few_steps(k, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s._f_root(xs)
-    # The Hermite seed leaves one or two Newton steps per point.
+    # Only the points outside the trusted brackets reach Newton, and the
+    # quintic start leaves them one or two steps each.
+    newton = np.count_nonzero(~s.trusted[_bracket(s, xs)])
+    assert 0 < newton < 100
     assert len(calls) <= 3
-    assert calls[0] == 65536
-    assert sum(calls) / xs.size <= 2.0
+    assert calls[0] == newton
+    assert sum(calls) / newton <= 2.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_trusted_brackets_make_no_incomplete_beta(k, monkeypatch):
+    s = make_scaling(k)
+    calls = []
+    monkeypatch.setattr(ScalingFunction, "_raw_inverse", lambda self, y: calls.append(y))
+    monkeypatch.setattr(scaling, "betainc_reg", lambda *args: calls.append(args))
+    xs = np.random.default_rng(6).uniform(0.0, s.m_k, 65536)
+    xs = xs[s.trusted[_bracket(s, xs)]]
+    y = s.f(xs)
+    assert calls == []
+    assert xs.size > 65000 and np.all((y > 0.0) & (y <= 1.0))
 
 
 def test_newton_cap_warns_with_the_unconverged_count(monkeypatch):
-    s = make_scaling(3)
+    # A coarse table trusts no bracket, so every point reaches Newton.
+    s = make_scaling(3, table_size=64)
     xs = np.linspace(0.1, 0.4, 50) * s.m_k
     monkeypatch.setattr(scaling, "_NEWTON_CAP", 0)
     with pytest.warns(RuntimeWarning, match=r"left 50 of 50 points unconverged after 0 "):
         s._f_root(xs)
+
+
+# Largest deviation, in ulp, of the interpolated profile from the Newton
+# root on uniform points below the series guard.  Both carry the ~10 ulp
+# rounding noise of g^{-1}, at the nodes and at the point (10 ulp
+# measured, for k = 2).
+INTERPOLANT_ULP = 16
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8])
+def test_interpolant_stays_within_its_ulp_bound_of_newton(k):
+    s = make_scaling(k)
+    newton = dataclasses.replace(s, trusted=np.zeros_like(s.trusted))
+    xs = np.random.default_rng(k).uniform(0.0, s.m_k - s.series_radius_guard, 10**6)
+    assert np.mean(s.trusted[_bracket(s, xs)]) > 0.999
+    for chunk in np.array_split(xs, 8):
+        want = newton._f_root(chunk)
+        assert np.all(np.abs(s._f_root(chunk) - want) <= INTERPOLANT_ULP * np.spacing(want))
+
+
+@pytest.mark.parametrize("size", [8, 64, 256])
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_coarse_tables_fall_back_to_newton(k, size):
+    # Their remainder bounds exceed rounding in every bracket, so every
+    # value is a Newton root, and no Newton cap is hit.
+    s = make_scaling(k, table_size=size)
+    ref = make_scaling(k)
+    xs = np.random.default_rng(size).uniform(0.0, ref.m_k - ref.series_radius_guard, 10**5)
+    want = ref.f(xs)
+    assert not s.trusted.any()
+    assert np.all(np.abs(s.f(xs) - want) <= INTERPOLANT_ULP * np.spacing(want))
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_node_curvature_matches_differentiated_f_prime(k):
+    # The t^2 row of the table is h^2 y''/2 with y'' = -(k-1)/y^(2k-1).
+    s = make_scaling(k)
+    curvature = 2.0 * s.hermite[2] / np.diff(s.x_table) ** 2
+    for y in (0.3, 0.5, 0.8, 0.95):
+        i = int(np.searchsorted(s.y_table, y))
+        x = s.x_table[i]
+        fd = nth_derivative(s.f_prime, x, 1, h=0.02 * min(x, s.m_k - x))
+        assert curvature[i] == pytest.approx(fd, rel=1e-10)
+        assert curvature[i] == pytest.approx(-(k - 1) / s.y_table[i] ** (2 * k - 1), rel=1e-15)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8])
