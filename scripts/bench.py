@@ -1,14 +1,15 @@
 """Benchmark record of a checkout: end-to-end runs, layer timings, checksums.
 
 Runs ``bench/run.py`` (untraced) on every workload and seed, times the
-hot kernels of the statistical gate, of the profile layer and of the
-ellipse and hexagon bases in a fresh process, counts the incomplete
-betas per forward profile value and the share of values answered with
-none, hashes the results bit for bit, counts the lines under ``src/``
-and writes it all, with the machine it ran on, to one JSON file.  With
-``--baseline`` the same is done for a second checkout, and the
-end-to-end runs of the two alternate, each pair starting with the other
-checkout, so both see the same phases of a shared host.
+hot kernels of the statistical gate, of the profile layer, of the
+ellipse and hexagon bases and of the CSV and mesh export in a fresh
+process, counts the incomplete betas per forward profile value and the
+share of values answered with none, hashes the results bit for bit,
+counts the lines under ``src/`` and writes it all, with the machine it
+ran on, to one JSON file.  With ``--baseline`` the same is done for a
+second checkout, and the end-to-end runs of the two alternate, each
+pair starting with the other checkout, so both see the same phases of
+a shared host.
 
 Usage, from the root of a source checkout:
 
@@ -103,6 +104,13 @@ def layers(root, reps, seeds):
     h_ell = archarray.SphericalArray(4, 2, ellipse, h.scaling, 1.0, "archimedean")
     h_hex = archarray.SphericalArray(4, 2, archarray.regular_polygon(6, inradius=0.8),
                                      h.scaling, 1.0, "archimedean")
+    # Text export: the 25,000-point n=4, k=3 sample as CSV, and the signed
+    # volume of the 128x128 revolve mesh, which orients every closed mesh.
+    from archarray.mesh import csv_text, revolve_mesh
+    from archarray.verify import sample_surface
+
+    sample = sample_surface(h43, 25_000, seed=1)
+    revolve = revolve_mesh(archarray.make_archimedean(3, 2), 128, 128)
     rows = {
         "ball.inside_mask.200k": lambda: h.base.inside_mask(pts),
         "region.contains.box.200k": lambda: box.contains(pts),
@@ -122,12 +130,16 @@ def layers(root, reps, seeds):
         "array.ellipse.total_volume": lambda: h_ell.total_volume().value,
         "array.hexagon.patch_volume.depth8": lambda: h_hex.patch_volume(
             archarray.Region.ball([0.3, -0.1], 0.4), depth=8, seed=1),
+        "mesh.csv_text.25000x4": lambda: csv_text(["x0", "x1", "x2", "x3"], sample),
+        "mesh.signed_volume.revolve128": revolve.signed_volume,
     }
     out = {"layers": {}, "checksums": {}}
     for name, fn in rows.items():
         seconds, result = _timed(fn, reps)
         if isinstance(result, np.ndarray):
             check = hashlib.sha256(result.tobytes()).hexdigest()
+        elif isinstance(result, str):
+            check = hashlib.sha256(result.encode()).hexdigest()
         else:
             check = _digest(result)
         out["layers"][name] = {"s": seconds, "checksum": check}

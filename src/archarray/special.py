@@ -190,16 +190,28 @@ def incomplete_beta(z, p, q):
     return betainc_reg(p, q, z) * math.exp(ln_b)
 
 
+_GAMMA_CAP = 1000
+
+
+def _gamma_cap_warning(what, a, x):
+    warnings.warn(
+        f"incomplete-gamma {what} unconverged after {_GAMMA_CAP} steps at a={a!r}, x={x!r}",
+        RuntimeWarning, stacklevel=3,
+    )
+
+
 def _gamma_p_series(a, x):
     ap = a
     total = 1.0 / a
     term = total
-    for _ in range(1000):
+    for _ in range(_GAMMA_CAP):
         ap += 1.0
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _CF_EPS:
             break
+    else:
+        _gamma_cap_warning("series", a, x)
     return total * math.exp(-x + a * math.log(x) - gamma_ln(a))
 
 
@@ -208,7 +220,7 @@ def _gamma_q_cf(a, x):
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, 1000):
+    for i in range(1, _GAMMA_CAP + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -222,6 +234,8 @@ def _gamma_q_cf(a, x):
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             break
+    else:
+        _gamma_cap_warning("continued fraction", a, x)
     return h * math.exp(-x + a * math.log(x) - gamma_ln(a))
 
 

@@ -9,6 +9,7 @@ a Gauss-Legendre rule independent of the package quadrature.
 
 import math
 from collections import Counter
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from archarray.array import SphericalArray, make_archimedean, make_cylinder
 from archarray.base import Ball, regular_polygon
 from archarray.mesh import (
     Mesh,
+    _g17_template,
     csv_text,
     graph_slice_mesh,
     mesh_area,
@@ -308,6 +310,63 @@ def test_text_exports_match_a_row_loop(tmp_path):
     table = np.random.default_rng(4).standard_normal((9000, 3)) * 10.0 ** np.arange(-8, 19, 9)
     loop = "a,b,c\n" + "".join("%.17g,%.17g,%.17g\n" % tuple(r) for r in table)
     assert csv_text(["a", "b", "c"], table) == loop
+
+
+def _percent_g17(table):
+    """The CSV rows of ``table`` by Python's ``%``, the bytes the kernel must match."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return ((row * len(table)) % tuple(table.ravel().tolist())).encode()
+
+
+def _g17_cases():
+    rng = np.random.default_rng(13)
+    # Log-uniform magnitudes from 1e-8 to 1e18, both signs.
+    logu = 10.0 ** rng.uniform(-8.0, 18.0, 600_000) * rng.choice([-1.0, 1.0], 600_000)
+    # Eight neighbours on each side of every power of ten from 1e-6 to 1e17,
+    # which holds the switches to exponent notation at 1e-4 and 1e17.
+    near = []
+    for p in 10.0 ** np.arange(-6, 18):
+        for direction in (0.0, np.inf):
+            x = p
+            for _ in range(8):
+                x = np.nextafter(x, direction)
+                near.append(x)
+        near.append(p)
+    # Exact ties at 17 digits: M * 2^-j with M odd has the decimal value
+    # M * 5^j / 10^j, which ends in 5; keep those with 18 digits.
+    ties = []
+    for j in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** j), min(2 ** 53, 10 ** 18 // 5 ** j)
+        ties.append(np.ldexp((rng.integers(lo, hi, 16_000) | 1).astype(float), -j))
+    ties = np.concatenate(ties)
+    special = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               np.inf, -np.inf, np.nan, np.finfo(float).max, 1e-6, 1e17, 1e-4, 1e16]
+    subnormal = np.ldexp(rng.integers(1, 2 ** 52, 1_000).astype(float), -1074)
+    values = np.concatenate([logu, near, ties, special, subnormal, 1.0 / logu[:1000]])
+    values = np.concatenate([values, -values])
+    return values, ties
+
+
+def test_g17_kernel_matches_percent_on_a_million_values():
+    values, ties = _g17_cases()
+    assert values.size >= 1_000_000
+    for t in ties[::997]:  # exact decimal expansions with 18 digits, the last a 5
+        digits = Decimal(float(t)).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    # No double is 10^-6, and the nearest lies below it, so the kernel's
+    # range 10^-6 <= |v| < 10^17 reads |v| > 1e-6 in doubles.
+    assert Decimal(1e-6) < Decimal("1e-6")
+    table = values[: values.size // 4 * 4].reshape(-1, 4)
+    for start in range(0, len(table), 4096):
+        block = table[start:start + 4096]
+        text, fallback = _g17_template(block)
+        v = block.ravel()
+        with np.errstate(invalid="ignore"):
+            certified = (v == 0.0) | ((np.abs(v) > 1e-6) & (np.abs(v) < 1e17))
+        assert np.array_equal(fallback, ~certified)
+        assert text % tuple(v[fallback].tolist()) == _percent_g17(block)
+    assert csv_text(["a", "b", "c", "d"], table[:9000]) == "a,b,c,d\n" + _percent_g17(
+        table[:9000]).decode()
 
 
 def test_obj_byte_deterministic(tmp_path):

@@ -251,6 +251,15 @@ def test_gamma_q_recurrence():
         assert gamma_q(a + 1.0, x) == pytest.approx(gamma_q(a, x) + step, rel=1e-12)
 
 
+@pytest.mark.parametrize("a,x,part", [(1e5, 99999.0, "series"),
+                                      (1e7, 1e7 + 10.0, "continued fraction")])
+def test_gamma_q_cap_warns(a, x, part):
+    # Both need more than the 1,000 steps: Q(1e5, 99999) = 0.500841 (mpmath,
+    # 30 digits) while the capped series gives 0.501624.
+    with pytest.warns(RuntimeWarning, match=f"incomplete-gamma {part} unconverged after 1000 "):
+        gamma_q(a, x)
+
+
 def test_gamma_q_rejects_bad_arguments():
     with pytest.raises(ValueError):
         gamma_q(0.0, 1.0)
