@@ -154,11 +154,7 @@ class SphericalArray:
     def warping(self, x):
         """Fiber radius f(x'') at base points; zero on the base boundary."""
         pts, single = _points(x, self.base_dim)
-        sd = self.base.signed_distance(pts)
-        if np.any(sd < -1e-12 * max(1.0, self.base.inradius())):
-            raise ValueError("warping requires points in the closed base")
-        omega = np.maximum(sd, 0.0)
-        vals = self._warp_from_omega(omega, pts)
+        vals = self._warp_from_omega(self.base.distance_to_boundary(pts), pts)
         return float(vals[0]) if single else vals
 
     def _warp_from_omega(self, omega, pts):

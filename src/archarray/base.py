@@ -9,6 +9,10 @@ numerical differencing, so they have unit norm to machine precision.
 The ellipse finds its nearest boundary point with one bracket-free
 Newton iteration per point on the Lagrange multiplier of the distance
 (Eberly, 2013) and takes its gradient from the boundary normal there.
+The polygon builds its medial axis once, by collapsing the earliest
+shrinking edge of the inward-moving wavefront one step at a time.
+Each interior query evaluates the signed distance once and reads the
+inside check, the boundary check and omega from it.
 
 Points are numpy arrays; every query accepts a single point of shape
 (dim,) or a batch of shape (npoints, dim) and returns a scalar or a
@@ -118,24 +122,17 @@ class BaseDomain:
             raise ValueError("singular_band must be nonnegative")
         self.singular_band = float(singular_band)
 
-    # Subclasses implement: _omega, _signed, _gradient,
-    # _singular_distance, volume, inradius, bounding_box, describe.
-    # They may override inside_mask and misses_box with exact geometric
-    # tests, which give quadrature and sampling their fast paths.
+    # Subclasses implement: _signed, _gradient, _singular_distance,
+    # volume, inradius, bounding_box, describe.  They may override
+    # inside_mask and misses_box with exact geometric tests, which give
+    # quadrature and sampling their fast paths.
 
-    def _require_inside(self, pts, what):
+    def _interior_omega(self, pts, what):
+        """omega of points inside the domain, from one _signed call."""
         sd = self._signed(pts)
         if np.any(sd < -1e-12 * max(1.0, self.inradius())):
             raise ValueError(f"{what} requires points inside the domain")
-
-    def _require_regular(self, pts):
-        w = self._omega(pts)
-        if np.any(w <= 0.0):
-            raise ValueError("gradient undefined on the boundary")
-        if np.any(self._singular_distance(pts) < self.singular_band):
-            raise SingularRegionError(
-                "gradient requested within the singular band of the medial set"
-            )
+        return np.maximum(sd, 0.0)
 
     def contains(self, x):
         pts, single = _points(x, self.dim)
@@ -155,8 +152,7 @@ class BaseDomain:
     def distance_to_boundary(self, x):
         """Interior distance omega(x) to the domain boundary."""
         pts, single = _points(x, self.dim)
-        self._require_inside(pts, "distance_to_boundary")
-        return _scalar_out(np.maximum(self._omega(pts), 0.0), single)
+        return _scalar_out(self._interior_omega(pts, "distance_to_boundary"), single)
 
     def signed_distance(self, x):
         """Distance to the boundary, positive inside and negative outside."""
@@ -166,8 +162,12 @@ class BaseDomain:
     def omega_gradient(self, x):
         """Unit gradient of omega: points away from the nearest boundary feature."""
         pts, single = _points(x, self.dim)
-        self._require_inside(pts, "omega_gradient")
-        self._require_regular(pts)
+        if np.any(self._interior_omega(pts, "omega_gradient") <= 0.0):
+            raise ValueError("gradient undefined on the boundary")
+        if np.any(self._singular_distance(pts) < self.singular_band):
+            raise SingularRegionError(
+                "gradient requested within the singular band of the medial set"
+            )
         return _vector_out(self._gradient(pts), single)
 
     def singular_set_distance(self, x):
@@ -200,9 +200,6 @@ class Ball(BaseDomain):
 
     def _rho(self, pts):
         return np.sqrt(squared_distance(pts, self.center))
-
-    def _omega(self, pts):
-        return self.radius - self._rho(pts)
 
     def _signed(self, pts):
         return self.radius - self._rho(pts)
@@ -346,9 +343,6 @@ class Ellipse(BaseDomain):
         gap = np.maximum(np.maximum(np.minimum(s_lo, s_hi), -np.maximum(s_lo, s_hi)), 0.0)
         return np.sum(gap * gap, axis=-1) > 1.0
 
-    def _omega(self, pts):
-        return self._signed(pts)
-
     def _signed(self, pts):
         near = self._nearest_boundary(pts)
         dist = np.linalg.norm(pts - near, axis=1)
@@ -412,8 +406,11 @@ class ConvexPolygon(BaseDomain):
     """Strictly convex polygon with counterclockwise vertices.
 
     The medial axis (equal to the straight skeleton for convex input) is
-    precomputed by shrinking the edge lines inward at unit speed and
-    recording the paths swept by the wavefront vertices.
+    precomputed from edge collapses: the edge lines move inward at unit
+    speed, and each step drops the edge whose line meets both neighbours'
+    first, joining its two vertex paths at that point, until the last
+    three lines meet at the incentre.  An n-gon gives 2n - 3 segments
+    unless events coincide.
     """
 
     def __init__(self, vertices, singular_band=None):
@@ -449,11 +446,8 @@ class ConvexPolygon(BaseDomain):
     def _edge_margins(self, pts):
         return pts @ self._normals.T - self._offsets[None, :]
 
-    def _omega(self, pts):
-        return np.min(self._edge_margins(pts), axis=1)
-
     def inside_mask(self, pts):
-        return self._omega(pts) >= 0.0
+        return np.min(self._edge_margins(pts), axis=1) >= 0.0
 
     def misses_box(self, lo, hi):
         margins = self._edge_margins(box_corners(lo, hi))
@@ -521,102 +515,34 @@ def _shoelace(verts):
     return float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _line_point(ni, oi, nj, oj):
-    return np.linalg.solve(np.stack([ni, nj]), np.array([oi, oj]))
-
-
-def _straight_skeleton(normals, offsets, verts0, scale):
+def _straight_skeleton(normals, offsets, verts, scale):
     """Medial-axis segments and inradius of a strictly convex polygon.
 
-    The boundary lines move inward at unit speed; wavefront vertices
-    trace straight segments, and an edge dies when its two endpoints
-    meet.  Events are processed in simultaneous batches; the wavefront
-    is rebuilt from the surviving lines after each batch.  The final
-    wavefront of a convex polygon is a point or a segment, reached at
-    time equal to the inradius.
+    The edge lines move inward at unit speed, n . (x, y) - t = o.  A
+    convex wavefront meets only edge events (Aichholzer, Aurenhammer,
+    Alberts and Gartner, 1995): an edge collapses where its line meets
+    both neighbours', one 3x3 system per live edge, never singular since
+    three distinct unit normals are never collinear points.  Each step
+    joins the two vertex births of the earliest collapsing edge to the
+    event point and drops that edge; the merged vertex is born there.
+    The last three lines meet at the incentre, at t equal to the inradius.
     """
-    eps_len = 1e-12 * scale
-    idx = list(range(len(normals)))
-    t = 0.0
+    ring = list(range(len(normals)))
+    births = list(verts)
     segments = []
-
-    def vertex(ring, a, tt):
-        i = ring[a - 1]
-        j = ring[a]
-        return _line_point(normals[i], offsets[i] + tt, normals[j], offsets[j] + tt)
-
-    def ring_parallel(ring):
-        for a in range(len(ring)):
-            ni = normals[ring[a - 1]]
-            nj = normals[ring[a]]
-            if abs(ni[0] * nj[1] - ni[1] * nj[0]) < 1e-12:
-                return True
-        return False
-
-    births = [verts0[a].copy() for a in range(len(idx))]
-    junctions = []
-
-    while len(idx) >= 3 and not ring_parallel(idx):
-        count = len(idx)
-        verts = [vertex(idx, a, t) for a in range(count)]
-        speeds = []
-        for a in range(count):
-            i = idx[a - 1]
-            j = idx[a]
-            speeds.append(_line_point(normals[i], 1.0, normals[j], 1.0))
-        dts = []
-        for a in range(count):
-            pa = verts[a]
-            pb = verts[(a + 1) % count]
-            e = pb - pa
-            length = float(np.linalg.norm(e))
-            if length <= eps_len:
-                dts.append(0.0)
-                continue
-            ehat = e / length
-            rate = float((speeds[(a + 1) % count] - speeds[a]) @ ehat)
-            dts.append(length / -rate if rate < -1e-15 else math.inf)
-        dt_min = min(dts)
-        if not math.isfinite(dt_min):
-            raise RuntimeError("wavefront failed to collapse; polygon degenerate?")
-        t += dt_min
-        positions = [vertex(idx, a, t) for a in range(count)]
-        for a in range(count):
-            if np.linalg.norm(positions[a] - births[a]) > eps_len:
-                segments.append((births[a], positions[a]))
-        eps_t = 1e-9 * max(scale, t)
-        dead = [a for a in range(count) if dts[a] <= dt_min + eps_t]
-        junctions = []
-        for a in dead:
-            junctions.append(positions[a])
-            junctions.append(positions[(a + 1) % count])
-        for a in sorted(dead, reverse=True):
-            del idx[a]
-        if len(idx) >= 3 and not ring_parallel(idx):
-            births = [vertex(idx, a, t) for a in range(len(idx))]
-
-    # Final degenerate wavefront: connect the distinct junction points.
-    clusters = []
-    for p in junctions:
-        for c in clusters:
-            if np.linalg.norm(p - c) < 1e-9 * max(scale, 1.0):
-                break
-        else:
-            clusters.append(p)
-    if len(clusters) >= 2:
-        pts = np.array(clusters)
-        spread = pts - pts.mean(axis=0)
-        u, _, vt = np.linalg.svd(spread, full_matrices=False)
-        order = np.argsort(spread @ vt[0])
-        for a, b in zip(order[:-1], order[1:]):
-            segments.append((pts[a], pts[b]))
-
-    if not segments:
-        # Triangle-like immediate collapse to a single point.
-        segments = [(verts0[a], junctions[0]) for a in range(len(verts0))]
-
-    seg_arr = np.array([[p, q] for p, q in segments])
-    return seg_arr, t
+    while True:
+        m = len(ring)
+        lines = np.array(ring)[(np.arange(m)[:, None] + np.array([-1, 0, 1])) % m]
+        system = np.concatenate([normals[lines], np.full((m, 3, 1), -1.0)], axis=2)
+        events = np.linalg.solve(system, offsets[lines][..., None])[..., 0]
+        a = int(np.argmin(events[:, 2]))
+        point = events[a, :2]
+        ends = births if m == 3 else [births[a], births[(a + 1) % m]]
+        segments += [(b, point) for b in ends if np.linalg.norm(point - b) > 1e-12 * scale]
+        if m == 3:
+            return np.array(segments), float(events[a, 2])
+        births[(a + 1) % m] = point
+        del births[a], ring[a]
 
 
 def regular_polygon(sides, *, circumradius=None, inradius=None, center=(0.0, 0.0)):

@@ -383,6 +383,24 @@ def test_residual_matches_two_call_composition(shape, r, k):
     assert [v.hex() for v in arr.app_residual(pts)] == [v.hex() for v in want]
 
 
+def test_ellipse_gradients_solve_the_nearest_point_few_times(monkeypatch):
+    # Each interior query reads the inside check, the boundary check and
+    # omega from one signed distance, so the ellipse's nearest-point solve
+    # runs once for omega and once for the gradient.
+    base = Ellipse([0.1, -0.2], [0.5, 0.35])
+    arr = SphericalArray(4, 2, base, make_scaling(2), 1.0, "archimedean")
+    pts = np.array([[0.2, 0.0], [-0.15, -0.3]])
+    calls = []
+    solve = Ellipse._nearest_boundary
+    monkeypatch.setattr(Ellipse, "_nearest_boundary",
+                        lambda self, p: calls.append(len(p)) or solve(self, p))
+    for query, most in ((base.omega_gradient, 2), (arr.warping_gradient, 3),
+                        (arr.app_residual, 3)):
+        calls.clear()
+        query(pts)
+        assert len(calls) <= most, query.__name__
+
+
 # Implicit and boundary forms ------------------------------------------------
 
 

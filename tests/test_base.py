@@ -643,6 +643,37 @@ def test_skeleton_inradius_matches_omega_maximum(sides):
     )
 
 
+def test_generic_polygon_skeleton_is_a_tree_with_2n_minus_3_segments():
+    # Without coinciding events the skeleton of a convex n-gon is a tree
+    # with the n vertices as leaves and n - 2 nodes of degree 3: one per
+    # edge collapse and the incentre.
+    rng = np.random.default_rng(14)
+    checked = 0
+    while checked < 1000:
+        n = int(rng.integers(3, 20))
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+        semi = rng.uniform(0.3, 2.0, 2)
+        verts = semi * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        try:
+            poly = ConvexPolygon(verts + rng.uniform(-1.0, 1.0, 2))
+        except ValueError:
+            continue
+        checked += 1
+        seg = poly.medial_axis()
+        assert len(seg) == 2 * n - 3
+        _, degree = np.unique(seg.reshape(-1, 2), axis=0, return_counts=True)
+        assert sorted(degree) == [1] * n + [3] * (n - 2)
+
+
+def test_regular_polygon_inradius_is_the_centre_margin():
+    # The centre's smallest edge margin is the apothem; the incentre of
+    # the last three edge lines matches it within 128 eps for n = 3..64.
+    for sides in range(3, 65):
+        poly = regular_polygon(sides, circumradius=1.0)
+        margin = float(np.min(-poly._offsets))
+        assert abs(poly.inradius() - margin) <= 128 * np.finfo(float).eps * margin, sides
+
+
 # error paths ----------------------------------------------------------------
 
 
