@@ -7,9 +7,10 @@ process, counts the incomplete betas per forward profile value and the
 share of values answered with none, hashes the results bit for bit,
 counts the lines under ``src/`` and writes it all, with the machine it
 ran on, to one JSON file.  With ``--baseline`` the same is done for a
-second checkout, and the end-to-end runs of the two alternate, each
-pair starting with the other checkout, so both see the same phases of
-a shared host.
+second checkout.  The layer processes and the end-to-end runs of the two
+alternate, each pair starting with the other checkout, so both see the
+same phases of a shared host; each layer row records its median and
+quartiles over the pairs, and every run must reproduce its checksums.
 
 Usage, from the root of a source checkout:
 
@@ -22,6 +23,7 @@ at an older checkout that has no ``scripts/bench.py``.  For
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -87,8 +89,10 @@ def layers(root, reps, seeds):
         return [archarray.Region.ball(c, s) if shape == "ball"
                 else archarray.Region.box(c - s, c + s) for shape, c, s in windows]
 
+    # Older checkouts take the quadrature spec as an argument.
+    spec = (DEFAULT_SPEC,) if "spec" in inspect.signature(_expected_fractions).parameters else ()
     cached = regions()
-    _expected_fractions(h, cached, DEFAULT_SPEC)
+    _expected_fractions(h, cached, *spec)
     # The profile layer on 65,536 points (k = 3) and the enclosed-volume
     # Monte Carlo, whose hit test reads the profile's node table.
     prof = make_scaling(3)
@@ -116,7 +120,7 @@ def layers(root, reps, seeds):
         "region.contains.box.200k": lambda: box.contains(pts),
         "region.contains.ball.200k": lambda: ball.contains(pts),
         "verify.base_uniform.200k": lambda: _base_uniform(h.base, 200_000, _philox(5, 0x5A11))[0],
-        "stat.first_gate_volumes.20": lambda: _expected_fractions(h, regions(), DEFAULT_SPEC),
+        "stat.first_gate_volumes.20": lambda: _expected_fractions(h, regions(), *spec),
         "stat.cached_gate.200k": lambda: (lambda r: (r.chi2, r.p_value))(
             archarray.app_statistical_test(h, cached, 200_000, seed=5)),
         "region.patch_volume.depth8": lambda: h.patch_volume(
@@ -189,6 +193,26 @@ def _layers_subprocess(root, reps, seeds):
     return json.loads(res.stdout.strip().splitlines()[-1])
 
 
+def _layer_summary(runs):
+    """One checkout's layer record from its runs: each row's median and
+    quartiles over the runs' own medians, in pair order, and the
+    checksums, which every run must reproduce."""
+    first = runs[0]
+    if any(r["checksums"] != first["checksums"] for r in runs):
+        raise RuntimeError("workload checksums changed between runs of one checkout")
+    out = {**first, "layers": {}}
+    for name, check in ((k, v["checksum"]) for k, v in first["layers"].items()):
+        if any(r["layers"][name]["checksum"] != check for r in runs):
+            raise RuntimeError(f"layer row {name} changed its checksum between runs")
+        seconds = [r["layers"][name]["s"] for r in runs]
+        row = {"checksum": check, "s": statistics.median(seconds), "s_runs": seconds}
+        if len(runs) > 1:
+            quartiles = statistics.quantiles(seconds, n=4)
+            row["s_q1"], row["s_q3"] = quartiles[0], quartiles[2]
+        out["layers"][name] = row
+    return out
+
+
 def _run_bench(root, workload, seed, seconds):
     cmd = [sys.executable, os.path.join(root, "bench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -220,7 +244,8 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=15.0,
                     help="length of each bench/run.py run")
     ap.add_argument("--pairs", type=int, default=3,
-                    help="bench/run.py runs per checkout, workload and seed")
+                    help="layer processes per checkout, and bench/run.py runs per "
+                         "checkout, workload and seed")
     ap.add_argument("--reps", type=int, default=15, help="repetitions of each layer row")
     ap.add_argument("--layers-of", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -236,8 +261,12 @@ def main(argv=None):
         roots = {"baseline": os.path.abspath(args.baseline), **roots}
     settings = {k: v for k, v in vars(args).items() if k not in ("out", "baseline", "layers_of")}
     doc = {"machine": _machine(), "settings": settings, "checkouts": {}}
-    for label, root in roots.items():
-        doc["checkouts"][label] = {**_layers_subprocess(root, args.reps, seeds), "runs": {}}
+    layer_runs = {label: [] for label in roots}
+    for pair in range(args.pairs):
+        for label, root in list(roots.items())[::-1 if pair % 2 else 1]:
+            layer_runs[label].append(_layers_subprocess(root, args.reps, seeds))
+    for label, runs in layer_runs.items():
+        doc["checkouts"][label] = {**_layer_summary(runs), "runs": {}}
     for workload in WORKLOADS:
         for seed in seeds:
             key = f"{workload}.{seed}"
@@ -267,6 +296,12 @@ def main(argv=None):
                 k: sum(c["wall_s"] < b["wall_s"]
                        for b, c in zip(base["runs"][k], change["runs"][k]))
                 for k in change["runs"]},
+            "layer_checksums_equal": {
+                k: base["layers"][k]["checksum"] == row["checksum"]
+                for k, row in change["layers"].items() if k in base["layers"]},
+            "layer_s_pairs_won": {
+                k: sum(c < b for b, c in zip(base["layers"][k]["s_runs"], row["s_runs"]))
+                for k, row in change["layers"].items() if k in base["layers"]},
         }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

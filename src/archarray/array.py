@@ -35,7 +35,7 @@ import numpy as np
 
 from .base import Ball, BaseDomain, _points, base_from_description, to_box
 from .quadrature import DEFAULT_SPEC, integrate
-from .region import CELL_DEPTH, MC_POINTS, Region, clipped_quadrature, philox
+from .region import CELL_DEPTH, Region, clipped_quadrature, philox
 from .scaling import make_scaling
 from .special import ball_volume, gamma, sphere_area
 
@@ -288,23 +288,19 @@ class SphericalArray:
             out[live] = y ** (self.k - 1) * np.sqrt(1.0 + yp * yp)
         return out
 
-    def patch_volume(self, region, spec=DEFAULT_SPEC, *, depth=CELL_DEPTH,
-                     mc_points=MC_POINTS, seed=0):
+    def patch_volume(self, region, *, depth=CELL_DEPTH, seed=0):
         """Area of the portion of the surface over region ∩ base.
 
         The walk's volume is the region's ``clipped_volume`` for the same
         depth and seed, so it is cached there and a later gate against
         C * clipped volume walks the cells once.
         """
-        result = clipped_quadrature(
-            self.base, region, self._area_density,
-            depth=depth, mc_points=mc_points, seed=seed, spec=spec,
-        )
-        if mc_points == MC_POINTS:
-            region._remember_clipped_volume(self.base, result.volume, depth=depth, seed=seed)
+        result = clipped_quadrature(self.base, region, self._area_density,
+                                    depth=depth, seed=seed)
+        region._remember_clipped_volume(self.base, result.volume, depth=depth, seed=seed)
         return result.integral
 
-    def _base_integral(self, profile, density, to_units, spec, depth, mc_points, seed):
+    def _base_integral(self, profile, density, to_units, depth, seed):
         """Integral over the base, with an error estimate.
 
         An archimedean warp over a ball base depends on the base point
@@ -317,22 +313,18 @@ class SphericalArray:
             rad = self.base.radius
             d = self.base_dim
             if d == 1:
-                value = 2.0 * integrate(lambda rho: profile(rad - rho), 0.0, rad, spec)
+                value = 2.0 * integrate(lambda rho: profile(rad - rho), 0.0, rad)
             else:
                 shell = sphere_area(d - 1, 1.0)
-                value = integrate(
-                    lambda rho: shell * rho ** (d - 1) * profile(rad - rho), 0.0, rad, spec
-                )
-            return value, abs(value) * spec.rel_tol
+                value = integrate(lambda rho: shell * rho ** (d - 1) * profile(rad - rho),
+                                  0.0, rad)
+            return value, abs(value) * DEFAULT_SPEC.rel_tol
         blo, bhi = self.base.bounding_box()
-        result = clipped_quadrature(
-            self.base, Region.box(blo - 1.0, bhi + 1.0), density,
-            depth=depth, mc_points=mc_points, seed=seed, spec=spec,
-        )
+        result = clipped_quadrature(self.base, Region.box(blo - 1.0, bhi + 1.0), density,
+                                    depth=depth, seed=seed)
         return result.integral, to_units(result.error_estimate)
 
-    def total_volume(self, spec=DEFAULT_SPEC, *, depth=CELL_DEPTH,
-                     mc_points=MC_POINTS, seed=0):
+    def total_volume(self, *, depth=CELL_DEPTH, seed=0):
         """Total area of the surface, with a closed form when available.
 
         The closed form applies to the canonical archimedean array over
@@ -346,7 +338,7 @@ class SphericalArray:
         delta = BOUNDARY_OFFSET_FRACTION * self.base.inradius()
         value, err = self._base_integral(
             lambda om: coeff * self._profile_density(om, delta), self._area_density,
-            lambda e: e * coeff, spec, depth, mc_points, seed,
+            lambda e: e * coeff, depth, seed,
         )
         closed = None
         if self._is_canonical_ball():
@@ -357,8 +349,7 @@ class SphericalArray:
             )
         return TotalVolume(value, closed, err)
 
-    def enclosed_volume(self, samples=0, seed=0, spec=DEFAULT_SPEC, *,
-                        depth=CELL_DEPTH, mc_points=MC_POINTS):
+    def enclosed_volume(self, samples=0, seed=0, *, depth=CELL_DEPTH):
         """n-volume of {(x'', x') : |x'| <= f(x'')}.
 
         Deterministic path: integrate the fiber-ball volume over the
@@ -376,7 +367,7 @@ class SphericalArray:
             value, err = self._base_integral(
                 fiber_ball,
                 lambda pts: fiber_ball(np.maximum(self.base.signed_distance(pts), 0.0), pts),
-                lambda e: e * ck * self.r_scale ** self.k, spec, depth, mc_points, seed,
+                lambda e: e * ck * self.r_scale ** self.k, depth, seed,
             )
         if samples <= 0:
             return EnclosedVolume(value, err)

@@ -14,15 +14,14 @@ import numpy as np
 from .array import equizonal_enclosed_volume, make_archimedean
 from .mesh import csv_text, graph_slice_mesh, profile_curve, revolve_mesh, write_obj
 from .scaling import make_scaling, mk_closed_form, mk_quadrature
-from .verify import app_statistical_test, interior_points, random_regions, sample_surface
+from .verify import (MAX_Z_OUTLIERS, P_FLOOR, Z_THRESHOLD, app_statistical_test,
+                     interior_points, random_regions, sample_surface)
 
-__all__ = ["main", "run"]
+# The statistical gate's thresholds are re-exported beside the other gates'.
+__all__ = ["main", "run", "P_FLOOR", "Z_THRESHOLD", "MAX_Z_OUTLIERS"]
 
 RESIDUAL_GATE = 1e-8
 INTEGRAL_GATE = 1e-6
-P_FLOOR = 0.001
-Z_THRESHOLD = 4.0
-MAX_Z_OUTLIERS = 1
 
 
 def _fmt(value):
@@ -118,10 +117,17 @@ def _build_parser():
 
 
 def _apply_config(parser, argv):
-    """Seed subparser defaults from --config JSON; explicit flags win."""
-    if "--config" not in argv:
+    """Seed subparser defaults from ``--config PATH`` or ``--config=PATH``
+    JSON; explicit flags win."""
+    for i, arg in enumerate(argv):
+        if arg == "--config":
+            path = argv[i + 1]
+            break
+        if arg.startswith("--config="):
+            path = arg[len("--config="):]
+            break
+    else:
         return
-    path = argv[argv.index("--config") + 1]
     with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
@@ -201,11 +207,9 @@ def _verify_statistical(h, args):
     samples = args.samples or 10 ** 6
     regions = random_regions(h.base, args.regions, seed=args.seed)
     report = app_statistical_test(h, regions, samples, seed=args.seed + 1)
-    ok = report.passed(p_floor=P_FLOOR, z_threshold=Z_THRESHOLD,
-                       max_outliers=MAX_Z_OUTLIERS)
     doc = report.as_dict()
     doc["mode"] = "statistical"
-    doc["pass"] = bool(ok)
+    doc["pass"] = bool(report.passed())
     return doc
 
 

@@ -41,7 +41,7 @@ from itertools import chain
 import numpy as np
 
 from .base import box_corners, squared_distance
-from .quadrature import DEFAULT_SPEC, integrate
+from .quadrature import integrate
 
 __all__ = [
     "Region",
@@ -146,9 +146,8 @@ class Region:
 
     def _remember_clipped_volume(self, base, volume, *, depth, seed):
         """Cache the volume of a quadrature over region ∩ base with an
-        integrand, the same depth and seed and ``MC_POINTS`` leaf draws:
-        the integrand does not move the volume, so it is the value
-        ``clipped_volume`` would compute."""
+        integrand and the same depth and seed: the integrand does not move
+        the volume, so it is the value ``clipped_volume`` would compute."""
         self._clip_cache[_clip_key(base, depth, seed)] = volume
 
     def describe(self):
@@ -245,29 +244,29 @@ def _interval_1d(base, region):
 class LeafDraws:
     """Unit-cube draws of the cell walk's Monte Carlo leaves.
 
-    Leaf i draws ``mc_points`` points of ``dim`` coordinates from its own
+    Leaf i draws ``MC_POINTS`` points of ``dim`` coordinates from its own
     counter-based Philox stream, which starts at counter (0, 0, i, 0),
     where ``philox.jumped(i)`` would start.  One generator reads a leaf's
-    draws, ceil(mc_points * dim / 4) counters, and ``advance`` takes it on
+    draws, ceil(MC_POINTS * dim / 4) counters, and ``advance`` takes it on
     to the next leaf's start (advancing also drops the unread part of a
-    block).  The leaves depend only on (seed, mc_points, dim), never on
-    the region, so walks over several regions can share them: with
-    ``keep=True`` every leaf drawn is held and each is drawn once for all
-    walks; otherwise only the leaves of the last request are held.
+    block).  The leaves depend only on (seed, dim), never on the region,
+    so walks over several regions can share them: with ``keep=True``
+    every leaf drawn is held and each is drawn once for all walks;
+    otherwise only the leaves of the last request are held.
     """
 
-    def __init__(self, seed, mc_points, dim, *, keep=False):
+    def __init__(self, seed, dim, *, keep=False):
         self._philox = philox(seed, 0x7C1)
         self._gen = np.random.Generator(self._philox)
-        self._to_next_leaf = (1 << 128) - (mc_points * dim + 3) // 4
-        self.key = (seed, mc_points, dim)
+        self._to_next_leaf = (1 << 128) - (MC_POINTS * dim + 3) // 4
+        self.key = (seed, dim)
         self.keep = keep
         self._first = 0
-        self._held = np.empty((0, mc_points, dim))
+        self._held = np.empty((0, MC_POINTS, dim))
 
     def leaves(self, start, count):
         """Draws of leaves ``start`` to ``start + count - 1``, as a view
-        (count, mc_points, dim); leaves are asked for in order."""
+        (count, MC_POINTS, dim); leaves are asked for in order."""
         drawn = self._first + len(self._held)
         if start + count > drawn:
             new = np.empty((start + count - drawn,) + self._held.shape[1:])
@@ -281,16 +280,16 @@ class LeafDraws:
         return self._held[start - self._first:start - self._first + count]
 
 
-def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH,
-                       mc_points=MC_POINTS, seed=0, spec=DEFAULT_SPEC, draws=None):
+def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH, seed=0,
+                       draws=None):
     """Quadrature of ``integrand`` over region ∩ base.
 
     Returns a :class:`ClippedIntegral`; with ``integrand=None`` the
     integral equals the volume.  Results are deterministic for fixed
-    (base, region, depth, mc_points, seed) and use integrand-independent
-    nodes.  ``draws``, a :class:`LeafDraws` for (seed, mc_points,
-    base.dim), supplies the Monte Carlo leaves when several walks share
-    them; the result does not depend on it.
+    (base, region, depth, seed) and use integrand-independent nodes.
+    ``draws``, a :class:`LeafDraws` for (seed, base.dim), supplies the
+    Monte Carlo leaves when several walks share them; the result does
+    not depend on it.
     """
     if region.dim != base.dim:
         raise ValueError("region and base dimensions differ")
@@ -302,7 +301,7 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH,
         volume = hi - lo
         if integrand is None:
             return ClippedIntegral(volume, volume, 0.0)
-        value = integrate(lambda t: integrand(np.atleast_1d(t)[:, None]), lo, hi, spec)
+        value = integrate(lambda t: integrand(np.atleast_1d(t)[:, None]), lo, hi)
         return ClippedIntegral(volume, value, 0.0)
 
     blo, bhi = base.bounding_box()
@@ -314,9 +313,9 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH,
 
     dim = base.dim
     if draws is None:
-        draws = LeafDraws(seed, mc_points, dim)
-    elif draws.key != (seed, mc_points, dim):
-        raise ValueError(f"leaf draws for {draws.key}, not {(seed, mc_points, dim)}")
+        draws = LeafDraws(seed, dim)
+    elif draws.key != (seed, dim):
+        raise ValueError(f"leaf draws for {draws.key}, not {(seed, dim)}")
     lo, hi = lo[None, :], hi[None, :]
     volume, variance, sums, rule = [], [], [], []
     accepted = discarded = 0
@@ -353,7 +352,7 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH,
 
     # The cells left at the depth cap are the Monte Carlo leaves, in
     # depth-first order; leaf i scores the draws of LeafDraws leaf i.
-    step = max(1, _BLOCK // mc_points)
+    step = max(1, _BLOCK // MC_POINTS)
     for s in range(0, len(lo), step):
         clo, chi = lo[s:s + step], hi[s:s + step]
         u = draws.leaves(s, len(clo))
@@ -365,13 +364,13 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH,
             pts[:, :, j] += clo[:, j, None]
         pts = pts.reshape(-1, dim)
         mask = region.contains(pts) & inside_mask(base, pts)
-        hits = np.count_nonzero(mask.reshape(len(clo), mc_points), axis=1)
+        hits = np.count_nonzero(mask.reshape(len(clo), MC_POINTS), axis=1)
         cell_vol = np.prod(width, axis=1)
-        frac = hits / mc_points
+        frac = hits / MC_POINTS
         volume.append(cell_vol * frac)
-        variance.append(cell_vol ** 2 * frac * (1.0 - frac) / mc_points)
+        variance.append(cell_vol ** 2 * frac * (1.0 - frac) / MC_POINTS)
         if integrand is not None and hits.any():
-            sums.append(math.fsum(np.repeat(cell_vol / mc_points, hits)
+            sums.append(math.fsum(np.repeat(cell_vol / MC_POINTS, hits)
                                   * integrand(np.compress(mask, pts, axis=0))))
 
     vol = math.fsum(chain.from_iterable(volume))

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import integrate
 from .special import betainc_reg, gamma
 
 __all__ = [
@@ -76,7 +76,7 @@ def mk_closed_form(k):
     return math.sqrt(math.pi) / (2.0 * k - 2.0) * gamma(p) / gamma(p + 0.5)
 
 
-def mk_quadrature(k, spec=DEFAULT_SPEC):
+def mk_quadrature(k):
     """M_k by direct adaptive quadrature of the defining integral."""
     _check_k(k)
     e = 2 * k - 2
@@ -84,7 +84,7 @@ def mk_quadrature(k, spec=DEFAULT_SPEC):
     def integrand(t):
         return t ** (k - 1) / np.sqrt(1.0 - t ** e)
 
-    return integrate(integrand, 0.0, 1.0, spec, singular_right=True)
+    return integrate(integrand, 0.0, 1.0, singular_right=True)
 
 
 def _check_k(k):
@@ -426,8 +426,8 @@ def _quintic_table(k, m_k, x, y):
 _CACHE = {}
 
 
-def make_scaling(k, spec=DEFAULT_SPEC, *, table_size=TABLE_SIZE,
-                 guard_fraction=GUARD_FRACTION, taylor_terms=None):
+def make_scaling(k, *, table_size=TABLE_SIZE, guard_fraction=GUARD_FRACTION,
+                 taylor_terms=None):
     """Build the scaling profile for codimension k.
 
     The builder computes M_k both by adaptive quadrature of the defining
@@ -437,15 +437,13 @@ def make_scaling(k, spec=DEFAULT_SPEC, *, table_size=TABLE_SIZE,
     quadrature on a y-grid that includes the singular endpoint y = 1.
     """
     _check_k(k)
-    if not isinstance(spec, QuadratureSpec):
-        raise TypeError("spec must be a QuadratureSpec")
-    key = (int(k), spec, table_size, guard_fraction, taylor_terms)
+    key = (int(k), table_size, guard_fraction, taylor_terms)
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
 
     m_closed = mk_closed_form(k)
-    m_quad = mk_quadrature(k, spec)
+    m_quad = mk_quadrature(k)
     if abs(m_quad - m_closed) > 1e-8 * m_closed:
         raise ValueError(
             f"M_k paths disagree for k={k}: quadrature {m_quad!r} vs "
@@ -506,7 +504,6 @@ def make_scaling(k, spec=DEFAULT_SPEC, *, table_size=TABLE_SIZE,
             lambda t: t ** (k - 1) / np.sqrt(1.0 - t ** e),
             0.0,
             y,
-            spec,
             singular_right=(y == 1.0),
         )
         if abs(direct - s.f_inverse(y)) > 1e-10 * max(1.0, m_k):
@@ -515,6 +512,6 @@ def make_scaling(k, spec=DEFAULT_SPEC, *, table_size=TABLE_SIZE,
                 f"quadrature {direct!r} vs beta {s.f_inverse(y)!r}"
             )
 
-    if key[2] == TABLE_SIZE and key[3] == GUARD_FRACTION and taylor_terms is None:
+    if key[1:] == (TABLE_SIZE, GUARD_FRACTION, None):
         _CACHE[key] = s
     return s

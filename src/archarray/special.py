@@ -193,13 +193,6 @@ def incomplete_beta(z, p, q):
 _GAMMA_CAP = 1000
 
 
-def _gamma_cap_warning(what, a, x):
-    warnings.warn(
-        f"incomplete-gamma {what} unconverged after {_GAMMA_CAP} steps at a={a!r}, x={x!r}",
-        RuntimeWarning, stacklevel=3,
-    )
-
-
 def _gamma_p_series(a, x):
     ap = a
     total = 1.0 / a
@@ -211,7 +204,8 @@ def _gamma_p_series(a, x):
         if abs(term) < abs(total) * _CF_EPS:
             break
     else:
-        _gamma_cap_warning("series", a, x)
+        raise ValueError(f"incomplete-gamma series unconverged after {_GAMMA_CAP} steps "
+                         f"at a={a!r}, x={x!r}")
     return total * math.exp(-x + a * math.log(x) - gamma_ln(a))
 
 
@@ -235,12 +229,17 @@ def _gamma_q_cf(a, x):
         if abs(delta - 1.0) < _CF_EPS:
             break
     else:
-        _gamma_cap_warning("continued fraction", a, x)
+        raise ValueError(f"incomplete-gamma continued fraction unconverged after "
+                         f"{_GAMMA_CAP} steps at a={a!r}, x={x!r}")
     return h * math.exp(-x + a * math.log(x) - gamma_ln(a))
 
 
 def gamma_q(a, x):
-    """Regularized upper incomplete gamma Q(a, x) for scalars a > 0, x >= 0."""
+    """Regularized upper incomplete gamma Q(a, x) for scalars a > 0, x >= 0.
+
+    Raises ``ValueError`` where its series or continued fraction would
+    need more than ``_GAMMA_CAP`` steps (large a near x = a).
+    """
     a = float(a)
     x = float(x)
     if a <= 0.0:

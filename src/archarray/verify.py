@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import to_box
-from .quadrature import DEFAULT_SPEC
-from .region import MC_POINTS, LeafDraws, Region, inside_mask, philox as _philox
+from .region import LeafDraws, Region, inside_mask, philox as _philox
 from .special import gamma_q
 
 __all__ = [
@@ -42,6 +41,11 @@ _BUCKETS = 1 << 16
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 # Factor by which interior_points overdraws its expected shortfall.
 _BATCH_MARGIN = 1.1
+# The statistical gate passes when the aggregate p-value is at least
+# P_FLOOR and at most MAX_Z_OUTLIERS windows have |z| above Z_THRESHOLD.
+P_FLOOR = 0.001
+Z_THRESHOLD = 4.0
+MAX_Z_OUTLIERS = 1
 
 
 def halton(count, dim, *, start=1):
@@ -66,21 +70,17 @@ def halton(count, dim, *, start=1):
     return out
 
 
-def interior_points(base, count, *, boundary_offset=0.0, singular_offset=None,
-                    start=1):
+def interior_points(base, count, *, boundary_offset=0.0, start=1):
     """Quasi-random interior base points away from boundary and medial set.
 
     Points come from the Halton sequence over the bounding box, keeping
     those with distance to the boundary greater than ``boundary_offset``
-    and distance to the singular set greater than ``singular_offset``
-    (default: the base's singular band).  The result is the first
-    ``count`` kept points in sequence order.  Each batch draws the
-    shortfall divided by the expected keep rate, plus a margin: the
-    base's share of its box at first, the observed rate once a point
-    is kept.
+    and distance to the singular set greater than the base's
+    ``singular_band``.  The result is the first ``count`` kept points in
+    sequence order.  Each batch draws the shortfall divided by the
+    expected keep rate, plus a margin: the base's share of its box at
+    first, the observed rate once a point is kept.
     """
-    if singular_offset is None:
-        singular_offset = base.singular_band
     lo, hi = base.bounding_box()
     rate = base.volume() / float(np.prod(hi - lo))
     picked = []
@@ -94,7 +94,7 @@ def interior_points(base, count, *, boundary_offset=0.0, singular_offset=None,
         keep = base.signed_distance(pts) > boundary_offset
         if np.any(keep):
             sub = pts[keep]
-            keep2 = base.singular_set_distance(sub) > singular_offset
+            keep2 = base.singular_set_distance(sub) > base.singular_band
             sub = sub[keep2]
             if len(sub):
                 picked.append(sub)
@@ -214,10 +214,11 @@ class StatReport:
     def max_abs_z(self):
         return max(abs(s.z) for s in self.scores)
 
-    def count_large_z(self, threshold=4.0):
+    def count_large_z(self, threshold=Z_THRESHOLD):
         return sum(1 for s in self.scores if abs(s.z) > threshold)
 
-    def passed(self, *, p_floor=0.001, z_threshold=4.0, max_outliers=1):
+    def passed(self, *, p_floor=P_FLOOR, z_threshold=Z_THRESHOLD,
+               max_outliers=MAX_Z_OUTLIERS):
         return (
             self.p_value >= p_floor
             and self.count_large_z(z_threshold) <= max_outliers
@@ -233,7 +234,7 @@ class StatReport:
         }
 
 
-def _expected_fractions(h, regions, spec):
+def _expected_fractions(h, regions):
     """Surface-measure mass of each region under the warp's area density.
 
     For archimedean and cylinder warps the density is constant, so the
@@ -243,14 +244,14 @@ def _expected_fractions(h, regions, spec):
     is evaluated by quadrature.
     """
     if h.warp_mode == "custom":
-        total = h.total_volume(spec).value
-        return [h.patch_volume(u, spec) / total for u in regions]
+        total = h.total_volume().value
+        return [h.patch_volume(u) / total for u in regions]
     total = h.base.volume()
-    draws = LeafDraws(0, MC_POINTS, h.base.dim, keep=True)
+    draws = LeafDraws(0, h.base.dim, keep=True)
     return [u.clipped_volume(h.base, draws=draws) / total for u in regions]
 
 
-def app_statistical_test(h, regions, samples, seed=0, spec=DEFAULT_SPEC):
+def app_statistical_test(h, regions, samples, seed=0):
     """Score sampled base projections against the constant-factor law.
 
     Samples base-uniform surface points (all modes, including custom:
@@ -274,7 +275,7 @@ def app_statistical_test(h, regions, samples, seed=0, spec=DEFAULT_SPEC):
         raise ValueError("need at least one region")
     if samples < 1:
         raise ValueError("need at least one sample")
-    expected = _expected_fractions(h, regions, spec)
+    expected = _expected_fractions(h, regions)
     philox = _philox(seed, 0x5A11)
     xb, _, _ = _base_uniform(h.base, samples, philox)
     lo, hi = h.base.bounding_box()

@@ -161,6 +161,19 @@ def test_verify_statistical_low_expected_fails(capsys):
     assert doc["low_expected_regions"]
 
 
+def test_verify_statistical_exits_2_when_the_p_value_cannot_converge(monkeypatch, capsys):
+    import archarray.special as special
+
+    monkeypatch.setattr(special, "_GAMMA_CAP", 1)
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "--n", "3", "--k", "2", "--mode", "statistical",
+         "--samples", "1000", "--regions", "8", "--seed", "0"],
+    )
+    assert code == 2 and out == ""
+    assert "incomplete-gamma" in err and "a=4.0" in err
+
+
 def test_verify_missing_mode_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--n", "3", "--k", "2"])
@@ -344,6 +357,19 @@ def test_explicit_flags_beat_config(tmp_path, capsys):
     data = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
     assert data.shape == (5, 2)
     assert data[-1, 0] == pytest.approx(make_scaling(3).m_k, rel=1e-12)
+
+
+def test_config_equals_form_matches_separate_form(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "k": 3, "r": 2.0}))
+    outs = []
+    for argv in (["volume", "--config", str(cfg)], ["volume", f"--config={cfg}"],
+                 ["volume", "--n", "4", "--k", "3", f"--config={cfg}"]):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["r_scale"] == 2.0
 
 
 def test_config_missing_file_exit_2(capsys):

@@ -16,7 +16,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from archarray import scaling
-from archarray.quadrature import QuadratureSpec
 from archarray.scaling import (
     ScalingFunction,
     make_scaling,
@@ -330,13 +329,6 @@ def test_make_scaling_validation():
         make_scaling(2, table_size=4)
     with pytest.raises(ValueError):
         make_scaling(2, taylor_terms=0)
-    with pytest.raises(TypeError):
-        make_scaling(2, spec="tight")
-
-
-def test_make_scaling_accepts_custom_spec():
-    s = make_scaling(4, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12))
-    assert s.m_k == pytest.approx(M_K[4], rel=1e-9)
 
 
 def test_domain_validation():

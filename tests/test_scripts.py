@@ -67,3 +67,15 @@ def test_bench_layers_of_a_checkout():
     assert {"mesh.csv_text.25000x4", "mesh.signed_volume.revolve128"} <= set(doc["layers"])
     assert doc["src_lines"] > 1000
     assert sorted(doc["newton_evals_per_point"]) == ["2", "3", "6"]
+
+
+def test_bench_layer_rows_summarize_the_alternating_runs():
+    bench = _load("bench")
+    runs = [{"checksums": {"stat-mesh.1": "c"}, "layers": {"row": {"s": s, "checksum": "x"}}}
+            for s in (0.3, 0.1, 0.2, 0.4)]
+    row = bench._layer_summary(runs)["layers"]["row"]
+    assert row["s"] == pytest.approx(0.25) and row["s_runs"] == [0.3, 0.1, 0.2, 0.4]
+    assert row["s_q1"] < row["s"] < row["s_q3"] and row["checksum"] == "x"
+    runs[2]["layers"]["row"]["checksum"] = "y"
+    with pytest.raises(RuntimeError, match="row"):
+        bench._layer_summary(runs)

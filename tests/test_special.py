@@ -255,8 +255,10 @@ def test_gamma_q_recurrence():
                                       (1e7, 1e7 + 10.0, "continued fraction")])
 def test_gamma_q_cap_warns(a, x, part):
     # Both need more than the 1,000 steps: Q(1e5, 99999) = 0.500841 (mpmath,
-    # 30 digits) while the capped series gives 0.501624.
-    with pytest.warns(RuntimeWarning, match=f"incomplete-gamma {part} unconverged after 1000 "):
+    # 30 digits) while the capped series gives 0.501624, so the cap refuses
+    # and names a and x.
+    with pytest.raises(ValueError, match=f"incomplete-gamma {part} unconverged after "
+                                         f"1000 steps at a={a!r}, x={x!r}"):
         gamma_q(a, x)
 
 

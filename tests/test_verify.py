@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from archarray.array import make_archimedean, make_custom, make_cylinder
-from archarray.base import Ball, regular_polygon
+from archarray.base import Ball, ConvexPolygon, regular_polygon
 from archarray.region import Region
 from archarray.special import gamma_q
 from archarray.verify import (
@@ -80,8 +80,8 @@ def test_halton_box_counts_balance():
 
 
 def test_interior_points_inside_with_offsets():
-    base = unit_disk()
-    pts = interior_points(base, 300, boundary_offset=0.1, singular_offset=0.2)
+    base = Ball(np.zeros(2), 1.0, singular_band=0.2)
+    pts = interior_points(base, 300, boundary_offset=0.1)
     assert pts.shape == (300, 2)
     assert np.all(base.signed_distance(pts) > 0.1)
     assert np.all(np.linalg.norm(pts, axis=1) > 0.2)
@@ -95,8 +95,8 @@ def test_interior_points_default_band():
 
 
 def test_interior_points_polygon_avoids_medial_axis():
-    hexagon = regular_polygon(6, inradius=1.0)
-    pts = interior_points(hexagon, 200, singular_offset=0.05)
+    hexagon = ConvexPolygon(regular_polygon(6, inradius=1.0).vertices, singular_band=0.05)
+    pts = interior_points(hexagon, 200)
     assert np.all(hexagon.contains(pts))
     assert np.all(hexagon.singular_set_distance(pts) > 0.05)
 
@@ -390,7 +390,7 @@ def test_statistical_counts_equal_all_pairs_counts(monkeypatch, dim, regions):
         assert np.any(u.contains(xb) & (xb[:, 0] < bound - margin * np.spacing(abs(bound))))
     monkeypatch.setattr(verify, "_base_uniform", lambda base, count, philox: (xb, 1, 1.0))
     monkeypatch.setattr(verify, "_expected_fractions",
-                        lambda h, regions, spec: [0.1] * len(regions))
+                        lambda h, regions: [0.1] * len(regions))
     h = types.SimpleNamespace(base=base)
     report = app_statistical_test(h, regions, len(xb), seed=3)
     for u, score in zip(regions, report.scores):
