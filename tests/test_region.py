@@ -7,6 +7,7 @@ import pytest
 
 from archarray.base import Ball, ConvexPolygon, Ellipse, regular_polygon
 from archarray.region import (
+    MC_POINTS,
     Region,
     clipped_quadrature,
     region_from_description,
@@ -312,15 +313,20 @@ def test_patch_volume_evaluates_the_integrand_in_few_blocks(monkeypatch):
 
 # Monte Carlo leaf streams ---------------------------------------------------
 
-# (dim, depth): the walks end with 92 and 104 Monte Carlo leaves, more than
-# two groups of _BLOCK // MC_POINTS.
-LEAF_CASES = [(2, 9), (3, 7)]
+# (mc_points, dim, depth): with mc_points * dim not a multiple of 4 leaves
+# end inside a Philox block, and the leaves outnumber one group of
+# _BLOCK // mc_points.  The MC_POINTS cases end with 92 and 104 leaves,
+# more than two groups.
+LEAF_CASES = [(3, 2, 19), (5, 2, 18), (3, 3, 15), (5, 3, 13), (MC_POINTS, 2, 9),
+              (MC_POINTS, 3, 7)]
 
 
-@pytest.mark.parametrize("dim, depth", LEAF_CASES)
-def test_leaf_i_draws_the_stream_of_philox_jumped_i(monkeypatch, dim, depth):
-    from archarray.region import _BLOCK, MC_POINTS
+@pytest.mark.parametrize("mc_points, dim, depth", LEAF_CASES)
+def test_leaf_i_draws_the_stream_of_philox_jumped_i(monkeypatch, mc_points, dim, depth):
+    from archarray import region as region_module
+    from archarray.region import _BLOCK
 
+    monkeypatch.setattr(region_module, "MC_POINTS", mc_points)
     generator = np.random.Generator
     keys, draws = [], []
 
@@ -339,10 +345,11 @@ def test_leaf_i_draws_the_stream_of_philox_jumped_i(monkeypatch, dim, depth):
     out = clipped_quadrature(Ball(np.zeros(dim), 1.0), Region.box(-1.5 * ones, 1.5 * ones),
                              depth=depth, seed=7)
     assert out.error_estimate > 0.0
-    assert len(keys) == 1 and len(draws) > 2 * (_BLOCK // MC_POINTS)
+    groups = 2 if mc_points == MC_POINTS else 1
+    assert len(keys) == 1 and len(draws) > groups * (_BLOCK // mc_points)
     philox = np.random.Philox(key=keys[0])
     for i, got in enumerate(draws):
-        want = generator(philox.jumped(i)).random((MC_POINTS, dim))
+        want = generator(philox.jumped(i)).random((mc_points, dim))
         assert np.array_equal(got, want), i
 
 
