@@ -2,15 +2,16 @@
 
 Runs ``bench/run.py`` (untraced) on every workload and seed, times the
 hot kernels of the statistical gate, of the profile layer, of the
-ellipse and hexagon bases and of the CSV and mesh export in a fresh
-process, counts the incomplete betas per forward profile value and the
-share of values answered with none, hashes the results bit for bit,
-counts the lines under ``src/`` and writes it all, with the machine it
-ran on, to one JSON file.  With ``--baseline`` the same is done for a
-second checkout.  The layer processes and the end-to-end runs of the two
-alternate, each pair starting with the other checkout, so both see the
-same phases of a shared host; each layer row records its median and
-quartiles over the pairs, and every run must reproduce its checksums.
+ellipse and hexagon bases, of the CSV and OBJ export and of the closed
+mesh check in a fresh process, counts the incomplete betas per forward
+profile value and the share of values answered with none, hashes the
+results bit for bit, counts the lines under ``src/`` and writes it all,
+with the machine it ran on, to one JSON file.  With ``--baseline`` the
+same is done for a second checkout.  The layer processes and the
+end-to-end runs of the two alternate, each pair starting with the other
+checkout, so both see the same phases of a shared host; each layer row
+records its median and quartiles over the pairs, and every run must
+reproduce its checksums.
 
 Usage, from the root of a source checkout:
 
@@ -26,6 +27,7 @@ import hashlib
 import inspect
 import json
 import os
+import pathlib
 import platform
 import statistics
 import subprocess
@@ -108,13 +110,22 @@ def layers(root, reps, seeds):
     h_ell = archarray.SphericalArray(4, 2, ellipse, h.scaling, 1.0, "archimedean")
     h_hex = archarray.SphericalArray(4, 2, archarray.regular_polygon(6, inradius=0.8),
                                      h.scaling, 1.0, "archimedean")
-    # Text export: the 25,000-point n=4, k=3 sample as CSV, and the signed
-    # volume of the 128x128 revolve mesh, which orients every closed mesh.
-    from archarray.mesh import csv_text, revolve_mesh
+    # Text export: the 25,000-point n=4, k=3 sample as CSV and stat-mesh's
+    # two meshes as OBJ; and the signed volume and the shared-edge check of
+    # the 128x128 revolve mesh, which orient and check every closed mesh.
+    from archarray.mesh import Mesh, csv_text, graph_slice_mesh, revolve_mesh, write_obj
     from archarray.verify import sample_surface
 
     sample = sample_surface(h43, 25_000, seed=1)
     revolve = revolve_mesh(archarray.make_archimedean(3, 2), 128, 128)
+    graph = graph_slice_mesh(h, 64)
+    objdir = tempfile.TemporaryDirectory()
+
+    def written(mesh, name):
+        """Write ``mesh`` as OBJ; the row's checksum is of the bytes written."""
+        path = pathlib.Path(objdir.name, name)
+        write_obj(mesh, path)
+        return path
     rows = {
         "ball.inside_mask.200k": lambda: h.base.inside_mask(pts),
         "region.contains.box.200k": lambda: box.contains(pts),
@@ -136,6 +147,10 @@ def layers(root, reps, seeds):
             archarray.Region.ball([0.3, -0.1], 0.4), depth=8, seed=1),
         "mesh.csv_text.25000x4": lambda: csv_text(["x0", "x1", "x2", "x3"], sample),
         "mesh.signed_volume.revolve128": revolve.signed_volume,
+        "mesh.closed_check.revolve128": lambda: Mesh(revolve.vertices, revolve.triangles,
+                                                     closed=True).closed,
+        "mesh.write_obj.revolve128": lambda: written(revolve, "revolve128.obj"),
+        "mesh.write_obj.graph64": lambda: written(graph, "graph64.obj"),
     }
     out = {"layers": {}, "checksums": {}}
     for name, fn in rows.items():
@@ -144,9 +159,12 @@ def layers(root, reps, seeds):
             check = hashlib.sha256(result.tobytes()).hexdigest()
         elif isinstance(result, str):
             check = hashlib.sha256(result.encode()).hexdigest()
+        elif isinstance(result, pathlib.Path):
+            check = hashlib.sha256(result.read_bytes()).hexdigest()
         else:
             check = _digest(result)
         out["layers"][name] = {"s": seconds, "checksum": check}
+    objdir.cleanup()
 
     # Incomplete betas per point of one forward solve on the points f
     # sends to it (outside the series guard), for k = 2, 3 and 6, and the

@@ -113,6 +113,8 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     _common(p)
 
+    for sub in [parser, *subs.choices.values()]:
+        sub.allow_abbrev = False  # a prefix of --config would escape _apply_config
     return parser
 
 

@@ -17,19 +17,20 @@ each l; a fan around c lists (c, a_l+1, a_l).  The first pole and the
 bottom sheet keep this winding; the last pole and the top sheet swap
 the last two columns.  A mesh of negative signed volume is reversed.
 
-OBJ vertices are written with Python's ``%.9g``.  CSV fields are
-``%.17g``, formatted by an array kernel whose bytes equal Python's.  The
-kernel certifies a nonzero finite v when p = 16 - floor(log10|v|) lies
-in [0, 22], that is 10^-6 <= |v| < 10^17.  Then 10^p is an exact
-double, so Dekker's TwoProduct (1971) gives |v|*10^p exactly as hi + lo,
-and where hi + lo falls against [1e16, 1e17) corrects a log10 estimate
-of the exponent that is one off.  There hi is an even integer, so
-hi + rint(lo) is the 17-digit value rounded half to even, as in Python's
-correctly rounded conversion (Gay 1990).  Sign, leading "0.000", the
-digits without trailing zeros, point and "e-05" go into fixed slots of
-a 24-byte field by the %g rules, and the empty slots are deleted.
-Zeros are certified too; every other value (non-finite, |v| < 10^-6,
-|v| >= 10^17) is formatted by Python's ``%`` in its place.
+Text exports come from an array kernel whose bytes equal Python's ``%``:
+OBJ vertices ``%.9g``, faces ``%d``, CSV fields ``%.17g``.  For P digits
+it certifies a nonzero finite v whose exponent e = floor(log10|v|), read
+exactly off the least doubles >= 10^k, lies in [-6, P - 1].  Then 10^p,
+p = P - 1 - e, is an exact double, Dekker's TwoProduct (1971) gives
+|v|*10^p in [10^(P-1), 10^P) exactly as hi + lo, and with n = rint(hi),
+hi - n is exact.  For P = 17, hi >= 2^53 is an even integer and
+n + rint(lo) is the value rounded half to even, as in Python's correctly
+rounded conversion (Gay 1990); for P = 9, lo decides by its sign a tie
+hi = n -+ 1/2, and a value that rounds up to 10^P moves up a decade.
+Sign, leading "0.000", the digits without trailing zeros, point and
+"e-05" fill fixed slots of a field by the %g rules, and the empty slots
+are deleted.  Zeros and integers in [0, 10^7) are certified too; every
+other value is formatted by Python's ``%`` in its place.
 """
 
 import functools
@@ -69,17 +70,17 @@ class Mesh:
             raise ValueError("closed mesh fails the shared-edge check")
 
     def _edges(self):
-        """Sorted undirected edges (u < v) and their counts, by one 1-D unique of u*V + v."""
-        t = self.triangles
-        pairs = np.sort(np.stack([t, np.roll(t, -1, axis=1)], axis=2).reshape(-1, 2), axis=1)
-        v = len(self.vertices)
-        keys, counts = np.unique(pairs[:, 0] * v + pairs[:, 1], return_counts=True)
-        return np.stack([keys // v, keys % v], axis=1), counts
+        """Sorted keys u*V + v of the undirected edges (u < v) and their counts,
+        by one 1-D unique; each side's u and v are the min and max of its ends."""
+        a, b = self.triangles.ravel(), np.roll(self.triangles, -1, axis=1).ravel()
+        return np.unique(np.minimum(a, b) * len(self.vertices) + np.maximum(a, b),
+                         return_counts=True)
 
     def edge_counts(self):
         """Dictionary mapping undirected edges to incidence counts."""
-        edges, counts = self._edges()
-        return dict(zip(map(tuple, edges.tolist()), counts.tolist()))
+        keys, counts = self._edges()
+        u, v = np.divmod(keys, len(self.vertices))
+        return dict(zip(zip(u.tolist(), v.tolist()), counts.tolist()))
 
     def is_watertight(self):
         return bool(np.all(self._edges()[1] == 2))
@@ -212,65 +213,76 @@ def _blocks(table):
     return np.split(table, range(4096, len(table), 4096))
 
 
-def _rows(row, table):
-    """``row % r`` for each row r of ``table``, one ``%`` per block."""
-    return "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in _blocks(table))
-
-
 def write_obj(mesh, path):
     """ASCII v/f records, 1-based indices, LF endings, 9 significant digits."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_rows("v %.9g %.9g %.9g\n", mesh.vertices))
-        fh.write(_rows("f %d %d %d\n", mesh.triangles + 1))
+    with open(path, "wb") as fh:
+        for head, table in ((b"v ", mesh.vertices), (b"f ", mesh.triangles + 1)):
+            fh.writelines(_g17_rows(b, 9, head, b" ") for b in _blocks(table))
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
 
 
 def _words(byte_rows):
-    """(m, 24) bytes as the (3, m) little-endian 64-bit words of each row."""
+    """(m, 8w) bytes as the (w, m) little-endian 64-bit words of each row."""
     return np.ascontiguousarray(byte_rows, dtype=np.uint8).view("<u8").T.copy()
 
 
 @functools.cache
-def _g17_tables():
-    """Constant tables of the ``%.17g`` kernel, built at its first call, so
-    that an import pays neither their time nor their memory.
+def _g17_tables(digits=17):
+    """Constant tables of the kernel for ``digits`` significant digits (P),
+    built at its first call for P, so that an import pays neither their
+    time nor their memory.
 
-    Field classes are 2*(e + 6) + (point shown) for e in [-6, 16], then
+    Field classes are 2*(e + 6) + (point shown) for e in [-6, P - 1], then
     the fallback class.  A class's template marks with L and T the slots
     of the digits before and after the point and with NUL an empty slot;
-    slot 0 takes the sign and slot 23 the separator.  From the templates
-    come the digits' shift in bits and the words of the lead slots, the
-    tail slots and the constant bytes.
+    slot 0 takes the sign and the last slot the separator.  From the
+    templates come the digits' shift in bits and the words of the lead
+    slots, the tail slots and the constant bytes.
     """
+    width = 8 * ((digits + 14) // 8)  # sign, "0.000", the digits and the separator
     rows = []
-    for e in range(-6, 17):
+    for e in range(-6, digits):
         for point in (False, True):
             if -4 <= e < 0:
-                body = "0." + "0" * (-e - 1) + "L" * 17
+                body = "0." + "0" * (-e - 1) + "L" * digits
             elif e >= 0:
-                body = "L" * (e + 1) + ("." + "T" * (16 - e) if point else "L" * (16 - e))
+                body = "L" * (e + 1) + ("." + "T" * (digits - 1 - e) if point
+                                        else "L" * (digits - 1 - e))
             else:
-                body = "L" + ("." + "T" * 16 if point else "\0" * 17) + "e%+03d" % e
-            rows.append(("\0" + body).ljust(24, "\0"))
-    rows.append("\0%.17g".ljust(24, "\0"))
+                body = "L" + ("." + "T" * (digits - 1) if point else "\0" * digits) + "e%+03d" % e
+            rows.append(("\0" + body).ljust(width, "\0"))
+    rows.append(f"\0%.{digits}g".ljust(width, "\0"))
     t = np.array([list(r.encode()) for r in rows], dtype=np.uint8)
     lead, tail = t == ord("L"), t == ord("T")
-    e = np.arange(-6, 17)
+    e = np.arange(-6, digits)
+    decades = []  # the least double >= 10^k, for k in [-6, P]
+    for k in range(-6, digits + 1):
+        num, den = (x := 10 ** k if k >= 0 else 1 / 10 ** -k).as_integer_ratio()
+        decades.append(x if k >= 0 or num * 10 ** -k >= den else np.nextafter(x, 1))
+    # Four ASCII digits of 0..9999 as one little-endian word, their trailing
+    # zeros, and the word with its leading zeros NUL (the last digit stays).
     quads = np.arange(10_000, dtype=np.uint64)
+    quad_ascii = sum((quads // 10 ** (3 - j) % 10 + 48) << 8 * j for j in range(4))
+    lead_zeros = 3 - (quads >= 10) - (quads >= 100) - (quads >= 1000)
     pow10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
     pow10_hi = _SPLIT * pow10 - (_SPLIT * pow10 - pow10)
+    # For a of exponent field b, binade[b] + (a >= next_decade[b]) decades are <= a.
+    floors = np.concatenate([[0.0], np.ldexp(1.0, np.arange(-1022, 1024)), [np.inf]])
+    binade = np.searchsorted(decades, floors, side="right")
     return SimpleNamespace(
+        digits=digits, decade_count=len(decades), binade=binade,
+        next_decade=np.append(decades, np.inf)[binade],
         pow10=pow10, pow10_hi=pow10_hi, pow10_lo=pow10 - pow10_hi,
         shift=np.maximum(np.argmax(lead, axis=1), 1).astype(np.uint64) * 8,
         lead=_words(lead * 255), tail=_words(tail * 255), const=_words(np.where(lead | tail, 0, t)),
-        keep=_words((np.arange(24) < np.arange(18)[:, None]) * 255),  # the first K digits
+        keep=_words((np.arange(width) < np.arange(digits + 1)[:, None]) * 255),  # first K digits
         int_end=np.maximum(e, 0),  # the last integer digit in fixed notation
-        point_at=np.where((e >= -4) & (e < 0), 17, np.maximum(e, 0)),  # 17: no point
-        # Four ASCII digits of 0..9999 as one little-endian word, and their trailing zeros.
-        quad_ascii=sum((quads // 10 ** (3 - j) % 10 + 48) << 8 * j for j in range(4)),
+        point_at=np.where((e >= -4) & (e < 0), digits, np.maximum(e, 0)),  # P: no point
+        quad_ascii=quad_ascii,
         quad_zeros=sum(quads % 10 ** j == 0 for j in range(1, 5)).astype(np.int8),
+        quad_trim=quad_ascii & (2 ** 32 - (1 << 8 * lead_zeros.astype(np.uint64))),
     )
 
 
@@ -284,87 +296,96 @@ def _two_product(a, p, tables):
     return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
 
 
-def _off_scale(hi, lo):
-    """hi + lo outside [1e16, 1e17)."""
-    return (hi < 1e16) | (hi > 1e17) | ((hi == 1e16) & (lo < 0.0)) | ((hi == 1e17) & (lo >= 0.0))
-
-
-def _decimal17(v, tables):
-    """d, e, ok: |v| rounded half to even to d * 10^(e - 16), d an integer in
-    [1e16, 1e17), and the mask of the values the kernel certifies (module
+def _decimal(v, tables):
+    """d, e + 6, ok: |v| rounded half to even to d * 10^(e - P + 1), d in
+    [10^(P - 1), 10^P), and the mask of the certified values (module
     docstring); zeros and uncertified values read d = 0, e = 0."""
     a = np.abs(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(a))
-    ok = (e >= -7.0) & (e <= 17.0)  # room to correct the estimate by one
+    b = a.view(np.int64) >> 52
+    i = tables.binade[b] + (a >= tables.next_decade[b])  # 10^(i - 7) <= a < 10^(i - 6)
+    ok = (i > 0) & (i < tables.decade_count)
     a[~ok] = 1.0
-    p = np.where(ok, np.clip(16.0 - e, 0.0, 22.0), 16.0).astype(np.intp)
+    p = np.where(ok, tables.digits + 6 - i, tables.digits - 1)  # a * 10^p < 10^P
     hi, lo = _two_product(a, p, tables)
-    off = np.flatnonzero(_off_scale(hi, lo))
-    if off.size:  # floor(log10 a) was one off
-        p_off = p[off] + np.where(hi[off] <= 1e16, 1, -1)
-        good = (p_off >= 0) & (p_off <= 22)
-        p_off[~good] = 16
-        hi_off, lo_off = _two_product(np.where(good, a[off], 1.0), p_off, tables)
-        ok[off] &= good & ~_off_scale(hi_off, lo_off)
-        p[off], hi[off], lo[off] = p_off, hi_off, lo_off
-    # hi is an even integer, so rint(lo) rounds hi + lo half to even.  No
-    # double in range rounds up to 10^17; one that did would fall back.
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    zero = v == 0.0
-    ok = (ok & (d < 10 ** 17)) | zero
-    blank = ~ok | zero
-    d[blank] = 0
-    e = 16 - p
-    e[blank] = 0
-    return d, e, ok
+    n = np.rint(hi)  # rounding as in the module docstring
+    r = hi - n
+    d = (n.astype(np.int64) + np.rint(lo).astype(np.int64)
+         + ((r == 0.5) & (lo > 0.0)) - ((r == -0.5) & (lo < 0.0)))
+    up = d == 10 ** tables.digits  # rounded up to the next power of ten
+    d[up], p[up] = 10 ** (tables.digits - 1), p[up] - 1
+    ok &= p >= 0
+    d[~ok] = 0
+    return d, np.where(ok, tables.digits + 5 - p, 6), ok | (v == 0.0)
 
 
-def _ascii17(d, tables):
-    """The 17 digits of d as ASCII in bytes 0-16 of three words, and the
-    index of the last nonzero digit (0 for d = 0)."""
+def _ascii(d, tables):
+    """The P digits of d as ASCII in bytes 0 to P - 1 of the words of a field,
+    and the index of the last nonzero digit (0 for d = 0)."""
     parts = []  # by ``//`` and ``-``: numpy's integer ``divmod`` is several times slower
-    for scale in (10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4):
-        parts.append(d // scale)
-        d = d - parts[-1] * scale
+    for k in range(tables.digits - 1, 0, -4):
+        parts.append(d // 10 ** k)
+        d = d - parts[-1] * 10 ** k
     lead, *quads = parts + [d]
-    w1, w2, w3, w4 = (tables.quad_ascii[q] for q in quads)
-    z1, z2, z3, z4 = (tables.quad_zeros[q] for q in quads)
-    last = 16 - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))
-    return ((lead.astype(np.uint64) + 48) | (w1 << 8) | (w2 << 40),
-            (w2 >> 24) | (w3 << 8) | (w4 << 40), w4 >> 24), last
+    words = [lead.astype(np.uint64) + 48] + [0] * (len(tables.lead) - 1)
+    run = 0  # trailing zero digits
+    for j, q in enumerate(quads):
+        w, z, bit = tables.quad_ascii[q], tables.quad_zeros[q], 8 + 32 * j
+        words[bit // 64] |= w << (bit % 64)
+        if bit % 64 > 32:
+            words[bit // 64 + 1] |= w >> (64 - bit % 64)
+        run = z + (z == 4) * run
+    return words, tables.digits - 1 - run
 
 
-def _g17_template(block):
-    """CSV bytes of the (r, c) float ``block`` with ``%.17g`` fields, and the mask of the
-    values the kernel does not certify; their fields read ``%.17g`` (module docstring)."""
-    tables = _g17_tables()
-    v = block.ravel()
-    d, e, ok = _decimal17(v, tables)
-    digits, last = _ascii17(d, tables)
-    ek = e + 6
+def _float_fields(v, tables):
+    """The (m, w) field words of ``%.Pg`` and the mask of the certified values."""
+    d, ek, ok = _decimal(v, tables)
+    words, last = _ascii(d, tables)
     keep = np.maximum(last, tables.int_end[ek]) + 1
     cls = np.where(ok, 2 * ek + (last > tables.point_at[ek]), len(tables.shift) - 1)
     # The kept digits move up to the lead slots, and one byte further to the tail slots.
     s = tables.shift[cls]
-    out = np.empty((v.size, 3), "<u8")
+    out = np.empty((v.size, len(words)), "<u8")
     x_prev = l_prev = np.uint64(0)
-    for j, x in enumerate(digits):
+    for j, x in enumerate(words):
         x &= tables.keep[j][keep]
         lj = (x << s) | (x_prev >> (64 - s))
         tj = (lj << 8) | (l_prev >> 56)
         out[:, j] = (lj & tables.lead[j][cls]) | (tj & tables.tail[j][cls]) | tables.const[j][cls]
         x_prev, l_prev = x, lj
     out[:, 0] |= (np.signbit(v) & ok).astype(np.uint64) * ord("-")
-    out = out.reshape(*block.shape, 3)
-    out[:, :-1, 2] |= ord(",") << 56
-    out[:, -1, 2] |= ord("\n") << 56
+    return out, ok
+
+
+def _int_fields(v, tables):
+    """The (m, 1) field words of ``%d`` and the mask of the certified values,
+    those in [0, 10^7): up to seven digits in bytes 0-6, each empty slot NUL."""
+    ok = (v >= 0) & (v < 10 ** 7)
+    v = np.where(ok, v, 0)
+    low = v - (high := v // 10_000) * 10_000
+    word = np.where(high > 0, (tables.quad_trim[high] >> 8) | (tables.quad_ascii[low] << 24),
+                    tables.quad_trim[low] << 24)
+    return np.where(ok, word, ord("%") | ord("d") << 8)[:, None], ok
+
+
+def _g17_template(block, digits=17, head=b"", sep=b","):
+    """Text bytes of the (r, c) ``block``, ``%.Pg`` fields for floats and
+    ``%d`` for integers, each row ``head`` and its fields joined by ``sep``,
+    and the mask of the values the kernel does not certify, whose fields
+    read ``%.Pg`` or ``%d`` (module docstring)."""
+    tables = _g17_tables(digits)
+    fields, ok = (_int_fields if block.dtype.kind == "i" else _float_fields)(block.ravel(), tables)
+    out = fields.reshape(*block.shape, -1)
+    out[:, :, -1] |= np.array([ord(sep)] * (block.shape[1] - 1) + [ord("\n")], np.uint64) << 56
+    if head:
+        out = np.column_stack([np.full(len(block), int.from_bytes(head, "little"), "<u8"),
+                               out.reshape(len(block), -1)])
     return out.tobytes().translate(None, b"\0"), ~ok
 
 
-def _g17_rows(block):
-    """CSV bytes of ``block``: the kernel's, with Python's ``%`` for the uncertified values."""
-    text, fallback = _g17_template(block)
+def _g17_rows(block, *args):
+    """Text bytes of ``block``: the kernel's, with Python's ``%`` for the uncertified values."""
+    text, fallback = _g17_template(block, *args)
     return text % tuple(block.ravel()[fallback].tolist()) if fallback.any() else text
 
 

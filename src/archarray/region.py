@@ -342,6 +342,8 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH, seed=0
                 alo, ahi = _halve(alo, ahi)
             rule.append((alo, ahi, np.repeat(volume[-1] / 2 ** (splits + dim), 2 ** splits)))
         lo, hi = lo[~inside], hi[~inside]
+        if not len(lo):  # nothing left to decide: deeper levels would be empty
+            break
 
     if integrand is not None:
         sub_lo, sub_hi, weights = (np.concatenate(a) for a in zip(*rule))

@@ -389,6 +389,19 @@ def test_config_must_be_object(tmp_path, capsys):
     assert "bad config" in err
 
 
+@pytest.mark.parametrize("extra", [["--conf", "{cfg}"], ["--confi", "{cfg}"], ["--conf={cfg}"],
+                                   ["--sam", "3"]], ids=" ".join)
+def test_abbreviated_flags_are_refused(extra, tmp_path, capsys):
+    # argparse would read a prefix of --config, but the config loader would
+    # not, and the file would be dropped without a word.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 3}))
+    with pytest.raises(SystemExit) as exc:
+        run(["scaling", "--k", "2"] + [arg.format(cfg=cfg) for arg in extra])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 # console script --------------------------------------------------------------
 
 

@@ -23,7 +23,7 @@ from archarray.array import SphericalArray, make_archimedean, make_cylinder
 from archarray.base import Ball, Ellipse, regular_polygon
 from archarray.cli import run
 from archarray.mesh import graph_slice_mesh, write_obj
-from archarray.region import Region
+from archarray.region import Region, clipped_quadrature
 from archarray.scaling import make_scaling
 from archarray.verify import app_statistical_test, interior_points, random_regions, sample_surface
 
@@ -32,6 +32,12 @@ CLI_DIGESTS = {
         "98f86b5b72f8872c0b78e8116d7b5f225e1c81802bb7981be421766af05dc0e3",
     ("mesh", "--n", "4", "--k", "2", "--res", "12"):
         "da2308e38bf534dcc0bcce307b4d0c2934a456bf58a112efc037380655256e19",
+    # The benchmark's stat-mesh sizes: several 4,096-row blocks, and
+    # vertices in exponent form (1.5e-18 and the like).
+    ("mesh", "--n", "3", "--k", "2", "--res", "128"):
+        "4131461eebd83d1de1b346dd3c6aaa32ccee7a96c147c309c586a1c6ca37d67a",
+    ("mesh", "--n", "4", "--k", "2", "--res", "64"):
+        "2700314b0af22a65858bc4c4e0021f657fbba5a413467ecf5e108e3188353c09",
     ("sample", "--n", "4", "--k", "3", "--count", "200", "--seed", "5"):
         "7526a296cf1bf0aa4a99f5eda42af86c7137645bd20472ab1902648dfe5567e2",
     ("scaling", "--k", "3", "--samples", "33"):
@@ -93,6 +99,47 @@ STAT_VOLUMES = [
     "0x1.f47a6ce5f6db2p-4", "0x1.c32eca48ff7ebp-4", "0x1.71b83c9c6fa60p-2",
     "0x1.12de75fe819e3p-3", "0x1.734682d4acff7p-2", "0x1.629278801dca1p-2",
     "0x1.f17d851c635d8p-4", "0x1.48930498412f6p-2",
+]
+
+# float.hex of volume, integral and error estimate and the counters
+# (accepted, discarded, Monte Carlo leaves) of ``clipped_quadrature`` on
+# the n=4, k=2 base: the stat-mesh windows at depth 12 and seed 0, volume
+# only; the benchmark's integral-gate windows at seed 1 (a ball, and a
+# box given by centre and half-width) at depth 8 and its quadrature seed,
+# volume only and with the area density.  Four of the stat-mesh boxes are
+# accepted whole at level 0.
+WALK_STAT = [
+    ("0x1.5f2d2accc5ebbp-1", "0x1.5f2d2accc5ebbp-1", "0x1.3061a933a05f9p-14", 204, 128, 252),
+    ("0x1.d010202217d77p-2", "0x1.d010202217d77p-2", "0x0.0p+0", 1, 0, 0),
+    ("0x1.99720e63dc499p-2", "0x1.99720e63dc499p-2", "0x1.97adf458c3012p-15", 201, 131, 252),
+    ("0x1.5e088131a19ecp-3", "0x1.5e088131a19ecp-3", "0x1.746fdfa49597ep-18", 28, 19, 35),
+    ("0x1.b7e6ff0013f66p-2", "0x1.b7e6ff0013f66p-2", "0x1.defb629072151p-15", 185, 143, 245),
+    ("0x1.4a40a7629ee59p-2", "0x1.4a40a7629ee59p-2", "0x1.3e198dcae4281p-16", 101, 46, 93),
+    ("0x1.519e117f8d87cp-3", "0x1.519e117f8d87cp-3", "0x1.2bd953bcaf44cp-16", 219, 117, 252),
+    ("0x1.adecc72479ad1p-2", "0x1.adecc72479ad1p-2", "0x1.c2abf82c84c6fp-16", 99, 58, 103),
+    ("0x1.0ad57648952acp-4", "0x1.0ad57648952acp-4", "0x1.310f01144c616p-17", 176, 153, 246),
+    ("0x1.792b07a5f3c8ep-3", "0x1.792b07a5f3c8ep-3", "0x0.0p+0", 1, 0, 0),
+    ("0x1.79d85ffc99e2ep-6", "0x1.79d85ffc99e2ep-6", "0x1.a13f646bd0467p-19", 184, 144, 244),
+    ("0x1.21f5aab8358e0p-1", "0x1.21f5aab8358e0p-1", "0x0.0p+0", 1, 0, 0),
+    ("0x1.f47a6ce5f6db2p-4", "0x1.f47a6ce5f6db2p-4", "0x1.bba2afaa6e826p-17", 224, 107, 252),
+    ("0x1.c32eca48ff7ebp-4", "0x1.c32eca48ff7ebp-4", "0x1.40c8281338100p-18", 53, 35, 55),
+    ("0x1.71b83c9c6fa60p-2", "0x1.71b83c9c6fa60p-2", "0x1.4833c06b56533p-15", 209, 112, 252),
+    ("0x1.12de75fe819e3p-3", "0x1.12de75fe819e3p-3", "0x1.03892ea35da1dp-18", 26, 10, 24),
+    ("0x1.734682d4acff7p-2", "0x1.734682d4acff7p-2", "0x1.6765fab91748cp-15", 192, 140, 251),
+    ("0x1.629278801dca1p-2", "0x1.629278801dca1p-2", "0x1.fd6dc831c7660p-16", 89, 88, 127),
+    ("0x1.f17d851c635d8p-4", "0x1.f17d851c635d8p-4", "0x1.b9aca19c6de3ep-17", 228, 107, 252),
+    ("0x1.48930498412f6p-2", "0x1.48930498412f6p-2", "0x0.0p+0", 1, 0, 0),
+]
+WALK_GATE_WINDOWS = [
+    ("ball", (0.5563933048087022, -0.11320089434897529), 0.21422610514058313),
+    ("box", (-0.48877541085878556, -0.8593721913571439), 0.1619824304174797),
+]
+WALK_GATE_SEED = 635477631
+WALK_GATE = [
+    ("0x1.270a0af4f4308p-3", "0x1.270a0af4f4308p-3", "0x1.f8f0a43423e8ep-14", 44, 14, 60),
+    ("0x1.270a0af4f4308p-3", "0x1.cf725054c089fp-1", "0x1.f8f0a43423e8ep-14", 44, 14, 60),
+    ("0x1.be4498cf24545p-5", "0x1.be4498cf24545p-5", "0x1.6292016897c17p-15", 20, 18, 26),
+    ("0x1.be4498cf24545p-5", "0x1.5e7f7f20a36fep-2", "0x1.6292016897c17p-15", 20, 18, 26),
 ]
 
 # sha256 of sample_surface(h, 70000, seed=3) as float64 bytes; the 70,000
@@ -177,12 +224,28 @@ def test_warping_gradient_bytes(shape, r):
 
 def test_statistical_gate_bits():
     h = make_archimedean(4, 2)
-    regions = [Region.ball(c, s) if shape == "ball"
-               else Region.box(np.subtract(c, s), np.add(c, s))
-               for shape, c, s in STAT_WINDOWS]
+    regions = [_window(*w) for w in STAT_WINDOWS]
     report = app_statistical_test(h, regions, 200_000, seed=STAT_SEED)
     assert (report.chi2.hex(), report.p_value.hex()) == STAT_GATE
     assert [u.clipped_volume(h.base).hex() for u in regions] == STAT_VOLUMES
+
+
+def _window(shape, c, s):
+    """The ball of centre c and radius s, or the box of centre c and half-width s."""
+    return Region.ball(c, s) if shape == "ball" else Region.box(np.subtract(c, s), np.add(c, s))
+
+
+def _walk_row(out):
+    return (out.volume.hex(), out.integral.hex(), out.error_estimate.hex(),
+            out.cells_accepted, out.cells_discarded, out.mc_leaves)
+
+
+def test_cell_walk_bits_and_counters():
+    h = make_archimedean(4, 2)
+    assert [_walk_row(clipped_quadrature(h.base, _window(*w))) for w in STAT_WINDOWS] == WALK_STAT
+    assert [_walk_row(clipped_quadrature(h.base, _window(*w), integrand, depth=8,
+                                         seed=WALK_GATE_SEED))
+            for w in WALK_GATE_WINDOWS for integrand in (None, h._area_density)] == WALK_GATE
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))

@@ -369,6 +369,78 @@ def test_g17_kernel_matches_percent_on_a_million_values():
         table[:9000]).decode()
 
 
+def _percent_rows(row, table):
+    """``row % r`` for every row r of ``table``, the bytes the kernel must match."""
+    return ((row * len(table)) % tuple(table.ravel().tolist())).encode()
+
+
+def _g9_cases():
+    rng = np.random.default_rng(17)
+    # Log-uniform magnitudes from 1e-8 to 1e11, both signs.
+    logu = 10.0 ** rng.uniform(-8.0, 11.0, 500_000) * rng.choice([-1.0, 1.0], 500_000)
+    # Eight neighbours on each side of every power of ten from 1e-7 to 1e10,
+    # which holds the switches to exponent notation at 1e-4 and 1e9, and
+    # values that round up to the next power of ten at 9 digits.
+    near = []
+    for p in 10.0 ** np.arange(-7, 11):
+        for direction in (0.0, np.inf):
+            x = p
+            for _ in range(8):
+                x = np.nextafter(x, direction)
+                near.append(x)
+        near.append(p)
+        near.extend(p * (1.0 - rng.uniform(0.0, 1e-9, 200)))
+    # Exact ties at 9 digits: M * 2^-j with M odd has the decimal value
+    # M * 5^j / 10^j, which ends in 5; keep those with 10 digits, and their
+    # neighbours, which lie just off the tie.
+    ties = []
+    for j in range(1, 14):  # from 10^8 down to 10^-4
+        lo, hi = -(-10 ** 9 // 5 ** j), 10 ** 10 // 5 ** j
+        ties.append(np.ldexp((rng.integers(lo, hi, 12_000) | 1).astype(float), -j))
+    ties = np.concatenate(ties)
+    special = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan, 1e-6,
+               1e-4, 1e9, 999999999.5, 999999999.4999999, 0.9999999995, 0.99999999949999994]
+    subnormal = np.ldexp(rng.integers(1, 2 ** 52, 1_000).astype(float), -1074)
+    values = np.concatenate([logu, near, ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+                             special, subnormal])
+    values = np.concatenate([values, -values])
+    return values, ties
+
+
+def test_g9_kernel_matches_percent_on_a_million_values():
+    values, ties = _g9_cases()
+    assert values.size >= 1_000_000
+    for t in ties[::997]:  # exact decimal expansions with 10 digits, the last a 5
+        digits = Decimal(float(t)).as_tuple().digits
+        assert len(digits) == 10 and digits[-1] == 5
+    table = values[: values.size // 3 * 3].reshape(-1, 3)
+    for start in range(0, len(table), 4096):
+        block = table[start:start + 4096]
+        text, fallback = _g17_template(block, 9, b"v ", b" ")
+        v = block.ravel()
+        # 999999999.5 is a tie that rounds up to 10^9, which %.9g writes "1e+09".
+        with np.errstate(invalid="ignore"):
+            certified = (v == 0.0) | ((np.abs(v) > 1e-6) & (np.abs(v) < 999999999.5))
+        assert np.array_equal(fallback, ~certified)
+        assert text % tuple(v[fallback].tolist()) == _percent_rows("v %.9g %.9g %.9g\n", block)
+
+
+def test_integer_fields_match_percent_d():
+    limit = 10 ** 7  # the kernel writes seven digits
+    edges = [0, 1, 9, 10, 9_999, 10_000, 99_999, 100_000, limit - 1, limit, limit + 1, -1,
+             2 ** 62]
+    rng = np.random.default_rng(3)
+    values = np.concatenate([edges, rng.integers(0, 10 ** rng.integers(1, 9, 60_000)),
+                             np.arange(0, 200_000)])
+    table = values[: values.size // 3 * 3].reshape(-1, 3)
+    for start in range(0, len(table), 4096):
+        block = table[start:start + 4096]
+        text, fallback = _g17_template(block, 9, b"f ", b" ")
+        v = block.ravel()
+        assert np.array_equal(fallback, (v < 0) | (v >= limit))
+        assert text % tuple(v[fallback].tolist()) == _percent_rows("f %d %d %d\n", block)
+
+
 def test_obj_byte_deterministic(tmp_path):
     mesh = revolve_mesh(make_archimedean(3, 2), 12, 12)
     p1 = tmp_path / "a.obj"

@@ -292,6 +292,21 @@ def test_walk_reproduces_pinned_values(base, region, pinned):
         assert out.error_estimate == pytest.approx(error, rel=1e-14)
 
 
+def test_walk_stops_when_no_cell_is_left(monkeypatch):
+    import archarray.region as region
+
+    halve, rows = region._halve, []
+    monkeypatch.setattr(region, "_halve", lambda lo, hi: rows.append(len(lo)) or halve(lo, hi))
+    base = Ball([0.0, 0.0], 1.0)
+    # A box deep inside the base is accepted whole at level 0, and no level follows.
+    out = clipped_quadrature(base, Region.box([-0.25, -0.5], [0.25, 0.25]))
+    assert rows == []
+    assert (out.volume, out.cells_accepted, out.cells_discarded, out.mc_leaves) == (0.375, 1, 0, 0)
+    # A window across the rim keeps undecided cells, so it halves at every level.
+    out = clipped_quadrature(base, Region.ball([0.9, 0.0], 0.3), depth=6)
+    assert len(rows) == 6 and out.mc_leaves > 0
+
+
 def test_patch_volume_evaluates_the_integrand_in_few_blocks(monkeypatch):
     from archarray.array import make_archimedean
     from archarray.region import _BLOCK
