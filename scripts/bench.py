@@ -2,16 +2,17 @@
 
 Runs ``bench/run.py`` (untraced) on every workload and seed, times the
 hot kernels of the statistical gate, of the profile layer, of the
-ellipse and hexagon bases, of the CSV and OBJ export and of the closed
-mesh check in a fresh process, counts the incomplete betas per forward
-profile value and the share of values answered with none, hashes the
-results bit for bit, counts the lines under ``src/`` and writes it all,
-with the machine it ran on, to one JSON file.  With ``--baseline`` the
-same is done for a second checkout.  The layer processes and the
-end-to-end runs of the two alternate, each pair starting with the other
-checkout, so both see the same phases of a shared host; each layer row
-records its median and quartiles over the pairs, and every run must
-reproduce its checksums.
+ellipse and hexagon bases, of the CSV and OBJ export, of the closed
+mesh check, of the Halton sequence and of one CLI call in a fresh
+process, counts the incomplete betas per forward profile value and the
+share of values answered with none, hashes the results bit for bit,
+counts the lines under ``src/`` and writes it all, with the machine it
+ran on, to one JSON file.  With ``--baseline`` the same is done for a
+second checkout.  The layer processes and the end-to-end runs of the
+two alternate, each pair starting with the other checkout, so both see
+the same phases of a shared host; each layer row records its median
+and quartiles over the pairs, and every run must reproduce its
+checksums.
 
 Usage, from the root of a source checkout:
 
@@ -114,7 +115,7 @@ def layers(root, reps, seeds):
     # two meshes as OBJ; and the signed volume and the shared-edge check of
     # the 128x128 revolve mesh, which orient and check every closed mesh.
     from archarray.mesh import Mesh, csv_text, graph_slice_mesh, revolve_mesh, write_obj
-    from archarray.verify import sample_surface
+    from archarray.verify import halton, sample_surface
 
     sample = sample_surface(h43, 25_000, seed=1)
     revolve = revolve_mesh(archarray.make_archimedean(3, 2), 128, 128)
@@ -125,6 +126,12 @@ def layers(root, reps, seeds):
         """Write ``mesh`` as OBJ; the row's checksum is of the bytes written."""
         path = pathlib.Path(objdir.name, name)
         write_obj(mesh, path)
+        return path
+
+    def scaling_csv():
+        """The CLI's k = 2 profile CSV, argument parsing included."""
+        path = pathlib.Path(objdir.name, "scaling_k2.csv")
+        archarray.cli.run(["scaling", "--k", "2", "--out", str(path)])
         return path
     rows = {
         "ball.inside_mask.200k": lambda: h.base.inside_mask(pts),
@@ -151,6 +158,8 @@ def layers(root, reps, seeds):
                                                      closed=True).closed,
         "mesh.write_obj.revolve128": lambda: written(revolve, "revolve128.obj"),
         "mesh.write_obj.graph64": lambda: written(graph, "graph64.obj"),
+        "verify.halton.35000x2": lambda: halton(35_000, 2),
+        "cli.run.scaling_k2": scaling_csv,
     }
     out = {"layers": {}, "checksums": {}}
     for name, fn in rows.items():

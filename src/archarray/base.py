@@ -110,6 +110,12 @@ def box_corners(lo, hi):
     return np.where(bits == 1, hi[..., None, :], lo[..., None, :])
 
 
+def far_corner(lo, hi, center):
+    """The corner of each box [lo, hi] farthest from ``center`` in each axis,
+    hence in any rounded sum of squares, as that is monotone in each term."""
+    return np.where(np.abs(lo - center) > np.abs(hi - center), lo, hi)
+
+
 class BaseDomain:
     """Common interface for the supported convex base shapes."""
 
@@ -124,8 +130,8 @@ class BaseDomain:
 
     # Subclasses implement: _signed, _gradient, _singular_distance,
     # volume, inradius, bounding_box, describe.  They may override
-    # inside_mask and misses_box with exact geometric tests, which give
-    # quadrature and sampling their fast paths.
+    # inside_mask, misses_box and holds_box with exact geometric tests,
+    # which give quadrature and sampling their fast paths.
 
     def _interior_omega(self, pts, what):
         """omega of points inside the domain, from one _signed call."""
@@ -148,6 +154,12 @@ class BaseDomain:
         """True only if the axis box [lo, hi] provably misses the domain;
         a batch of boxes, (m, dim) each, gets one answer per box."""
         return np.zeros(np.shape(lo)[:-1], dtype=bool)
+
+    def holds_box(self, lo, hi):
+        """``inside_mask`` at every corner of each axis box [lo, hi]."""
+        corners = box_corners(lo, hi)
+        inside = self.inside_mask(corners.reshape(-1, self.dim))
+        return np.all(inside.reshape(corners.shape[:-1]), axis=-1)
 
     def distance_to_boundary(self, x):
         """Interior distance omega(x) to the domain boundary."""
@@ -213,6 +225,9 @@ class Ball(BaseDomain):
 
     def inside_mask(self, pts):
         return self._rho(pts) <= self.radius
+
+    def holds_box(self, lo, hi):
+        return self.inside_mask(far_corner(lo, hi, self.center))
 
     def misses_box(self, lo, hi):
         # The box point nearest the centre is the centre clipped to the box.
@@ -336,6 +351,9 @@ class Ellipse(BaseDomain):
 
     def inside_mask(self, pts):
         return self._level(pts) <= 1.0
+
+    def holds_box(self, lo, hi):
+        return self.inside_mask(far_corner(lo, hi, self.center))
 
     def misses_box(self, lo, hi):
         s_lo = (lo - self.center) / self.semi_axes

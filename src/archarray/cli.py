@@ -6,6 +6,7 @@ file outputs are byte-identical across runs.  Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -60,7 +61,12 @@ def _common(sub):
     sub.add_argument("--out", default=None, help="output file (default stdout)")
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built once, and per sub-command its parser, declared
+    defaults and required flags.  The flags themselves default to absent
+    and are not required (the usage line is frozen first), so parsing
+    gives only the flags given and a config never writes into the parser."""
     parser = argparse.ArgumentParser(
         prog="archarray",
         description="Constant-factor projection hypersurfaces: build, verify, export.",
@@ -113,37 +119,25 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     _common(p)
 
-    for sub in [parser, *subs.choices.values()]:
-        sub.allow_abbrev = False  # a prefix of --config would escape _apply_config
-    return parser
+    parser.allow_abbrev = False  # an abbreviated flag is refused
+    specs = {}
+    for name, sub in subs.choices.items():
+        sub.allow_abbrev = False
+        flags = [a for a in sub._actions if a.dest != "help"]
+        specs[name] = sub, {a.dest: a.default for a in flags}, [a for a in flags if a.required]
+        sub.usage = sub.format_usage().removeprefix("usage: ").rstrip()
+        for a in flags:
+            a.default, a.required = argparse.SUPPRESS, False
+    return parser, specs
 
 
-def _apply_config(parser, argv):
-    """Seed subparser defaults from ``--config PATH`` or ``--config=PATH``
-    JSON; explicit flags win."""
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            path = argv[i + 1]
-            break
-        if arg.startswith("--config="):
-            path = arg[len("--config="):]
-            break
-    else:
-        return
+def _read_config(path):
+    """Flag values from a JSON config file; a - in a key reads as _."""
     with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
-    mapped = {key.replace("-", "_"): value for key, value in config.items()}
-    for action in parser._subparsers._group_actions:
-        for sub in action.choices.values():
-            known = {a.dest for a in sub._actions}
-            hits = {k: v for k, v in mapped.items() if k in known}
-            sub.set_defaults(**hits)
-            # A config-supplied value satisfies a required flag.
-            for sub_action in sub._actions:
-                if sub_action.required and sub_action.dest in hits:
-                    sub_action.required = False
+    return {key.replace("-", "_"): value for key, value in config.items()}
 
 
 def _cmd_mk_table(args):
@@ -295,13 +289,19 @@ _COMMANDS = {
 
 def run(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, specs = _build_parser()
+    given = vars(parser.parse_args(argv))
     try:
-        _apply_config(parser, argv)
-    except (OSError, ValueError, IndexError, json.JSONDecodeError) as exc:
+        config = _read_config(given["config"]) if "config" in given else {}
+    except (OSError, ValueError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2
-    args = parser.parse_args(argv)
+    sub, defaults, required = specs[given["command"]]
+    missing = [a.option_strings[0] for a in required if a.dest not in config.keys() | given]
+    if missing:
+        sub.error("the following arguments are required: " + ", ".join(missing))
+    args = argparse.Namespace(**{**defaults, **{k: v for k, v in config.items()
+                                                if k in defaults}, **given})
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

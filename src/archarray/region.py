@@ -8,8 +8,8 @@ level by level, each test running on all cells of a level at once:
 * cells separated from either set by a supporting hyperplane or a
   distance test are discarded (exact);
 * cells whose corners all lie in both convex sets are entirely inside
-  (exact, by convexity) and take a composite tensor Gauss rule refined
-  to the depth cap;
+  (exact, by convexity; ``holds_box`` tests a far corner or bounds) and
+  take a composite tensor Gauss rule refined with the walk to the depth cap;
 * the other cells split along their longest axis, each lower half
   listed before its upper half, so every level is in depth-first order.
   Cells still undecided at the depth cap are Monte Carlo leaves, and
@@ -40,7 +40,7 @@ from itertools import chain
 
 import numpy as np
 
-from .base import box_corners, squared_distance
+from .base import box_corners, far_corner, squared_distance
 from .quadrature import integrate
 
 __all__ = [
@@ -121,6 +121,12 @@ class Region:
             return np.any((hi < self.lo) | (lo > self.hi), axis=-1)
         # The box point nearest the centre is the centre clipped to the box.
         return squared_distance(np.clip(self.center, lo, hi), self.center) > self.radius ** 2
+
+    def holds_box(self, lo, hi):
+        """``contains`` at every corner of each axis box [lo, hi], lo <= hi."""
+        if self.shape == "box":
+            return np.all((lo >= self.lo) & (hi <= self.hi), axis=-1)
+        return self.contains(far_corner(lo, hi, self.center))
 
     def volume(self):
         """Exact volume of the region shape itself (unclipped)."""
@@ -252,7 +258,7 @@ class LeafDraws:
     block).  The leaves depend only on (seed, dim), never on the region,
     so walks over several regions can share them: with ``keep=True``
     every leaf drawn is held and each is drawn once for all walks;
-    otherwise only the leaves of the last request are held.
+    otherwise only the last request's leaves are held (an earlier one is redrawn).
     """
 
     def __init__(self, seed, dim, *, keep=False):
@@ -266,7 +272,11 @@ class LeafDraws:
 
     def leaves(self, start, count):
         """Draws of leaves ``start`` to ``start + count - 1``, as a view
-        (count, MC_POINTS, dim); leaves are asked for in order."""
+        (count, MC_POINTS, dim)."""
+        if start < self._first:  # dropped already: jump back to its counter
+            self._philox = philox(self.key[0], 0x7C1).jumped(start)
+            self._gen = np.random.Generator(self._philox)
+            self._first, self._held = start, self._held[:0]
         drawn = self._first + len(self._held)
         if start + count > drawn:
             new = np.empty((start + count - drawn,) + self._held.shape[1:])
@@ -318,34 +328,42 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH, seed=0
         raise ValueError(f"leaf draws for {draws.key}, not {(seed, dim)}")
     lo, hi = lo[None, :], hi[None, :]
     volume, variance, sums, rule = [], [], [], []
+    # Accepted cells being refined, oldest level first; per level: end level, weights.
+    plo, phi, groups = lo[:0], hi[:0], []
     accepted = discarded = 0
     for d in range(depth + 1):
-        if d:
+        if d and len(lo):
             lo, hi = _halve(lo, hi)
-        keep = ~(region.misses_box(lo, hi) | base.misses_box(lo, hi))
-        discarded += len(lo)
-        lo, hi = lo[keep], hi[keep]
-        discarded -= len(lo)
-        corners = box_corners(lo, hi).reshape(-1, dim)
-        inside = np.all((region.contains(corners) & inside_mask(base, corners))
-                        .reshape(len(lo), 2 ** dim), axis=1)
-        alo, ahi = lo[inside], hi[inside]
-        accepted += len(alo)
-        volume.append(np.prod(ahi - alo, axis=1))
-        if integrand is not None:
-            # One two-point rule on a large accepted cell is poor for kinked
-            # integrands (polygon distance functions).  Halving on to the depth
-            # cap gives equal-volume subcells, so each node carries the cell
-            # volume over its node count and constants integrate exactly.
-            splits = min(depth - d, _GAUSS_SPLIT_CAP)
-            for _ in range(splits):
-                alo, ahi = _halve(alo, ahi)
-            rule.append((alo, ahi, np.repeat(volume[-1] / 2 ** (splits + dim), 2 ** splits)))
-        lo, hi = lo[~inside], hi[~inside]
-        if not len(lo):  # nothing left to decide: deeper levels would be empty
+        if d and len(plo):
+            plo, phi = _halve(plo, phi)
+        if len(lo):
+            keep = ~(region.misses_box(lo, hi) | base.misses_box(lo, hi))
+            discarded += len(lo)
+            lo, hi = lo[keep], hi[keep]
+            discarded -= len(lo)
+            inside = region.holds_box(lo, hi) & base.holds_box(lo, hi)
+            alo, ahi = lo[inside], hi[inside]
+            accepted += len(alo)
+            volume.append(np.prod(ahi - alo, axis=1))
+            lo, hi = lo[~inside], hi[~inside]
+            if integrand is not None and len(alo):
+                # One two-point rule on a large accepted cell is poor for kinked
+                # integrands (polygon distance functions).  Halving on to the depth
+                # cap gives equal-volume subcells, so each node carries the cell
+                # volume over its node count and constants integrate exactly.
+                splits = min(depth - d, _GAUSS_SPLIT_CAP)
+                groups.append((d + splits,
+                               np.repeat(volume[-1] / 2 ** (splits + dim), 2 ** splits)))
+                plo, phi = np.concatenate([plo, alo]), np.concatenate([phi, ahi])
+        # End levels never decrease along the array: its refined part is a prefix.
+        while groups and groups[0][0] == d:
+            n = len(groups[0][1])
+            rule.append((plo[:n], phi[:n], groups.pop(0)[1]))
+            plo, phi = plo[n:], phi[n:]
+        if not (len(lo) or len(plo)):  # nothing left: deeper levels would be empty
             break
 
-    if integrand is not None:
+    if integrand is not None and rule:
         sub_lo, sub_hi, weights = (np.concatenate(a) for a in zip(*rule))
         step = max(1, _BLOCK >> dim)
         for s in range(0, len(sub_lo), step):

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 TABLE_SIZE = 4096
+_GUIDE_BUCKETS, _GUIDE_STEPS = 1 << 14, 2  # see _guide_table
 GUARD_FRACTION = 0.25
 # First omitted series term must stay below this at the guard radius.
 _SERIES_TAIL_TOL = 1e-12
@@ -163,6 +164,8 @@ class ScalingFunction:
     x_table: np.ndarray = field(repr=False)
     hermite: np.ndarray = field(repr=False)
     trusted: np.ndarray = field(repr=False)
+    x_guide: np.ndarray = field(repr=False)
+    y_guide: np.ndarray = field(repr=False)
     taylor: np.ndarray = field(repr=False)
     series_radius_guard: float
 
@@ -204,19 +207,8 @@ class ScalingFunction:
         return out
 
     def _y_bracket(self, y):
-        """Index i of the node bracket [y_i, y_(i+1)) holding each y in [0, 1].
-
-        Equal to ``searchsorted(y_table, y, side="right") - 1`` clipped to
-        the last bracket, but read off the node formula
-        y_i = (1 - cos(pi i/(N-1)))/2 and corrected by one node where
-        rounding put y on the wrong side.
-        """
-        last = len(self.y_table) - 2
-        t = np.arccos(np.clip(1.0 - 2.0 * y, -1.0, 1.0))
-        i = np.minimum((t * ((last + 1) / math.pi)).astype(np.intp), last)
-        i -= self.y_table[i] > y
-        i += (self.y_table[i + 1] <= y) & (i < last)
-        return i
+        """Index i of the node bracket [y_i, y_(i+1)) holding each y in [0, 1]."""
+        return _bracket(self.y_table, self.y_guide, y)
 
     # -- forward profile ------------------------------------------------
 
@@ -237,8 +229,8 @@ class ScalingFunction:
         """
         x_arr, scalar = _prep(x)
         tol = 1e-12 * max(1.0, self.m_k)
-        below = x_arr <= 0.0 if slope else x_arr < -tol
-        if np.any(below) or np.any(x_arr > self.m_k + tol):
+        inside = x_arr > 0.0 if slope else x_arr >= -tol
+        if not np.all(inside & (x_arr <= self.m_k + tol)):  # NaN is outside too
             name, left = ("f_prime", "(") if slope else ("f", "[")
             raise ValueError(f"{name} argument must lie in {left}0, {self.m_k!r}]")
         x_arr = np.clip(x_arr, 0.0, self.m_k)
@@ -269,6 +261,7 @@ class ScalingFunction:
     def _f_root(self, x):
         """g(x) from the quintic Hermite of its node bracket (module docstring).
 
+        The bracket comes from a guide table (``_bracket``).
         Outside the trusted brackets it starts a bracketed Newton; a
         start that is not finite or not strictly inside the bracket falls
         back to its midpoint.  A point leaves the active set once its step
@@ -281,9 +274,7 @@ class ScalingFunction:
         their last iterate and raise a RuntimeWarning.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.searchsorted(self.x_table, x, side="right")
-        idx -= 1
-        np.clip(idx, 0, len(self.x_table) - 2, out=idx)
+        idx = _bracket(self.x_table, self.x_guide, x)
         x0 = self.x_table[idx]
         t = x - x0
         t /= self.x_table[idx + 1] - x0
@@ -380,6 +371,33 @@ def _prep(x):
 
 def _unprep(arr, scalar):
     return float(arr[0]) if scalar else arr
+
+
+def _bucket(v, top, buckets):
+    """floor(v buckets/top) within the table; it never decreases with v."""
+    return np.clip(v * (buckets / top), 0, buckets - 1).astype(np.intp)
+
+
+def _guide_table(nodes):
+    """Guide table over [0, nodes[-1]] (Chen and Asau, 1974): a bracket counts
+    the inner nodes at or below a point, a bucket's entry those of lower
+    buckets (all below, as buckets never decrease), a step each own node.
+    Crowded buckets (over ``_GUIDE_STEPS`` nodes) and the top one read -1."""
+    below = np.searchsorted(_bucket(nodes[1:-1], nodes[-1], _GUIDE_BUCKETS),
+                            np.arange(_GUIDE_BUCKETS + 1))
+    crowded = np.append(np.diff(below)[:-1] > _GUIDE_STEPS, True)
+    return np.where(crowded, -1, below[:-1])
+
+
+def _bracket(nodes, guide, v):
+    """``searchsorted(nodes, v, "right") - 1`` within the brackets, for
+    v >= 0, from the guide table; only crowded buckets are searched."""
+    idx = guide[_bucket(v, nodes[-1], len(guide))]
+    crowded = np.flatnonzero(idx < 0)
+    for _ in range(_GUIDE_STEPS):
+        idx += nodes[idx + 1] <= v
+    idx[crowded] = np.searchsorted(nodes[1:-1], v[crowded], side="right")
+    return idx
 
 
 def _quintic_table(k, m_k, x, y):
@@ -493,6 +511,8 @@ def make_scaling(k, *, table_size=TABLE_SIZE, guard_fraction=GUARD_FRACTION,
         x_table=x_nodes,
         hermite=hermite,
         trusted=trusted,
+        x_guide=_guide_table(x_nodes),
+        y_guide=_guide_table(y_nodes),
         taylor=coef,
         series_radius_guard=guard,
     )

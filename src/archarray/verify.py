@@ -57,14 +57,17 @@ def halton(count, dim, *, start=1):
         raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
     idx = np.arange(start, start + count, dtype=np.int64)
     out = np.empty((count, dim))
+    digit, term = np.empty_like(idx), np.empty(count)
     for d in range(dim):
-        b = _PRIMES[d]
+        b, top = _PRIMES[d], start + count - 1
         n = idx.copy()
         value = np.zeros(count)
         scale = 1.0 / b
-        while np.any(n > 0):
-            value += (n % b) * scale
-            n //= b
+        # One pass per base-b digit of the last index (top); a spent index adds 0.
+        while top > 0:
+            np.divmod(n, b, out=(n, digit))
+            value += np.multiply(digit, scale, out=term)
+            top //= b
             scale /= b
         out[:, d] = value
     return out

@@ -402,6 +402,21 @@ def test_abbreviated_flags_are_refused(extra, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_config_leaves_the_shared_parser_as_it_was(tmp_path, capsys):
+    # The parser is built once per process; a config run must not satisfy
+    # a later run's required flags or set its defaults.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 3, "samples": 9}))
+    assert run_cli(capsys, ["scaling", "--config", str(cfg)])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["scaling"])
+    assert exc.value.code == 2
+    assert "required: --k" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, ["scaling", "--k", "3"])
+    assert code == 0 and len(out.splitlines()) == 1 + 257
+    assert cli._build_parser() is cli._build_parser()
+
+
 # console script --------------------------------------------------------------
 
 

@@ -248,6 +248,17 @@ def test_cell_walk_bits_and_counters():
             for w in WALK_GATE_WINDOWS for integrand in (None, h._area_density)] == WALK_GATE
 
 
+def test_depth14_patch_walk_bits():
+    # Cells accepted at level 1 take the 12-halving cap and end at level
+    # 13, before the deeper cells reach 14, so refined groups leave the
+    # walk's refinement array as a prefix while later ones still halve.
+    h = make_archimedean(4, 2)
+    out = clipped_quadrature(h.base, Region.box([-0.4, -0.3], [0.99, 0.3]), h._area_density,
+                             depth=14, seed=1)
+    assert _walk_row(out) == ("0x1.a871ecb020c4ap-1", "0x1.4d5bbc00fafebp+2",
+                              "0x1.06f4577ec4657p-17", 62, 26, 46)
+
+
 @pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
 def test_surface_sample_bytes(name):
     build, digest = SAMPLE_DIGESTS[name]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from archarray.base import Ball, ConvexPolygon, Ellipse, regular_polygon
+from archarray.base import Ball, ConvexPolygon, Ellipse, box_corners, regular_polygon
 from archarray.region import (
     MC_POINTS,
     Region,
@@ -307,6 +307,22 @@ def test_walk_stops_when_no_cell_is_left(monkeypatch):
     assert len(rows) == 6 and out.mc_leaves > 0
 
 
+def test_patch_walk_halves_twice_per_level_at_most(monkeypatch):
+    # Accepted cells are refined in one array along with the walk, so a
+    # level halves at most the undecided cells and that array.
+    import archarray.region as region
+    from archarray.array import make_archimedean
+
+    h = make_archimedean(4, 2)
+    halve, rows = region._halve, []
+    monkeypatch.setattr(region, "_halve", lambda lo, hi: rows.append(len(lo)) or halve(lo, hi))
+    for window in (Region.ball([0.55, -0.1], 0.22), Region.box([0.75, -0.3], [1.15, 0.1]),
+                   Region.box([-0.4, -0.3], [0.99, 0.3])):
+        rows.clear()
+        h.patch_volume(window, depth=8, seed=1)
+        assert 0 < len(rows) <= 2 * 8 and 0 not in rows
+
+
 def test_patch_volume_evaluates_the_integrand_in_few_blocks(monkeypatch):
     from archarray.array import make_archimedean
     from archarray.region import _BLOCK
@@ -504,6 +520,79 @@ def test_region_and_ball_misses_box_match_the_row_formulas(dim):
     assert np.array_equal(Ball(center, radius).misses_box(lo, hi), want)
 
 
+def _corner_test(inside, lo, hi):
+    """The containment test at all 2^dim corners of each box."""
+    corners = box_corners(lo, hi)
+    return np.all(inside(corners.reshape(-1, lo.shape[1])).reshape(corners.shape[:-1]), axis=1)
+
+
+def _boxes_at_rim(rng, rim, center):
+    """Boxes with one corner on a rim point, or 1 ulp off it in each
+    coordinate, and the other toward the centre or past the rim; a third
+    of them have zero width, some in one coordinate only; then random
+    boxes around the centre."""
+    step = np.where(rng.random(rim.shape) < 0.5, np.inf, -np.inf)
+    p = np.concatenate([rim, np.nextafter(rim, step), np.nextafter(rim, -step)])
+    t = rng.uniform(0.0, 1.2, p.shape)
+    t[::3] = 1.0
+    t[1::7, 0] = 1.0
+    q = center + (p - center) * t
+    spread = np.max(np.abs(rim - center))
+    r_lo = center + rng.uniform(-1.5, 1.0, (2000, len(center))) * spread
+    r_hi = r_lo + rng.uniform(0.0, 0.6, r_lo.shape) * spread
+    return (np.concatenate([np.minimum(p, q), r_lo]),
+            np.concatenate([np.maximum(p, q), r_hi]))
+
+
+def _rim_of_ball(rng, center, radius, count=600):
+    u = rng.normal(size=(count, len(center)))
+    return center + radius * u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 9])
+def test_ball_holds_box_equals_the_corner_test(dim):
+    # The far corner stands for all corners: sums of squares round
+    # monotonically, in index order (dim < 8) and pairwise (dim >= 8).
+    rng = np.random.default_rng(10 + dim)
+    center, radius = rng.uniform(-0.5, 0.5, dim), 0.9
+    lo, hi = _boxes_at_rim(rng, _rim_of_ball(rng, center, radius), center)
+    for shape, test in ((Ball(center, radius), "inside_mask"),
+                        (Region.ball(center, radius), "contains")):
+        want = _corner_test(getattr(shape, test), lo, hi)
+        assert want.any() and not want.all()
+        assert np.array_equal(shape.holds_box(lo, hi), want)
+
+
+def test_ellipse_and_polygon_hold_box_equals_the_corner_test():
+    rng = np.random.default_rng(7)
+    ellipse = Ellipse([0.2, -0.1], [1.3, 0.6])
+    angle = rng.uniform(0.0, 2.0 * math.pi, 600)
+    rim = ellipse.center + ellipse.semi_axes * np.column_stack([np.cos(angle), np.sin(angle)])
+    hexagon = regular_polygon(6, inradius=0.8)
+    verts, edge = hexagon.vertices, rng.integers(0, 6, 600)
+    edges = verts[edge] + rng.random((600, 1)) * (np.roll(verts, -1, axis=0) - verts)[edge]
+    for base, rim in ((ellipse, rim), (hexagon, np.concatenate([edges, verts]))):
+        center = np.mean(rim, axis=0)
+        lo, hi = _boxes_at_rim(rng, rim, center)
+        want = _corner_test(base.inside_mask, lo, hi)
+        assert want.any() and not want.all()
+        assert np.array_equal(base.holds_box(lo, hi), want)
+
+
+def test_box_region_holds_box_equals_the_corner_test():
+    rng = np.random.default_rng(8)
+    box = Region.box([-0.5, 0.1, -1.0], [0.25, 0.7, 0.0])
+    # Rim points on the faces and corners of the box, where lo or hi meet its bounds.
+    rim = rng.uniform(box.lo, box.hi, (600, 3))
+    face = rng.integers(0, 3, 600)
+    rim[np.arange(600), face] = np.where(rng.random(600) < 0.5, box.lo[face], box.hi[face])
+    rim = np.concatenate([rim, box_corners(box.lo, box.hi)])
+    lo, hi = _boxes_at_rim(rng, rim, 0.5 * (box.lo + box.hi))
+    want = _corner_test(box.contains, lo, hi)
+    assert want.any() and not want.all()
+    assert np.array_equal(box.holds_box(lo, hi), want)
+
+
 # leaf draws shared by many walks ----------------------------------------------
 
 def _walk_windows():
@@ -563,6 +652,23 @@ def test_shared_leaf_draws_draw_each_leaf_once(monkeypatch):
     out = clipped_quadrature(base, Region.box([-1.2, -1.2], [1.2, 1.2]), depth=8, seed=3,
                              draws=own)
     assert out.mc_leaves > _BLOCK // MC_POINTS >= len(own._held)
+
+
+def test_leaf_draws_of_one_walk_serve_the_next():
+    # A store that holds only its last request jumps back to leaf 0 when a
+    # second walk asks for it, so both walks match walks on their own.
+    from archarray.array import make_archimedean
+    from archarray.region import LeafDraws
+
+    h = make_archimedean(4, 2)
+    draws = LeafDraws(0, 2)
+    windows = (Region.ball([0.9, 0.0], 0.3), Region.box([0.75, -0.3], [1.15, 0.1]))
+    for window in windows + windows:
+        shared = clipped_quadrature(h.base, window, depth=9, draws=draws)
+        alone = clipped_quadrature(h.base, window, depth=9)
+        assert shared.mc_leaves > 0 and shared == alone
+    assert draws._first > 0
+    assert np.array_equal(draws.leaves(1, 2), LeafDraws(0, 2).leaves(0, 3)[1:])
 
 
 def test_leaf_draws_must_match_the_walk():

@@ -337,6 +337,9 @@ def test_domain_validation():
         s.f(-0.01)
     with pytest.raises(ValueError):
         s.f(s.m_k + 0.01)
+    for fn in (s.f, s.f_prime):
+        with pytest.raises(ValueError, match="must lie in"):
+            fn(np.array([0.3, np.nan]))
     with pytest.raises(ValueError):
         s.f_inverse(1.2)
     with pytest.raises(ValueError):
@@ -477,6 +480,22 @@ def test_closed_form_bracket_matches_searchsorted(size):
     y = np.clip(y, 0.0, 1.0)
     want = np.clip(np.searchsorted(nodes, y, side="right") - 1, 0, size - 2)
     assert np.array_equal(s._y_bracket(y), want)
+
+
+@pytest.mark.parametrize("k,size", [(2, 4096), (3, 4096), (4, 4096), (6, 4096), (8, 4096),
+                                    (3, 8), (3, 256)])
+def test_guide_bracket_matches_searchsorted(k, size):
+    s = make_scaling(k, table_size=size)
+    nodes, buckets = s.x_table, len(s.x_guide)
+    edges = np.arange(buckets + 1) * (s.m_k / buckets)
+    x = np.concatenate([nodes, edges, [5e-324, 1e-300, 1e-30, np.nextafter(s.m_k, 2.0)],
+                        np.random.default_rng(k).random(10**5) * s.m_k])
+    x = np.concatenate([x, np.nextafter(x, 2.0), np.nextafter(x, -1.0)])
+    x = x[x >= 0.0]
+    want = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, size - 2)
+    assert np.array_equal(scaling._bracket(nodes, s.x_guide, x), want)
+    # Most buckets are answered from the table alone.
+    assert np.mean(s.x_guide < 0) < 0.01 and np.mean(s.y_guide < 0) < 0.01
 
 
 # float.hex of f from the midpoint-seeded solve, at the points _pinned_points(s)

@@ -66,7 +66,8 @@ def test_bench_layers_of_a_checkout():
     assert all(row["s"] > 0.0 and len(row["checksum"]) == 64 for row in doc["layers"].values())
     assert {"mesh.csv_text.25000x4", "mesh.signed_volume.revolve128",
             "mesh.closed_check.revolve128", "mesh.write_obj.revolve128",
-            "mesh.write_obj.graph64"} <= set(doc["layers"])
+            "mesh.write_obj.graph64", "verify.halton.35000x2",
+            "cli.run.scaling_k2"} <= set(doc["layers"])
     assert doc["src_lines"] > 1000
     assert sorted(doc["newton_evals_per_point"]) == ["2", "3", "6"]
 

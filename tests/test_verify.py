@@ -8,6 +8,7 @@ controls use a custom warp whose area density varies by a factor of a
 few across the base.
 """
 
+import hashlib
 import math
 import types
 
@@ -63,6 +64,13 @@ def test_halton_start_offset():
 
 def test_halton_determinism():
     assert np.array_equal(halton(64, 2), halton(64, 2))
+
+
+def test_halton_bytes_near_a_million():
+    # Indices 999,983 .. 1,000,046 cross a new decimal and base-2..19 digit
+    # count; the sha256 of the float64 bytes is pinned.
+    digest = hashlib.sha256(halton(64, 8, start=999_983).tobytes()).hexdigest()
+    assert digest == "6f68b83e4a3b31d164b787bf5c2331384aa992f646a7d13d5483f29bd3f50241"
 
 
 def test_halton_rejects_high_dimension():
