@@ -2,17 +2,19 @@
 
 Runs ``bench/run.py`` (untraced) on every workload and seed, times the
 hot kernels of the statistical gate, of the profile layer, of the
-ellipse and hexagon bases, of the CSV and OBJ export, of the closed
-mesh check, of the Halton sequence and of one CLI call in a fresh
-process, counts the incomplete betas per forward profile value and the
-share of values answered with none, hashes the results bit for bit,
-counts the lines under ``src/`` and writes it all, with the machine it
-ran on, to one JSON file.  With ``--baseline`` the same is done for a
+ellipse and hexagon bases, of the residual gate, of surface sampling,
+of the CSV and OBJ export, of the closed mesh check, of the Halton
+sequence and of two CLI calls in a fresh process, counts the
+incomplete betas per forward profile value and the share of values
+answered with none, hashes the results bit for bit, counts the lines
+under ``src/`` and writes it all, with the machine it ran on, to one
+JSON file.  With ``--baseline`` the same is done for a
 second checkout.  The layer processes and the end-to-end runs of the
 two alternate, each pair starting with the other checkout, so both see
 the same phases of a shared host; each layer row records its median
 and quartiles over the pairs, and every run must reproduce its
-checksums.
+checksums.  The layer processes run with one BLAS thread, as
+``bench/run.py`` does.
 
 Usage, from the root of a source checkout:
 
@@ -39,6 +41,9 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ("integral-gate", "bulk-eval", "stat-mesh")
+# Set to 1 in the layer processes, as bench/run.py sets them: one BLAS
+# thread per process, whatever the host's default.
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _hex(value):
@@ -115,9 +120,13 @@ def layers(root, reps, seeds):
     # two meshes as OBJ; and the signed volume and the shared-edge check of
     # the 128x128 revolve mesh, which orient and check every closed mesh.
     from archarray.mesh import Mesh, csv_text, graph_slice_mesh, revolve_mesh, write_obj
-    from archarray.verify import halton, sample_surface
+    from archarray.verify import halton, interior_points, sample_surface
 
     sample = sample_surface(h43, 25_000, seed=1)
+    # The residual gate's 25,000 points on the n=4, k=2 base, from Halton
+    # index 654,321 (bulk-eval draws its start below 10^6).
+    residual_pts = interior_points(h.base, 25_000, boundary_offset=1e-6 * h.base.inradius(),
+                                   start=654_321)
     revolve = revolve_mesh(archarray.make_archimedean(3, 2), 128, 128)
     graph = graph_slice_mesh(h, 64)
     objdir = tempfile.TemporaryDirectory()
@@ -132,6 +141,13 @@ def layers(root, reps, seeds):
         """The CLI's k = 2 profile CSV, argument parsing included."""
         path = pathlib.Path(objdir.name, "scaling_k2.csv")
         archarray.cli.run(["scaling", "--k", "2", "--out", str(path)])
+        return path
+
+    def sample_csv():
+        """The CLI's 25,000-point n=4, k=3 sample CSV, as bulk-eval writes it."""
+        path = pathlib.Path(objdir.name, "sample.csv")
+        archarray.cli.run(["sample", "--n", "4", "--k", "3", "--count", "25000",
+                           "--seed", "1", "--out", str(path)])
         return path
     rows = {
         "ball.inside_mask.200k": lambda: h.base.inside_mask(pts),
@@ -159,7 +175,11 @@ def layers(root, reps, seeds):
         "mesh.write_obj.revolve128": lambda: written(revolve, "revolve128.obj"),
         "mesh.write_obj.graph64": lambda: written(graph, "graph64.obj"),
         "verify.halton.35000x2": lambda: halton(35_000, 2),
+        "verify.halton.35000x2.start654321": lambda: halton(35_000, 2, start=654_321),
+        "array.app_residual.25000": lambda: h.app_residual(residual_pts),
+        "verify.sample_surface.25000_k3": lambda: sample_surface(h43, 25_000, seed=1),
         "cli.run.scaling_k2": scaling_csv,
+        "cli.run.sample25000": sample_csv,
     }
     out = {"layers": {}, "checksums": {}}
     for name, fn in rows.items():
@@ -216,7 +236,8 @@ def layers(root, reps, seeds):
 def _layers_subprocess(root, reps, seeds):
     cmd = [sys.executable, os.path.abspath(__file__), "--layers-of", root,
            "--reps", str(reps), "--seeds", ",".join(map(str, seeds))]
-    res = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    env = {**os.environ, **dict.fromkeys(BLAS_THREADS, "1")}
+    res = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env)
     return json.loads(res.stdout.strip().splitlines()[-1])
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Ball, BaseDomain, _points, base_from_description, to_box
+from .base import Ball, BaseDomain, _points, base_from_description, row_norm, to_box
 from .quadrature import DEFAULT_SPEC, integrate
 from .region import CELL_DEPTH, Region, clipped_quadrature, philox
 from .scaling import make_scaling
@@ -249,7 +249,7 @@ class SphericalArray:
         if self.warp_mode != "archimedean":
             raise ValueError("boundary form applies to archimedean mode only")
         xb, xf, single = self.split_point(x)
-        rho = np.linalg.norm(xf, axis=1)
+        rho = row_norm(xf)
         if np.any(rho > self.r_scale * (1.0 + 1e-12)):
             raise ValueError("fiber radius exceeds r_scale")
         y = np.minimum(rho / self.r_scale, 1.0)
@@ -379,11 +379,12 @@ class SphericalArray:
         hits in the bounding box.
 
         An archimedean warp tests the boundary form f_k^{-1}(|x'|/R) <=
-        omega/R, which needs no forward root solve; the profile's node
+        omega/R, which needs no forward root solve.  The profile's node
         table decides all but the samples near their bracket's ends
-        (``ScalingFunction.inverse_at_most``), so few samples cost an
-        incomplete beta.  Other warps compare |x'|^2 with f^2; a fiber
-        radius above R, which the box would clip, raises ``ValueError``.
+        (``ScalingFunction.at_most_by_nodes``); those of all chunks are
+        inverted by one incomplete-beta call at the end.  Other warps
+        compare |x'|^2 with f^2; a fiber radius above R, which the box
+        would clip, raises ``ValueError``.
         """
         blo, bhi = self.base.bounding_box()
         lo = np.concatenate([blo, -self.r_scale * np.ones(self.k)])
@@ -391,9 +392,8 @@ class SphericalArray:
         box_vol = float(np.prod(hi - lo))
         bits = philox(seed, 0xE2C)
         chunk = 65536
-        hits = 0
-        done = 0
-        index = 0
+        hits = done = index = 0
+        unsure = []  # (y, x) of the samples the node table leaves open
         while done < samples:
             m = min(chunk, samples - done)
             gen = np.random.Generator(bits.jumped(index))
@@ -404,10 +404,12 @@ class SphericalArray:
             sd = self.base.signed_distance(xb)
             inside = sd >= 0.0
             if self.warp_mode == "archimedean":
-                rho = np.linalg.norm(xf[inside], axis=1) / self.r_scale
-                tall = rho <= 1.0
-                hits += int(np.count_nonzero(self.scaling.inverse_at_most(
-                    rho[tall], sd[inside][tall] / self.r_scale)))
+                rho = row_norm(xf) / self.r_scale
+                keep = np.flatnonzero(inside & (rho <= 1.0))  # take: faster than a mask
+                y, x = rho.take(keep), sd.take(keep) / self.r_scale
+                sure, idx = self.scaling.at_most_by_nodes(y, x)
+                hits += int(np.count_nonzero(sure))
+                unsure.append((y[idx], x[idx]))
             elif np.any(inside):
                 f = self._warp_from_omega(sd[inside], xb[inside])
                 if np.any(f > self.r_scale):
@@ -416,6 +418,9 @@ class SphericalArray:
                 rho2 = np.einsum("nd,nd->n", xf[inside], xf[inside])
                 hits += int(np.count_nonzero(rho2 <= f * f))
             done += m
+        if unsure:
+            y, x = map(np.concatenate, zip(*unsure))
+            hits += int(np.count_nonzero(self.scaling.f_inverse(y) <= x))
         frac = hits / samples
         value = box_vol * frac
         error = box_vol * math.sqrt(max(frac * (1.0 - frac), 1e-12) / samples)

@@ -91,6 +91,12 @@ def squared_distance(pts, center):
     return total
 
 
+def row_norm(v):
+    """Euclidean norm of each row of ``v``, ``np.linalg.norm(v, axis=-1)``
+    bit for bit (see ``squared_distance``)."""
+    return np.sqrt(squared_distance(v, np.zeros(v.shape[-1])))
+
+
 def to_box(u, lo, hi):
     """Map unit-cube draws ``u`` (npoints, dim) onto the box [lo, hi] in
     place, one coordinate column at a time; the result is lo + u * (hi - lo)
@@ -218,7 +224,7 @@ class Ball(BaseDomain):
 
     def _gradient(self, pts):
         d = pts - self.center
-        return -d / np.linalg.norm(d, axis=1, keepdims=True)
+        return -d / row_norm(d)[:, None]
 
     def _singular_distance(self, pts):
         return self._rho(pts)

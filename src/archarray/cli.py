@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .array import equizonal_enclosed_volume, make_archimedean
-from .mesh import csv_text, graph_slice_mesh, profile_curve, revolve_mesh, write_obj
+from .mesh import csv_bytes, graph_slice_mesh, profile_curve, revolve_mesh, write_obj
 from .scaling import make_scaling, mk_closed_form, mk_quadrature
 from .verify import (MAX_Z_OUTLIERS, P_FLOOR, Z_THRESHOLD, app_statistical_test,
                      interior_points, random_regions, sample_surface)
@@ -43,13 +43,14 @@ def _fmt(value):
     return json.dumps(value)
 
 
-def _write(text, out_path):
-    """Write text to ``out_path`` with LF line ends, or to stdout."""
-    if out_path:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
+def _write(data, out_path):
+    """Write text (with LF line ends) or bytes to ``out_path``, or to stdout."""
+    binary = isinstance(data, bytes)
+    if not out_path:
+        sys.stdout.write(data.decode() if binary else data)
     else:
-        sys.stdout.write(text)
+        with open(out_path, "wb" if binary else "w", newline=None if binary else "\n") as fh:
+            fh.write(data)
 
 
 def _emit(doc, out_path):
@@ -153,7 +154,7 @@ def _cmd_mk_table(args):
 
 
 def _cmd_scaling(args):
-    _write(csv_text(["x", "f"], profile_curve(make_scaling(args.k), args.samples)), args.out)
+    _write(csv_bytes(["x", "f"], profile_curve(make_scaling(args.k), args.samples)), args.out)
     return 0
 
 
@@ -273,7 +274,7 @@ def _cmd_mesh(args):
 def _cmd_sample(args):
     h = make_archimedean(args.n, args.k, args.r)
     pts = sample_surface(h, args.count, seed=args.seed)
-    _write(csv_text([f"x{i}" for i in range(h.n)], pts), args.out)
+    _write(csv_bytes([f"x{i}" for i in range(h.n)], pts), args.out)
     return 0
 
 

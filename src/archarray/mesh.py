@@ -46,6 +46,7 @@ __all__ = [
     "graph_slice_mesh",
     "mesh_area",
     "write_obj",
+    "csv_bytes",
     "csv_text",
     "write_profile_csv",
 ]
@@ -389,14 +390,19 @@ def _g17_rows(block, *args):
     return text % tuple(block.ravel()[fallback].tolist()) if fallback.any() else text
 
 
-def csv_text(columns, table):
-    """CSV text: a header of ``columns``, then ``table`` in 17-significant-digit floats."""
+def csv_bytes(columns, table):
+    """CSV bytes: a header of ``columns``, then ``table`` in 17-significant-digit floats."""
     table = np.asarray(table, dtype=float).reshape(len(table), len(columns))
     header = (",".join(columns) + "\n").encode()
-    return b"".join([header, *map(_g17_rows, _blocks(table))]).decode()
+    return b"".join([header, *map(_g17_rows, _blocks(table))])
+
+
+def csv_text(columns, table):
+    """``csv_bytes`` as text."""
+    return csv_bytes(columns, table).decode()
 
 
 def write_profile_csv(points, path):
     """Profile curve as CSV with header and 17-significant-digit floats."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(csv_text(["x", "f"], points))
+    with open(path, "wb") as fh:
+        fh.write(csv_bytes(["x", "f"], points))

@@ -187,24 +187,29 @@ class ScalingFunction:
         return _unprep(x, scalar)
 
     def inverse_at_most(self, y, x):
-        """Mask of ``f_inverse(y) <= x`` for arrays y in [0, 1] and x.
+        """Mask of ``f_inverse(y) <= x``: ``at_most_by_nodes``, then its unsure points inverted."""
+        y = np.asarray(y, dtype=float)
+        x = np.asarray(x, dtype=float)
+        out, unsure = self.at_most_by_nodes(y, x)
+        out[unsure] = self.f_inverse(y[unsure]) <= x[unsure]
+        return out
+
+    def at_most_by_nodes(self, y, x):
+        """For float arrays y in [0, 1] and x, the mask of the sure hits of
+        ``f_inverse(y) <= x`` and the indices of the points left unsure.
 
         f_inverse is monotone, so the table nodes bracketing y bound it:
         x at or above the upper node's value plus a pad is a hit and x
         below the lower node's value minus the pad a miss.  The pad,
         1e-12 m_k, is far above the non-monotone rounding noise of
-        f_inverse (about 1.2e-15 m_k over neighbouring ulp of y), so the
-        mask equals the comparison itself.  Only points within the pad
-        of their bracket are inverted.
+        f_inverse (about 1.2e-15 m_k over neighbouring ulp of y), so
+        inverting the unsure points completes the comparison exactly.
+        f_inverse works per element: unsure points may be batched.
         """
-        y = np.asarray(y, dtype=float)
-        x = np.asarray(x, dtype=float)
         i = self._y_bracket(y)
         pad = _NODE_PAD * self.m_k
         out = x >= self.x_table[i + 1] + pad
-        unsure = np.flatnonzero(~out & (x >= self.x_table[i] - pad))
-        out[unsure] = self.f_inverse(y[unsure]) <= x[unsure]
-        return out
+        return out, np.flatnonzero(~out & (x >= self.x_table[i] - pad))
 
     def _y_bracket(self, y):
         """Index i of the node bracket [y_i, y_(i+1)) holding each y in [0, 1]."""

@@ -12,12 +12,13 @@ given seed reproduces the same stream regardless of how the work is
 divided.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import to_box
+from .base import row_norm, to_box
 from .region import LeafDraws, Region, inside_mask, philox as _philox
 from .special import gamma_q
 
@@ -49,28 +50,48 @@ MAX_Z_OUTLIERS = 1
 
 
 def halton(count, dim, *, start=1):
-    """Quasi-random points in the unit cube (radical-inverse sequence).
+    """Quasi-random points in the unit cube (Halton, 1960): coordinate d of
+    index i sums its base-b digits times 1/b, 1/b^2, ..., lowest first.
+    ``start`` (at least 0) skips initial terms; the default skips the origin.
 
-    ``start`` skips initial terms; the default skips the origin.
+    The low digits' sum is read from ``_halton_low``, and each higher
+    digit's terms are formed once per distinct high part and gathered.
     """
     if dim > len(_PRIMES):
         raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
+    if start < 0:
+        raise ValueError("halton start must be nonnegative")
     idx = np.arange(start, start + count, dtype=np.int64)
     out = np.empty((count, dim))
-    digit, term = np.empty_like(idx), np.empty(count)
-    for d in range(dim):
-        b, top = _PRIMES[d], start + count - 1
-        n = idx.copy()
-        value = np.zeros(count)
-        scale = 1.0 / b
-        # One pass per base-b digit of the last index (top); a spent index adds 0.
-        while top > 0:
-            np.divmod(n, b, out=(n, digit))
-            value += np.multiply(digit, scale, out=term)
+    for d, b in enumerate(_PRIMES[:dim]):
+        low, size, scale = _halton_low(b)
+        high, low_digits = np.divmod(idx, size)
+        value = low[low_digits]
+        first, top = start // size, (start + count - 1) // size
+        n, rel = np.arange(first, top + 1), high - first
+        while top > 0:  # one pass per base-b digit of the last high part
+            n, digit = np.divmod(n, b)
+            value += (digit * scale)[rel]
             top //= b
             scale /= b
         out[:, d] = value
     return out
+
+
+@functools.cache
+def _halton_low(b):
+    """The sums of the low m base-b digits of every index below b^m, the
+    largest b^m up to 4,096, added as ``halton`` adds digits; b^m; and the
+    scale of digit m.  The running sum after m digits depends on them alone."""
+    size = b
+    while size * b <= 4096:
+        size *= b
+    n, value, scale = np.arange(size), np.zeros(size), 1.0 / b
+    while n.any():
+        n, digit = np.divmod(n, b)
+        value += digit * scale
+        scale /= b
+    return value, size, scale
 
 
 def interior_points(base, count, *, boundary_offset=0.0, start=1):
@@ -154,7 +175,7 @@ def sample_surface(h, count, seed=0, *, return_rate=False):
     f = h.warping(xb)
     gen = np.random.Generator(philox.jumped(jumps + 1))
     dirs = gen.standard_normal((count, h.k))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= row_norm(dirs)[:, None]
     pts = np.concatenate([xb, f[:, None] * dirs], axis=1)
     if return_rate:
         return pts, rate

@@ -10,10 +10,14 @@ cross-checked against the factorized area formula.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import archarray.array
+import archarray.base
+import archarray.verify
 from archarray.array import (
     SphericalArray,
     array_from_json,
@@ -27,7 +31,7 @@ from archarray.base import Ball, Ellipse, SingularRegionError, regular_polygon
 from archarray.region import Region
 from archarray.scaling import make_scaling
 from archarray.special import ball_volume, sphere_area
-from archarray.verify import interior_points
+from archarray.verify import interior_points, sample_surface
 from testutil import nth_derivative
 
 # Frozen 40-digit evaluations of the closed-form areas and volumes of
@@ -622,6 +626,61 @@ def test_enclosed_monte_carlo_hits_match_forward_form(n, k):
     value, _ = arr._enclosed_mc(samples, seed)
     assert inverse_hits == hits
     assert value == float(np.prod(hi - lo)) * (hits / samples)
+
+
+# float.hex of (value, error) of _enclosed_mc(10**6, seed): 16 chunks each;
+# k = 9 sums the fiber norm pairwise.
+ENCLOSED_MC_HEX = {
+    (4, 3, 7): ("0x1.a4b24519b49c2p+1", "0x1.2a2d8e78b7e9bp-8"),
+    (4, 2, 11): ("0x1.3c77dd872f33fp+2", "0x1.e48ca01220687p-8"),
+    (5, 3, 3): ("0x1.256b5f100308ep+1", "0x1.2cd4f964528e3p-8"),
+    (12, 9, 5): ("0x1.f0cb5b5b870fep-6", "0x1.c21661acc7e37p-11"),
+}
+
+
+@pytest.mark.parametrize("n,k,seed", sorted(ENCLOSED_MC_HEX))
+def test_enclosed_monte_carlo_bits_are_pinned(n, k, seed):
+    value, error = make_archimedean(n, k)._enclosed_mc(10 ** 6, seed)
+    assert (value.hex(), error.hex()) == ENCLOSED_MC_HEX[n, k, seed]
+
+
+def test_enclosed_monte_carlo_inverts_once_per_call(monkeypatch):
+    arr = make_archimedean(4, 3)
+    sizes = []
+    inverse = type(arr.scaling).f_inverse
+    monkeypatch.setattr(type(arr.scaling), "f_inverse",
+                        lambda self, y: sizes.append(np.size(y)) or inverse(self, y))
+    arr._enclosed_mc(300_000, 7)  # five chunks
+    assert len(sizes) == 1 and sizes[0] > 0
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_row_norm_sites_equal_the_norm_bitwise(dim, monkeypatch):
+    norm, sites = archarray.base.row_norm, set()
+
+    def checked(v):
+        got = norm(v)
+        assert got.tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+        sites.add(sys._getframe(1).f_code.co_name)
+        return got
+
+    for module in (archarray.array, archarray.base, archarray.verify):
+        monkeypatch.setattr(module, "row_norm", checked)
+    rng = np.random.default_rng(dim)
+    checked(rng.standard_normal((5000, dim)) * 10.0 ** rng.integers(-3, 4, (5000, dim)))
+    ball = Ball(np.full(dim, 0.25), 2.0)
+    pts = 0.25 + ball_points(rng, dim, 2.0, 2000)
+    pts = pts[np.abs(pts - 0.25).max(axis=1) > 0.1]  # clear of the singular band
+    d = pts - 0.25
+    want_grad = -d / np.linalg.norm(d, axis=1, keepdims=True)
+    assert ball.omega_gradient(pts).tobytes() == want_grad.tobytes()
+    want = {"test_row_norm_sites_equal_the_norm_bitwise", "_gradient"}
+    if dim >= 2:
+        arr = make_archimedean(dim + 1, dim)
+        arr.boundary_form_eval(sample_surface(arr, 2000, seed=dim))
+        arr._enclosed_mc(20_000, dim)
+        want |= {"boundary_form_eval", "sample_surface", "_enclosed_mc"}
+    assert sites == want
 
 
 def test_cylinder_enclosed_volume_exact():

@@ -40,6 +40,9 @@ CLI_DIGESTS = {
         "2700314b0af22a65858bc4c4e0021f657fbba5a413467ecf5e108e3188353c09",
     ("sample", "--n", "4", "--k", "3", "--count", "200", "--seed", "5"):
         "7526a296cf1bf0aa4a99f5eda42af86c7137645bd20472ab1902648dfe5567e2",
+    # Three 4,096-row blocks of the CSV kernel, written as bytes.
+    ("sample", "--n", "4", "--k", "2", "--count", "9000", "--seed", "11"):
+        "8b12418051160ca3cda0c7c401e0e47d7ea408d0c5570ce17b5ad91eae3a1773",
     ("scaling", "--k", "3", "--samples", "33"):
         "489e2b31eb96e8ed03760988312437ac78d371f536938ae31b838445d0dbe7cb",
     ("volume", "--n", "4", "--k", "3", "--enclosed", "--samples", "200000", "--seed", "7"):

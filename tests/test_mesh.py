@@ -457,5 +457,6 @@ def test_profile_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,f"
     assert len(lines) == 18
+    assert path.read_bytes() == csv_text(["x", "f"], pts).encode()
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back, pts)  # 17 significant digits round-trip

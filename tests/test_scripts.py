@@ -67,9 +67,28 @@ def test_bench_layers_of_a_checkout():
     assert {"mesh.csv_text.25000x4", "mesh.signed_volume.revolve128",
             "mesh.closed_check.revolve128", "mesh.write_obj.revolve128",
             "mesh.write_obj.graph64", "verify.halton.35000x2",
-            "cli.run.scaling_k2"} <= set(doc["layers"])
+            "verify.halton.35000x2.start654321", "array.app_residual.25000",
+            "verify.sample_surface.25000_k3", "cli.run.scaling_k2",
+            "cli.run.sample25000"} <= set(doc["layers"])
     assert doc["src_lines"] > 1000
     assert sorted(doc["newton_evals_per_point"]) == ["2", "3", "6"]
+
+
+def test_bench_layer_processes_pin_blas_threads(monkeypatch):
+    import subprocess
+
+    bench = _load("bench")
+    envs = []
+
+    def run(cmd, **kwargs):
+        envs.append(kwargs.get("env"))
+        return subprocess.CompletedProcess(cmd, 0, stdout='{"layers": {}}\n')
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    assert bench._layers_subprocess(str(SCRIPTS.parent), 1, [1]) == {"layers": {}}
+    assert len(envs) == 1 and envs[0] is not None
+    assert all(envs[0][name] == "1" for name in
+               ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
 
 
 def test_bench_layer_rows_summarize_the_alternating_runs():

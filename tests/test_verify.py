@@ -78,6 +78,45 @@ def test_halton_rejects_high_dimension():
         halton(10, 9)
 
 
+def _halton_digit_loop(count, dim, start):
+    """The radical inverses one base-b digit per pass, as ``halton`` once
+    computed them: the reference its table of low-digit sums must equal."""
+    idx = np.arange(start, start + count, dtype=np.int64)
+    out = np.empty((count, dim))
+    digit, term = np.empty_like(idx), np.empty(count)
+    for d, b in enumerate((2, 3, 5, 7, 11, 13, 17, 19)[:dim]):
+        top, n, value, scale = start + count - 1, idx.copy(), np.zeros(count), 1.0 / b
+        while top > 0:
+            np.divmod(n, b, out=(n, digit))
+            value += np.multiply(digit, scale, out=term)
+            top //= b
+            scale /= b
+        out[:, d] = value
+    return out
+
+
+# b^m, the largest power of each base up to 4,096: the size of its table.
+_HALTON_TABLE_SIZES = (4096, 2187, 3125, 2401, 1331, 2197, 289, 361)
+_HALTON_STARTS = sorted({0, 1, 999_983, 2 ** 40, 3 ** 25}.union(
+    *({s - 1, s, s + 1} for s in _HALTON_TABLE_SIZES)))
+
+
+@pytest.mark.parametrize("start", _HALTON_STARTS)
+def test_halton_equals_the_digit_loop_bitwise(start):
+    for dim in range(1, 9):
+        for count in (1, 3000):
+            want = _halton_digit_loop(count, dim, start)
+            assert halton(count, dim, start=start).tobytes() == want.tobytes()
+
+
+def test_halton_rejects_a_negative_start():
+    for count, dim, start in ((8, 1, -3), (3, 2, -2), (1, 1, -1)):
+        with pytest.raises(ValueError, match="start"):
+            halton(count, dim, start=start)
+    with pytest.raises(ValueError, match="start"):
+        interior_points(unit_disk(), 10, start=-5)
+
+
 def test_halton_box_counts_balance():
     pts = halton(4096, 2)
     frac = np.mean(np.all(pts < 0.5, axis=1))
