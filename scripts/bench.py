@@ -27,7 +27,6 @@ at an older checkout that has no ``scripts/bench.py``.  For
 
 import argparse
 import hashlib
-import inspect
 import json
 import os
 import pathlib
@@ -80,7 +79,6 @@ def layers(root, reps, seeds):
     import archarray
     import archarray.cli  # noqa: F401  (workloads call the CLI)
     import workloads
-    from archarray.quadrature import DEFAULT_SPEC
     from archarray.scaling import ScalingFunction, make_scaling
     from archarray.special import betainc_reg
     from archarray.verify import _base_uniform, _expected_fractions, _philox
@@ -97,10 +95,8 @@ def layers(root, reps, seeds):
         return [archarray.Region.ball(c, s) if shape == "ball"
                 else archarray.Region.box(c - s, c + s) for shape, c, s in windows]
 
-    # Older checkouts take the quadrature spec as an argument.
-    spec = (DEFAULT_SPEC,) if "spec" in inspect.signature(_expected_fractions).parameters else ()
     cached = regions()
-    _expected_fractions(h, cached, *spec)
+    _expected_fractions(h, cached)
     # The profile layer on 65,536 points (k = 3) and the enclosed-volume
     # Monte Carlo, whose hit test reads the profile's node table.
     prof = make_scaling(3)
@@ -154,7 +150,7 @@ def layers(root, reps, seeds):
         "region.contains.box.200k": lambda: box.contains(pts),
         "region.contains.ball.200k": lambda: ball.contains(pts),
         "verify.base_uniform.200k": lambda: _base_uniform(h.base, 200_000, _philox(5, 0x5A11))[0],
-        "stat.first_gate_volumes.20": lambda: _expected_fractions(h, regions(), *spec),
+        "stat.first_gate_volumes.20": lambda: _expected_fractions(h, regions()),
         "stat.cached_gate.200k": lambda: (lambda r: (r.chi2, r.p_value))(
             archarray.app_statistical_test(h, cached, 200_000, seed=5)),
         "region.patch_volume.depth8": lambda: h.patch_volume(

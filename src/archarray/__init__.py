@@ -37,7 +37,7 @@ from .mesh import (
     write_obj,
     write_profile_csv,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec, integrate
+from .quadrature import QuadratureError, integrate
 from .region import ClippedIntegral, Region, clipped_quadrature
 from .scaling import ScalingFunction, make_scaling, mk_closed_form, mk_quadrature
 from .special import ball_volume, betainc_reg, gamma, gamma_ln, incomplete_beta, sphere_area
@@ -57,12 +57,10 @@ __all__ = [
     "BaseDomain",
     "ClippedIntegral",
     "ConvexPolygon",
-    "DEFAULT_SPEC",
     "Ellipse",
     "EnclosedVolume",
     "Mesh",
     "QuadratureError",
-    "QuadratureSpec",
     "Region",
     "ScalingFunction",
     "SingularRegionError",

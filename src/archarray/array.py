@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import Ball, BaseDomain, _points, base_from_description, row_norm, to_box
-from .quadrature import DEFAULT_SPEC, integrate
+from .quadrature import REL_TOL, integrate
 from .region import CELL_DEPTH, Region, clipped_quadrature, philox
 from .scaling import make_scaling
 from .special import ball_volume, gamma, sphere_area
@@ -318,7 +318,7 @@ class SphericalArray:
                 shell = sphere_area(d - 1, 1.0)
                 value = integrate(lambda rho: shell * rho ** (d - 1) * profile(rad - rho),
                                   0.0, rad)
-            return value, abs(value) * DEFAULT_SPEC.rel_tol
+            return value, abs(value) * REL_TOL
         blo, bhi = self.base.bounding_box()
         result = clipped_quadrature(self.base, Region.box(blo - 1.0, bhi + 1.0), density,
                                     depth=depth, seed=seed)

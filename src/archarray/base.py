@@ -36,8 +36,8 @@ __all__ = [
     "polygon_from_csv",
 ]
 
-# Default exclusion half-width around the singular set, as a fraction of
-# the inradius.
+# Exclusion half-width around the singular set, as a fraction of the
+# inradius.
 SINGULAR_BAND_FRACTION = 1e-3
 
 
@@ -127,12 +127,8 @@ class BaseDomain:
 
     dim = None
 
-    def __init__(self, singular_band=None):
-        if singular_band is None:
-            singular_band = SINGULAR_BAND_FRACTION * self.inradius()
-        if singular_band < 0.0:
-            raise ValueError("singular_band must be nonnegative")
-        self.singular_band = float(singular_band)
+    def __init__(self):
+        self.singular_band = float(SINGULAR_BAND_FRACTION * self.inradius())
 
     # Subclasses implement: _signed, _gradient, _singular_distance,
     # volume, inradius, bounding_box, describe.  They may override
@@ -205,7 +201,7 @@ class BaseDomain:
 class Ball(BaseDomain):
     """Solid ball of any dimension >= 1."""
 
-    def __init__(self, center, radius, singular_band=None):
+    def __init__(self, center, radius):
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.ndim != 1 or center.size < 1:
             raise ValueError("center must be a vector")
@@ -214,7 +210,7 @@ class Ball(BaseDomain):
         self.center = center
         self.radius = float(radius)
         self.dim = center.size
-        super().__init__(singular_band)
+        super().__init__()
 
     def _rho(self, pts):
         return np.sqrt(squared_distance(pts, self.center))
@@ -277,7 +273,7 @@ class Ellipse(BaseDomain):
 
     _NEWTON_CAP = 80
 
-    def __init__(self, center, semi_axes, singular_band=None):
+    def __init__(self, center, semi_axes):
         center = np.asarray(center, dtype=float)
         semi_axes = np.asarray(semi_axes, dtype=float)
         if center.shape != (2,) or semi_axes.shape != (2,):
@@ -287,7 +283,7 @@ class Ellipse(BaseDomain):
         self.center = center
         self.semi_axes = semi_axes
         self.dim = 2
-        super().__init__(singular_band)
+        super().__init__()
 
     def _nearest_boundary(self, pts):
         """Nearest boundary point for each query point.
@@ -437,7 +433,7 @@ class ConvexPolygon(BaseDomain):
     unless events coincide.
     """
 
-    def __init__(self, vertices, singular_band=None):
+    def __init__(self, vertices):
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise ValueError("vertices must be an (n, 2) array with n >= 3")
@@ -465,7 +461,7 @@ class ConvexPolygon(BaseDomain):
             self._normals, self._offsets, verts, scale
         )
         self.dim = 2
-        super().__init__(singular_band)
+        super().__init__()
 
     def _edge_margins(self, pts):
         return pts @ self._normals.T - self._offsets[None, :]

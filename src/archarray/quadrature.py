@@ -9,11 +9,17 @@ itself is never evaluated.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureSpec", "QuadratureError", "DEFAULT_SPEC", "integrate"]
+__all__ = ["QuadratureError", "integrate"]
+
+# The tolerance is max(ABS_TOL, REL_TOL * |value|); a panel is bisected at
+# most MAX_DEPTH times, and at most MAX_INTERVALS bisections are made.
+REL_TOL = 1e-12
+ABS_TOL = 1e-14
+MAX_DEPTH = 60
+MAX_INTERVALS = 50000
 
 # 15-point Kronrod nodes on [-1, 1] and their weights; the embedded
 # 7-point Gauss rule uses the odd-index nodes.
@@ -36,27 +42,6 @@ _WG = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and limits for the adaptive integrator."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_depth: int = 60
-    max_intervals: int = 50000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("quadrature tolerances must be strictly positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        if self.max_intervals < 2:
-            raise ValueError("max_intervals must be at least 2")
-
-
-DEFAULT_SPEC = QuadratureSpec()
 
 
 class QuadratureError(RuntimeError):
@@ -96,34 +81,32 @@ def _gk15(f, a, b):
     return kron, abs(kron - gauss)
 
 
-def _adapt(f, a, b, tol, depth, spec, budget):
+def _adapt(f, a, b, tol, depth, budget):
     value, err = _gk15(f, a, b)
-    if err <= tol or depth >= spec.max_depth or budget[0] <= 0:
+    if err <= tol or depth >= MAX_DEPTH or budget[0] <= 0:
         return value, err
     budget[0] -= 1
     mid = 0.5 * (a + b)
-    v1, e1 = _adapt(f, a, mid, 0.5 * tol, depth + 1, spec, budget)
-    v2, e2 = _adapt(f, mid, b, 0.5 * tol, depth + 1, spec, budget)
+    v1, e1 = _adapt(f, a, mid, 0.5 * tol, depth + 1, budget)
+    v2, e2 = _adapt(f, mid, b, 0.5 * tol, depth + 1, budget)
     return v1 + v2, e1 + e2
 
 
-def _integrate_plain(f, a, b, spec):
+def _integrate_plain(f, a, b):
     first, _ = _gk15(f, a, b)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(first))
-    value, err = _adapt(f, a, b, tol, 0, spec, [spec.max_intervals])
-    return value, err
+    tol = max(ABS_TOL, REL_TOL * abs(first))
+    return _adapt(f, a, b, tol, 0, [MAX_INTERVALS])
 
 
-def integrate(f, a, b, spec=DEFAULT_SPEC, *, singular_left=False,
-              singular_right=False):
-    """Integrate ``f`` over [a, b] to the tolerances in ``spec``.
+def integrate(f, a, b, *, singular_left=False, singular_right=False):
+    """Integrate ``f`` over [a, b] to the module tolerances.
 
     The integrand should accept an ndarray of abscissae and return the
     matching ndarray of values (scalar-only callables are handled at a
     cost).  ``singular_left``/``singular_right`` declare an integrable
     inverse-square-root blowup at the corresponding endpoint.
 
-    The tolerance is max(abs_tol, rel_tol * |value|).  An error estimate
+    The tolerance is max(ABS_TOL, REL_TOL * |value|).  An error estimate
     above it but within ten times it is accepted with a ``RuntimeWarning``;
     a larger one raises ``QuadratureError``.
     """
@@ -134,27 +117,27 @@ def integrate(f, a, b, spec=DEFAULT_SPEC, *, singular_left=False,
     if a == b:
         return 0.0
     if b < a:
-        return -integrate(f, b, a, spec, singular_left=singular_right,
+        return -integrate(f, b, a, singular_left=singular_right,
                           singular_right=singular_left)
 
     if singular_left and singular_right:
         mid = 0.5 * (a + b)
         return (
-            integrate(f, a, mid, spec, singular_left=True)
-            + integrate(f, mid, b, spec, singular_right=True)
+            integrate(f, a, mid, singular_left=True)
+            + integrate(f, mid, b, singular_right=True)
         )
     if singular_left:
         width = np.sqrt(b - a)
         g = lambda s: 2.0 * s * _eval(f, a + s * s)
-        value, err = _integrate_plain(g, 0.0, width, spec)
+        value, err = _integrate_plain(g, 0.0, width)
     elif singular_right:
         width = np.sqrt(b - a)
         g = lambda s: 2.0 * s * _eval(f, b - s * s)
-        value, err = _integrate_plain(g, 0.0, width, spec)
+        value, err = _integrate_plain(g, 0.0, width)
     else:
-        value, err = _integrate_plain(f, a, b, spec)
+        value, err = _integrate_plain(f, a, b)
 
-    tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+    tol = max(ABS_TOL, REL_TOL * abs(value))
     if err > 10.0 * tol:
         raise QuadratureError(
             f"quadrature did not converge: estimate {value!r} with error "

@@ -36,6 +36,7 @@ its value does not depend on its batch.  One evaluation serves both g
 and g', which is derived from y through the profile relation.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -60,7 +61,7 @@ _SERIES_TAIL_TOL = 1e-12
 _MAX_SERIES_TERMS = 32
 _MIN_SERIES_TERMS = 4
 _NEWTON_CAP = 100
-# Margin, in units of m_k, by which inverse_at_most widens a node bracket.
+# Margin, in units of m_k, by which at_most_by_nodes widens a node bracket.
 _NODE_PAD = 1e-12
 # Relative rounding of a float64: half an ulp of 1.
 _EPS = 2.0 ** -53
@@ -141,17 +142,9 @@ def _next_coefficient(c, k):
     if not (math.isfinite(r0) and math.isfinite(r1)) or r1 == r0:
         raise ValueError(
             f"series coefficient recursion lost precision at order {2 * j} "
-            f"for k={k}; request fewer taylor_terms"
+            f"for k={k}; narrow GUARD_FRACTION"
         )
     return -r0 / (r1 - r0)
-
-
-def _series_coefficients(k, terms):
-    """Coefficients c_j = g^(2j)(M_k)/(2j)! for j = 0..terms."""
-    c = [1.0]
-    for _ in range(terms):
-        c.append(_next_coefficient(c, k))
-    return np.array(c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +162,6 @@ class ScalingFunction:
     taylor: np.ndarray = field(repr=False)
     series_radius_guard: float
 
-    @property
-    def inverse_table(self):
-        """The (y, x) nodes of the interpolant, shape (N, 2)."""
-        return np.column_stack([self.y_table, self.x_table])
-
     # -- inverse profile ------------------------------------------------
 
     def f_inverse(self, y):
@@ -185,14 +173,6 @@ class ScalingFunction:
         x = self.m_k * betainc_reg(_beta_p(self.k), 0.5, y_arr ** (2 * self.k - 2))
         x = np.where(y_arr >= 1.0, self.m_k, x)
         return _unprep(x, scalar)
-
-    def inverse_at_most(self, y, x):
-        """Mask of ``f_inverse(y) <= x``: ``at_most_by_nodes``, then its unsure points inverted."""
-        y = np.asarray(y, dtype=float)
-        x = np.asarray(x, dtype=float)
-        out, unsure = self.at_most_by_nodes(y, x)
-        out[unsure] = self.f_inverse(y[unsure]) <= x[unsure]
-        return out
 
     def at_most_by_nodes(self, y, x):
         """For float arrays y in [0, 1] and x, the mask of the sure hits of
@@ -348,8 +328,8 @@ class ScalingFunction:
         """Coefficients g^(2j)(m_k)/(2j)! for 2j <= order, as a list.
 
         Orders beyond the constructed expansion raise rather than
-        extrapolate; rebuild with ``make_scaling(k, taylor_terms=...)``
-        if deeper coefficients are needed.
+        extrapolate.  The expansion ends where its first omitted term is
+        below ``_SERIES_TAIL_TOL`` at the guard radius.
         """
         if order % 2 != 0 or order < 0:
             raise ValueError("order must be a nonnegative even integer")
@@ -360,12 +340,6 @@ class ScalingFunction:
                 f"(max {2 * (len(self.taylor) - 1)})"
             )
         return [float(c) for c in self.taylor[: terms + 1]]
-
-    def defining_residual(self, x):
-        """Residual y^(2k-2) + y^(2k-4) (y y')^2 - 1 of the profile relation."""
-        y, yp = self._f_pair(x)
-        e = 2 * self.k - 2
-        return y ** e + y ** (e - 2) * (y * yp) ** 2 - 1.0
 
 
 def _prep(x):
@@ -446,25 +420,23 @@ def _quintic_table(k, m_k, x, y):
     return coef, bound <= _EPS * np.minimum(y[:-1], m_k * d1[1:])
 
 
-_CACHE = {}
+def make_scaling(k):
+    """The scaling profile for codimension k, built once per k.
 
-
-def make_scaling(k, *, table_size=TABLE_SIZE, guard_fraction=GUARD_FRACTION,
-                 taylor_terms=None):
-    """Build the scaling profile for codimension k.
-
-    The builder computes M_k both by adaptive quadrature of the defining
-    integral and from the Gamma-function closed form, and refuses to
-    construct if they disagree beyond 1e-8 relative.  It also
+    The node table has ``TABLE_SIZE`` Chebyshev nodes in y and the series
+    guard is ``GUARD_FRACTION`` of M_k; both are read when a k is first
+    built.  The builder computes M_k both by adaptive quadrature of the
+    defining integral and from the Gamma-function closed form, and
+    refuses to construct if they disagree beyond 1e-8 relative.  It also
     cross-checks the incomplete-beta inversion route against direct
     quadrature on a y-grid that includes the singular endpoint y = 1.
     """
     _check_k(k)
-    key = (int(k), table_size, guard_fraction, taylor_terms)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _build(int(k))
 
+
+@functools.cache
+def _build(k):
     m_closed = mk_closed_form(k)
     m_quad = mk_quadrature(k)
     if abs(m_quad - m_closed) > 1e-8 * m_closed:
@@ -473,33 +445,25 @@ def make_scaling(k, *, table_size=TABLE_SIZE, guard_fraction=GUARD_FRACTION,
             f"closed form {m_closed!r}"
         )
     m_k = m_closed
-    guard = guard_fraction * m_k
+    guard = GUARD_FRACTION * m_k
 
-    if taylor_terms is None:
-        # Grow the expansion until the first omitted term is negligible
-        # at the guard radius.
-        c = [1.0]
-        while True:
-            nxt = _next_coefficient(c, k)
-            if (len(c) > _MIN_SERIES_TERMS
-                    and abs(nxt) * guard ** (2 * len(c)) < _SERIES_TAIL_TOL):
-                break
-            c.append(nxt)
-            if len(c) > _MAX_SERIES_TERMS:
-                raise ValueError(
-                    f"series guard {guard!r} too wide for a "
-                    f"{_MAX_SERIES_TERMS}-term expansion; reduce guard_fraction"
-                )
-        coef = np.array(c)
-    else:
-        if taylor_terms < 1 or taylor_terms > _MAX_SERIES_TERMS:
-            raise ValueError("taylor_terms out of range")
-        coef = _series_coefficients(k, taylor_terms)
+    # Grow the expansion until the first omitted term is negligible at
+    # the guard radius.
+    c = [1.0]
+    while True:
+        nxt = _next_coefficient(c, k)
+        if (len(c) > _MIN_SERIES_TERMS
+                and abs(nxt) * guard ** (2 * len(c)) < _SERIES_TAIL_TOL):
+            break
+        c.append(nxt)
+        if len(c) > _MAX_SERIES_TERMS:
+            raise ValueError(
+                f"series guard {guard!r} too wide for a "
+                f"{_MAX_SERIES_TERMS}-term expansion; reduce GUARD_FRACTION"
+            )
 
-    if table_size < 8:
-        raise ValueError("table_size too small")
-    i = np.arange(table_size)
-    y_nodes = 0.5 * (1.0 - np.cos(np.pi * i / (table_size - 1)))
+    i = np.arange(TABLE_SIZE)
+    y_nodes = 0.5 * (1.0 - np.cos(np.pi * i / (TABLE_SIZE - 1)))
     y_nodes[0] = 0.0
     y_nodes[-1] = 1.0
     x_nodes = m_k * betainc_reg(_beta_p(k), 0.5, y_nodes ** (2 * k - 2))
@@ -510,7 +474,7 @@ def make_scaling(k, *, table_size=TABLE_SIZE, guard_fraction=GUARD_FRACTION,
     hermite, trusted = _quintic_table(k, m_k, x_nodes, y_nodes)
 
     s = ScalingFunction(
-        k=int(k),
+        k=k,
         m_k=m_k,
         y_table=y_nodes,
         x_table=x_nodes,
@@ -518,7 +482,7 @@ def make_scaling(k, *, table_size=TABLE_SIZE, guard_fraction=GUARD_FRACTION,
         trusted=trusted,
         x_guide=_guide_table(x_nodes),
         y_guide=_guide_table(y_nodes),
-        taylor=coef,
+        taylor=np.array(c),
         series_radius_guard=guard,
     )
 
@@ -536,7 +500,4 @@ def make_scaling(k, *, table_size=TABLE_SIZE, guard_fraction=GUARD_FRACTION,
                 f"inversion routes disagree for k={k} at y={y}: "
                 f"quadrature {direct!r} vs beta {s.f_inverse(y)!r}"
             )
-
-    if key[1:] == (TABLE_SIZE, GUARD_FRACTION, None):
-        _CACHE[key] = s
     return s

@@ -105,6 +105,8 @@ def interior_points(base, count, *, boundary_offset=0.0, start=1):
     expected keep rate, plus a margin: the base's share of its box at
     first, the observed rate once a point is kept.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
     lo, hi = base.bounding_box()
     rate = base.volume() / float(np.prod(hi - lo))
     picked = []

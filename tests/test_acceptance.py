@@ -185,7 +185,7 @@ def test_criterion_07_enclosed_volumes_deterministic_and_mc():
             f"{worst_z:.2f} standard errors at 10^6 samples")
 
 
-def test_criterion_08_boundary_series_against_finite_differences():
+def test_criterion_08_boundary_series_against_finite_differences(build_scaling):
     # Independent probe: force direct (non-series) evaluation with a
     # tiny guard, substitute u = (m_k - x)^2 so the profile is analytic
     # in u, and Richardson-differentiate at u = 0.
@@ -194,7 +194,7 @@ def test_criterion_08_boundary_series_against_finite_differences():
     for k in range(2, 7):
         s = _scaling(k)
         coefs = s.taylor_at_mk(6)
-        probe = make_scaling(k, guard_fraction=1e-9, taylor_terms=4)
+        probe = build_scaling(k, GUARD_FRACTION=1e-9)
 
         def even_profile(u):
             return probe.f(probe.m_k - math.sqrt(max(u, 0.0)))

@@ -785,6 +785,20 @@ def test_json_round_trip_cylinder_polygon_base():
     assert back.warping([0.1, 0.1]) == 0.8
 
 
+@pytest.mark.parametrize("base", [
+    Ball([0.1, -0.2], 0.7),
+    Ellipse([0.1, -0.2], [0.9, 0.5]),
+    regular_polygon(5, inradius=0.7),
+], ids=["ball", "ellipse", "pentagon"])
+def test_json_round_trip_keeps_interior_points(base):
+    # interior_points reads the base's singular band, which the JSON
+    # document does not hold: the reloaded base must derive the same one.
+    arr = make_cylinder(2, base, r_scale=0.5)
+    back = array_from_json(arr.to_json())
+    assert back.base.singular_band == base.singular_band
+    assert np.array_equal(interior_points(back.base, 2000), interior_points(base, 2000))
+
+
 def test_json_document_fields():
     doc = json.loads(make_archimedean(3, 2).to_json())
     assert doc["schema"] == 1

@@ -12,6 +12,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from archarray import base as base_module
 from archarray.base import (
     Ball,
     BaseDomain,
@@ -96,8 +97,6 @@ def test_ball_boundary_radius():
 def test_ball_validation():
     with pytest.raises(ValueError):
         Ball([0.0, 0.0], -1.0)
-    with pytest.raises(ValueError):
-        Ball([0.0, 0.0], 1.0, singular_band=-0.1)
 
 
 # square / rectangle hand values --------------------------------------------
@@ -499,11 +498,12 @@ def test_ellipse_distance_on_and_next_to_the_long_axis(name):
     assert _max_error(e.signed_distance(pts), sd) <= 4.4e-16
 
 
-def test_ellipse_gradient_at_the_end_of_the_medial_segment():
+def test_ellipse_gradient_at_the_end_of_the_medial_segment(monkeypatch):
     # 1 - 0.75^2 = 0.4375 is exact in floats, so (0.4375, y) is at the end
     # of the medial segment exactly (unlike 0.64 above, which ends 2.7e-17
     # further out in exact arithmetic); there the root u is cube-root small.
-    e = Ellipse([0.0, 0.0], [1.0, 0.75], singular_band=0.0)
+    monkeypatch.setattr(base_module, "SINGULAR_BAND_FRACTION", 0.0)
+    e = Ellipse([0.0, 0.0], [1.0, 0.75])
     pts = np.array([(x, sy * y) for x in (0.4375, 0.9)
                     for y in (5e-324, 1e-300, 1e-200, 1e-60, 1e-16)
                     for sy in (1.0, -1.0)])

@@ -325,6 +325,14 @@ def test_sample_rejects_zero_count(capsys):
     assert "count must be at least 1" in err
 
 
+def test_verify_residual_rejects_a_negative_sample_count(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--n", "3", "--k", "2", "--mode", "residual",
+                                      "--samples", "-5"])
+    assert code == 2
+    assert out == ""
+    assert "count must be at least 1" in err
+
+
 def test_sample_deterministic_by_seed(capsys):
     args = ["sample", "--n", "4", "--k", "2", "--count", "20"]
     _, out1, _ = run_cli(capsys, args + ["--seed", "9"])

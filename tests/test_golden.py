@@ -13,6 +13,7 @@ shared leaf draws of the cell walk and the base-uniform sampler to
 their results bit for bit.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -164,6 +165,26 @@ SAMPLE_DIGESTS = {
 RANDOM_REGIONS_DIGEST = "af89e0b3a38948739728b1df7a1ba23221a26f63b4333598a7f48dcec018d6ad"
 
 
+# sha256 over the name, dtype, shape and bytes of every array field of
+# make_scaling(k), in field order, and float.hex of its series guard.
+PROFILE_TABLES = {
+    2: ("f1f41313587e880a3a4e33e52d91a4b5f57e8c45fa8ec79f0d80faca42d69986",
+        "0x1.0000000000001p-2"),
+    3: ("70ee8839ae1f86ebb263311f7da31ed4d054e978129a7bfd28d820e56eee4c8b",
+        "0x1.32b95184360cep-3"),
+    4: ("9de962feeabe04ca69fc3e07927f9ca52428e007f2dd2df0c5c90403b92f80b2",
+        "0x1.b9888a980a655p-4"),
+    5: ("eb8ca999a45788c3e3750fab576be7a4e5f9edde3da0afcf1b52c14ca82bce9e",
+        "0x1.5996942185cb4p-4"),
+    6: ("b343f4808dd73aa2d3214cff6a972af84c5101435bd67fcafef311ff554f8cc5",
+        "0x1.1c1be73108040p-4"),
+    7: ("6730f9d1933fa9a4a16a5736c5cdcccca50c2595ade8fe589f5d9b315cd242d5",
+        "0x1.e28ffc7e4cd35p-5"),
+    8: ("a664d574f547fb2b47a4e03f2df3abea9b1f63ecd3864ce96b7a386cd930c07f",
+        "0x1.a36bc693b536ep-5"),
+}
+
+
 def _pentagon_archimedean():
     return SphericalArray(4, 2, regular_polygon(5, inradius=0.7), make_scaling(2),
                           1.0, "archimedean")
@@ -196,6 +217,18 @@ def test_cli_export_bytes(argv, tmp_path, capsys):
         capsys.readouterr()
         assert run(list(argv)) == 0
         assert _sha256(capsys.readouterr().out.encode()) == CLI_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("k", sorted(PROFILE_TABLES))
+def test_profile_table_bits(k):
+    s = make_scaling(k)
+    h = hashlib.sha256()
+    for f in dataclasses.fields(s):
+        a = getattr(s, f.name)
+        if isinstance(a, np.ndarray):
+            h.update(f"{f.name} {a.dtype.str} {a.shape}".encode())
+            h.update(a.tobytes())
+    assert (h.hexdigest(), s.series_radius_guard.hex()) == PROFILE_TABLES[k]
 
 
 @pytest.mark.parametrize("name", sorted(SLICE_CASES))

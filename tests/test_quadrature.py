@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from archarray.quadrature import (
-    DEFAULT_SPEC,
-    QuadratureError,
-    QuadratureSpec,
-    integrate,
-)
+from archarray import quadrature
+from archarray.quadrature import QuadratureError, integrate
 
 
 def test_polynomial_exact():
@@ -93,16 +89,19 @@ def test_unflagged_singularity_fails_to_converge():
         integrate(lambda x: 1.0 / np.sqrt(x * (1.0 - x)), 0.0, 1.0)
 
 
-def test_result_over_tolerance_is_accepted_with_a_warning():
+def test_result_over_tolerance_is_accepted_with_a_warning(monkeypatch):
     # The kink of sqrt at 0 needs more than 18 intervals for the default
     # tolerance; at 18 the error estimate is about 2.8x the tolerance.
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 18)
     with pytest.warns(RuntimeWarning, match="above the tolerance"):
-        value = integrate(np.sqrt, 0.0, 1.0, QuadratureSpec(max_intervals=18))
+        value = integrate(np.sqrt, 0.0, 1.0)
     assert value == pytest.approx(2.0 / 3.0, rel=1e-12)
     # Beyond ten times the tolerance it still raises, without a warning.
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 8)
     with pytest.raises(QuadratureError):
-        integrate(np.sqrt, 0.0, 1.0, QuadratureSpec(max_intervals=8))
+        integrate(np.sqrt, 0.0, 1.0)
     # With room to converge it is silent (tier-1 turns warnings into errors).
+    monkeypatch.undo()
     assert integrate(np.sqrt, 0.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
@@ -121,29 +120,21 @@ def test_nonfinite_limits_rejected():
         integrate(np.exp, math.nan, 1.0)
 
 
-def test_failure_carries_partial_result():
+def test_failure_carries_partial_result(monkeypatch):
     # A needle far too sharp for the depth budget: the error should be
     # reported via QuadratureError together with the best value.
-    spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_depth=2)
+    for name, value in (("REL_TOL", 1e-15), ("ABS_TOL", 1e-300), ("MAX_DEPTH", 2)):
+        monkeypatch.setattr(quadrature, name, value)
     needle = lambda x: 1.0 / (1e-8 + (x - 0.37) ** 2)
     with pytest.raises(QuadratureError) as err:
-        integrate(needle, 0.0, 1.0, spec)
+        integrate(needle, 0.0, 1.0)
     assert math.isfinite(err.value.value)
     assert err.value.error_estimate > 0.0
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_depth=0)
-
-
 def test_spec_defaults_are_tight():
-    assert DEFAULT_SPEC.rel_tol <= 1e-10
-    assert DEFAULT_SPEC.max_depth >= 30
+    assert quadrature.REL_TOL <= 1e-10
+    assert quadrature.MAX_DEPTH >= 30
 
 
 @given(

@@ -167,18 +167,15 @@ def test_defining_relation_residual(k):
     s = make_scaling(k)
     # Avoid x = 0 where g' diverges; the relation still holds in the
     # limit but the evaluation does not.
+    # Outside the series guard g' is derived from g through the relation,
+    # so the residual there only checks that derivation; inside it g and
+    # g' both come from the series, and the residual checks the series.
     xs = np.linspace(1e-6 * s.m_k, s.m_k, 1000)
-    res = s.defining_residual(xs)
+    assert np.sum(s.m_k - xs <= s.series_radius_guard) > 200
+    y, yp = s.f(xs), s.f_prime(xs)
+    e = 2 * k - 2
+    res = y ** e + y ** (e - 2) * (y * yp) ** 2 - 1.0
     assert np.max(np.abs(res)) < 1e-8
-
-
-def test_residual_definition_consistent():
-    s = make_scaling(3)
-    xs = np.linspace(0.01, s.m_k, 50)
-    y = s.f(xs)
-    yp = s.f_prime(xs)
-    manual = y**4 * (1.0 + yp**2) - 1.0
-    assert np.max(np.abs(s.defining_residual(xs) - manual)) < 1e-12
 
 
 # derivative -----------------------------------------------------------------
@@ -258,11 +255,11 @@ def test_taylor_leading_terms():
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_taylor_matches_numerical_derivatives(k):
+def test_taylor_matches_numerical_derivatives(k, build_scaling):
     # Independent oracle: force root-path evaluation with a zero-width
     # guard, substitute u = (m_k - x)^2 so the profile becomes analytic
     # in u, and Richardson-differentiate.  c_j = F^(j)(0)/j!.
-    probe = make_scaling(k, guard_fraction=1e-9, taylor_terms=4)
+    probe = build_scaling(k, GUARD_FRACTION=1e-9)
     s = make_scaling(k)
     coefs = s.taylor_at_mk(6)
 
@@ -277,12 +274,12 @@ def test_taylor_matches_numerical_derivatives(k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
-def test_odd_derivatives_vanish_at_mk(k):
+def test_odd_derivatives_vanish_at_mk(k, build_scaling):
     # First derivative straight from one-sided differences on the
     # root-path probe; higher odd components through the reconstruction
     # residual |f(m_k - t) - even series|/t^3, which any t^3 (or t^5,
     # ...) admixture would inflate.
-    probe = make_scaling(k, guard_fraction=1e-9, taylor_terms=4)
+    probe = build_scaling(k, GUARD_FRACTION=1e-9)
     s = make_scaling(k)
     d1 = nth_derivative(
         lambda x: probe.f(x), probe.m_k, 1, h=0.03 * probe.m_k, side=-1
@@ -313,22 +310,24 @@ def test_taylor_at_mk_validation():
 
 def test_make_scaling_caches():
     assert make_scaling(3) is make_scaling(3)
+    assert make_scaling(np.int64(3)) is make_scaling(3)
+    assert type(make_scaling(np.int64(3)).k) is int
 
 
-def test_make_scaling_custom_table():
-    s = make_scaling(3, table_size=256)
+def test_make_scaling_custom_table(build_scaling):
+    s = build_scaling(3, TABLE_SIZE=256)
     xs = np.linspace(0.0, s.m_k, 200)
     ref = make_scaling(3)
+    assert len(s.y_table) == 256 and s is not ref
     assert np.max(np.abs(s.f(xs) - ref.f(xs))) < 1e-11
 
 
 def test_make_scaling_validation():
-    with pytest.raises(ValueError):
-        make_scaling(1)
-    with pytest.raises(ValueError):
-        make_scaling(2, table_size=4)
-    with pytest.raises(ValueError):
-        make_scaling(2, taylor_terms=0)
+    make_scaling(2)
+    # The cache holds k = 2, but the check comes first.
+    for bad in (1, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="k must be"):
+            make_scaling(bad)
 
 
 def test_domain_validation():
@@ -348,10 +347,10 @@ def test_domain_validation():
 
 def test_inverse_table_property():
     s = make_scaling(2)
-    table = s.inverse_table
-    assert table.shape[1] == 2
-    assert table[0, 0] == 0.0 and table[-1, 0] == 1.0
-    assert np.all(np.diff(table[:, 1]) > 0.0)
+    assert s.y_table.shape == s.x_table.shape == (scaling.TABLE_SIZE,)
+    assert s.y_table[0] == 0.0 and s.y_table[-1] == 1.0
+    assert s.x_table[0] == 0.0 and s.x_table[-1] == s.m_k
+    assert np.all(np.diff(s.x_table) > 0.0)
 
 
 # per-point inversion ----------------------------------------------------------
@@ -404,9 +403,9 @@ def test_trusted_brackets_make_no_incomplete_beta(k, monkeypatch):
     assert xs.size > 65000 and np.all((y > 0.0) & (y <= 1.0))
 
 
-def test_newton_cap_warns_with_the_unconverged_count(monkeypatch):
+def test_newton_cap_warns_with_the_unconverged_count(monkeypatch, build_scaling):
     # A coarse table trusts no bracket, so every point reaches Newton.
-    s = make_scaling(3, table_size=64)
+    s = build_scaling(3, TABLE_SIZE=64)
     xs = np.linspace(0.1, 0.4, 50) * s.m_k
     monkeypatch.setattr(scaling, "_NEWTON_CAP", 0)
     with pytest.warns(RuntimeWarning, match=r"left 50 of 50 points unconverged after 0 "):
@@ -433,10 +432,10 @@ def test_interpolant_stays_within_its_ulp_bound_of_newton(k):
 
 @pytest.mark.parametrize("size", [8, 64, 256])
 @pytest.mark.parametrize("k", [2, 3, 6])
-def test_coarse_tables_fall_back_to_newton(k, size):
+def test_coarse_tables_fall_back_to_newton(k, size, build_scaling):
     # Their remainder bounds exceed rounding in every bracket, so every
     # value is a Newton root, and no Newton cap is hit.
-    s = make_scaling(k, table_size=size)
+    s = build_scaling(k, TABLE_SIZE=size)
     ref = make_scaling(k)
     xs = np.random.default_rng(size).uniform(0.0, ref.m_k - ref.series_radius_guard, 10**5)
     want = ref.f(xs)
@@ -472,8 +471,8 @@ def test_tiny_arguments_converge_to_the_power_law(k):
 
 
 @pytest.mark.parametrize("size", [8, 64, 4096])
-def test_closed_form_bracket_matches_searchsorted(size):
-    s = make_scaling(3, table_size=size)
+def test_closed_form_bracket_matches_searchsorted(size, build_scaling):
+    s = build_scaling(3, TABLE_SIZE=size)
     nodes = s.y_table
     y = np.concatenate([nodes, np.nextafter(nodes, 2.0), np.nextafter(nodes, -1.0),
                         np.random.default_rng(size).random(10**6)])
@@ -484,8 +483,8 @@ def test_closed_form_bracket_matches_searchsorted(size):
 
 @pytest.mark.parametrize("k,size", [(2, 4096), (3, 4096), (4, 4096), (6, 4096), (8, 4096),
                                     (3, 8), (3, 256)])
-def test_guide_bracket_matches_searchsorted(k, size):
-    s = make_scaling(k, table_size=size)
+def test_guide_bracket_matches_searchsorted(k, size, build_scaling):
+    s = build_scaling(k, TABLE_SIZE=size)
     nodes, buckets = s.x_table, len(s.x_guide)
     edges = np.arange(buckets + 1) * (s.m_k / buckets)
     x = np.concatenate([nodes, edges, [5e-324, 1e-300, 1e-30, np.nextafter(s.m_k, 2.0)],
@@ -627,6 +626,8 @@ def test_inverse_at_most_matches_f_inverse(k):
     # neighbour against its node's value.
     ys = np.concatenate([y, y, y, near])
     xs = np.concatenate([fy, np.nextafter(fy, -1.0), np.nextafter(fy, 2.0), node_x])
-    got = s.inverse_at_most(ys, xs)
+    # The node table's sure answers, then the unsure points inverted.
+    got, unsure = s.at_most_by_nodes(ys, xs)
+    got[unsure] = s.f_inverse(ys[unsure]) <= xs[unsure]
     want = s.f_inverse(ys) <= xs
     assert np.array_equal(got, want)

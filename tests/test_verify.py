@@ -15,6 +15,7 @@ import types
 import numpy as np
 import pytest
 
+from archarray import base as base_module
 from archarray.array import make_archimedean, make_custom, make_cylinder
 from archarray.base import Ball, ConvexPolygon, regular_polygon
 from archarray.region import Region
@@ -126,8 +127,10 @@ def test_halton_box_counts_balance():
 # Interior points ------------------------------------------------------------
 
 
-def test_interior_points_inside_with_offsets():
-    base = Ball(np.zeros(2), 1.0, singular_band=0.2)
+def test_interior_points_inside_with_offsets(monkeypatch):
+    monkeypatch.setattr(base_module, "SINGULAR_BAND_FRACTION", 0.2)
+    base = Ball(np.zeros(2), 1.0)
+    assert base.singular_band == 0.2
     pts = interior_points(base, 300, boundary_offset=0.1)
     assert pts.shape == (300, 2)
     assert np.all(base.signed_distance(pts) > 0.1)
@@ -141,8 +144,10 @@ def test_interior_points_default_band():
     assert np.all(base.singular_set_distance(pts) > base.singular_band)
 
 
-def test_interior_points_polygon_avoids_medial_axis():
-    hexagon = ConvexPolygon(regular_polygon(6, inradius=1.0).vertices, singular_band=0.05)
+def test_interior_points_polygon_avoids_medial_axis(monkeypatch):
+    monkeypatch.setattr(base_module, "SINGULAR_BAND_FRACTION", 0.05)
+    hexagon = ConvexPolygon(regular_polygon(6, inradius=1.0).vertices)
+    assert hexagon.singular_band == 0.05
     pts = interior_points(hexagon, 200)
     assert np.all(hexagon.contains(pts))
     assert np.all(hexagon.singular_set_distance(pts) > 0.05)
@@ -155,6 +160,12 @@ def test_interior_points_deterministic_and_start():
     assert np.array_equal(a, b)
     c = interior_points(base, 100, start=7777)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_interior_points_rejects_empty_count(count):
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        interior_points(unit_disk(), count)
 
 
 def test_interior_points_impossible_quota():
