@@ -1,10 +1,10 @@
 """Benchmark record of a checkout: end-to-end runs, layer timings, checksums.
 
 Runs ``bench/run.py`` (untraced) on every workload and seed, times the
-hot kernels of the statistical gate, of the profile layer, of the
-ellipse and hexagon bases, of the residual gate, of surface sampling,
-of the CSV and OBJ export, of the closed mesh check, of the Halton
-sequence and of two CLI calls in a fresh process, counts the
+hot kernels of the statistical gate and its p-value, of the profile
+layer, of the ellipse and hexagon bases, of the residual gate, of
+surface sampling, of the CSV and OBJ export, of the closed mesh check,
+of the Halton sequence and of two CLI calls in a fresh process, counts the
 incomplete betas per forward profile value and the share of values
 answered with none, hashes the results bit for bit, counts the lines
 under ``src/`` and writes it all, with the machine it ran on, to one
@@ -80,7 +80,7 @@ def layers(root, reps, seeds):
     import archarray.cli  # noqa: F401  (workloads call the CLI)
     import workloads
     from archarray.scaling import ScalingFunction, make_scaling
-    from archarray.special import betainc_reg
+    from archarray.special import betainc_reg, gamma_q
     from archarray.verify import _base_uniform, _expected_fractions, _philox
 
     h = archarray.make_archimedean(4, 2)
@@ -102,6 +102,9 @@ def layers(root, reps, seeds):
     prof = make_scaling(3)
     xs = (1.0 - rng.random(65_536)) * prof.m_k
     ys = rng.random(65_536)
+    # The chi-square p-value Q(dof/2, chi2/2) on chi2 from 0.5 dof to 1.5 dof.
+    chi20 = np.linspace(10.0, 30.0, 200).tolist()
+    chi2000 = np.linspace(1000.0, 3000.0, 20).tolist()
     h43 = archarray.make_archimedean(4, 3)
     # Non-ball bases under the n=4, k=2 profile: an ellipse with semi-axes
     # m_2 and 0.6 m_2 (65,536 points in its bounding box) and a regular
@@ -159,6 +162,8 @@ def layers(root, reps, seeds):
         "scaling.f_prime.65536": lambda: prof.f_prime(xs),
         "scaling.f_inverse.65536": lambda: prof.f_inverse(ys),
         "special.betainc_reg.65536": lambda: betainc_reg(0.75, 0.5, ys ** 4),
+        "special.gamma_q.dof20": lambda: [gamma_q(10.0, c / 2.0) for c in chi20],
+        "special.gamma_q.dof2000": lambda: [gamma_q(1000.0, c / 2.0) for c in chi2000],
         "array.enclosed_mc.1e6": lambda: h43._enclosed_mc(1_000_000, 7),
         "base.ellipse.signed_distance.65536": lambda: ellipse.signed_distance(ell_pts),
         "array.ellipse.total_volume": lambda: h_ell.total_volume().value,

@@ -159,7 +159,7 @@ def _cmd_scaling(args):
 
 
 def _verify_residual(h, args):
-    count = args.samples or 10000
+    count = 10000 if args.samples is None else args.samples
     delta = 1e-6 * h.base.inradius()
     pts = interior_points(h.base, count, boundary_offset=delta)
     residuals = np.abs(h.app_residual(pts))
@@ -201,7 +201,7 @@ def _verify_integral(h, args):
 
 
 def _verify_statistical(h, args):
-    samples = args.samples or 10 ** 6
+    samples = 10 ** 6 if args.samples is None else args.samples
     regions = random_regions(h.base, args.regions, seed=args.seed)
     report = app_statistical_test(h, regions, samples, seed=args.seed + 1)
     doc = report.as_dict()

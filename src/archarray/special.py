@@ -60,17 +60,12 @@ def gamma(x):
         # The recurrence avoids evaluating the kernel near its shifted
         # pole; no reflection formula is needed on the positive axis.
         return gamma(x + 1.0) / x
+    if x > 140.0:
+        # t**(z+0.5) below overflows long before the value itself leaves
+        # double range (first at x ~ 171.62).
+        return math.exp(gamma_ln(x))
     z = x - 1.0
     t = z + _LANCZOS_G + 0.5
-    if x > 140.0:
-        # Assemble in log space: t**(z+0.5) alone overflows long before
-        # the value itself leaves double range (first at x ~ 171.62).
-        return math.exp(
-            0.5 * math.log(2.0 * math.pi)
-            + (z + 0.5) * math.log(t)
-            - t
-            + math.log(_lanczos_sum(z))
-        )
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * _lanczos_sum(z)
 
 
@@ -190,67 +185,39 @@ def incomplete_beta(z, p, q):
     return betainc_reg(p, q, z) * math.exp(ln_b)
 
 
-_GAMMA_CAP = 1000
-
-
-def _gamma_p_series(a, x):
-    ap = a
-    total = 1.0 / a
-    term = total
-    for _ in range(_GAMMA_CAP):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _CF_EPS:
-            break
-    else:
-        raise ValueError(f"incomplete-gamma series unconverged after {_GAMMA_CAP} steps "
-                         f"at a={a!r}, x={x!r}")
-    return total * math.exp(-x + a * math.log(x) - gamma_ln(a))
-
-
-def _gamma_q_cf(a, x):
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_CAP + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            break
-    else:
-        raise ValueError(f"incomplete-gamma continued fraction unconverged after "
-                         f"{_GAMMA_CAP} steps at a={a!r}, x={x!r}")
-    return h * math.exp(-x + a * math.log(x) - gamma_ln(a))
-
-
 def gamma_q(a, x):
-    """Regularized upper incomplete gamma Q(a, x) for scalars a > 0, x >= 0.
+    """Regularized upper incomplete gamma Q(a, x) for a = 1/2, 1, 3/2, ... and x >= 0.
 
-    Raises ``ValueError`` where its series or continued fraction would
-    need more than ``_GAMMA_CAP`` steps (large a near x = a).
+    For such a, Q is a finite sum of positive terms (Abramowitz & Stegun
+    26.4.4-26.4.5): e**-x times x**s / Gamma(s+1) summed over s = 0, 1,
+    ..., a-1 for whole a, and erfc(sqrt(x)) plus that sum over s = 1/2,
+    3/2, ..., a-1 otherwise.  Each term is the one before it times x/s.
+    e**-x is applied in factors no smaller than e**-700 whenever a term
+    reaches 1, and the rest at the end, so that neither large a nor deep
+    tails overflow or underflow.  Any other a raises ``ValueError``.
     """
-    a = float(a)
-    x = float(x)
-    if a <= 0.0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_cf(a, x)
+    a, x = float(a), float(x)
+    if not (a > 0.0 and (2.0 * a).is_integer()):
+        raise ValueError(f"shape parameter must be a positive multiple of 1/2, got {a!r}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("x must be finite and nonnegative")
+    if a.is_integer():
+        s, head, term = 0.0, 0.0, 1.0
+    else:
+        s, head, term = 0.5, math.erfc(math.sqrt(x)), 2.0 * math.sqrt(x / math.pi)
+    debt = x  # the part of e**-x not yet applied
+    total = 0.0
+    while s < a:
+        while term >= 1.0 and debt > 0.0:
+            step = min(debt, 700.0)  # e**-700 is a normal double
+            factor = math.exp(-step)
+            term *= factor
+            total *= factor
+            debt -= step
+        total += term
+        s += 1.0
+        term *= x / s
+    return head + total * math.exp(-debt)
 
 
 def sphere_area(dim, radius=1.0):

@@ -14,6 +14,7 @@ divided.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,7 @@ def interior_points(base, count, *, boundary_offset=0.0, start=1):
     expected keep rate, plus a margin: the base's share of its box at
     first, the observed rate once a point is kept.
     """
+    count = operator.index(count)
     if count < 1:
         raise ValueError("count must be at least 1")
     lo, hi = base.bounding_box()
@@ -158,7 +160,7 @@ def _base_uniform(base, count, philox):
     return out, index, count / (index * _CHUNK)
 
 
-def sample_surface(h, count, seed=0, *, return_rate=False):
+def sample_surface(h, count, seed=0):
     """Uniform samples of the surface measure, as points in R^n.
 
     Base points are uniform on Ω by rejection; fiber directions are
@@ -173,15 +175,11 @@ def sample_surface(h, count, seed=0, *, return_rate=False):
     if count < 1:
         raise ValueError("count must be at least 1")
     philox = _philox(seed, 0x5A11)
-    xb, jumps, rate = _base_uniform(h.base, count, philox)
-    f = h.warping(xb)
+    xb, jumps, _ = _base_uniform(h.base, count, philox)
     gen = np.random.Generator(philox.jumped(jumps + 1))
     dirs = gen.standard_normal((count, h.k))
     dirs /= row_norm(dirs)[:, None]
-    pts = np.concatenate([xb, f[:, None] * dirs], axis=1)
-    if return_rate:
-        return pts, rate
-    return pts
+    return np.concatenate([xb, h.warping(xb)[:, None] * dirs], axis=1)
 
 
 def random_regions(base, count, seed=0):

@@ -161,19 +161,6 @@ def test_verify_statistical_low_expected_fails(capsys):
     assert doc["low_expected_regions"]
 
 
-def test_verify_statistical_exits_2_when_the_p_value_cannot_converge(monkeypatch, capsys):
-    import archarray.special as special
-
-    monkeypatch.setattr(special, "_GAMMA_CAP", 1)
-    code, out, err = run_cli(
-        capsys,
-        ["verify", "--n", "3", "--k", "2", "--mode", "statistical",
-         "--samples", "1000", "--regions", "8", "--seed", "0"],
-    )
-    assert code == 2 and out == ""
-    assert "incomplete-gamma" in err and "a=4.0" in err
-
-
 def test_verify_missing_mode_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--n", "3", "--k", "2"])
@@ -331,6 +318,16 @@ def test_verify_residual_rejects_a_negative_sample_count(capsys):
     assert code == 2
     assert out == ""
     assert "count must be at least 1" in err
+
+
+@pytest.mark.parametrize("mode,message", [("residual", "count must be at least 1"),
+                                          ("statistical", "need at least one sample")])
+def test_verify_rejects_a_zero_sample_count(capsys, mode, message):
+    code, out, err = run_cli(capsys, ["verify", "--n", "3", "--k", "2", "--mode", mode,
+                                      "--samples", "0", "--regions", "4"])
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_sample_deterministic_by_seed(capsys):

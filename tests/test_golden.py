@@ -94,7 +94,7 @@ STAT_WINDOWS = [
     ("box", (0.3424612163187109, -0.1248235775493977), 0.283228410017903),
 ]
 STAT_SEED = 1717207497
-STAT_GATE = ("0x1.64ddaad9376ddp+4", "0x1.4c054e8abb579p-2")
+STAT_GATE = ("0x1.64ddaad9376ddp+4", "0x1.4c054e8abb57fp-2")
 STAT_VOLUMES = [
     "0x1.5f2d2accc5ebbp-1", "0x1.d010202217d77p-2", "0x1.99720e63dc499p-2",
     "0x1.5e088131a19ecp-3", "0x1.b7e6ff0013f66p-2", "0x1.4a40a7629ee59p-2",

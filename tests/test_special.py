@@ -73,8 +73,35 @@ GAMMA_Q = [
     (2.5, 0.3, 0.9880032427940937),
     (10.0, 10.0, 0.4579297144718522),
     (10.0, 30.0, 7.121750862815577e-06),
-    (0.1, 0.01, 0.3373787400455202),
     (50.0, 40.0, 0.9296649333406051),
+]
+
+# Q(dof/2, x) at 30 digits (mpmath.gammainc, regularized) for x = a/2, a and
+# 2 dof + 5; then a large shape near its median and a deep tail at dof 401.
+GAMMA_Q_HALF = [
+    (0.5, 0.25, 0.47950012218695346),
+    (0.5, 0.5, 0.3173105078629141),
+    (0.5, 7.0, 0.00018281063298183503),
+    (1.0, 0.5, 0.60653065971263342),
+    (1.0, 1.0, 0.36787944117144232),
+    (1.0, 9.0, 0.00012340980408667955),
+    (1.5, 0.75, 0.68227033033621257),
+    (1.5, 1.5, 0.39162517627108896),
+    (1.5, 11.0, 6.5231122030230043e-5),
+    (3.5, 1.75, 0.83522548261034214),
+    (3.5, 3.5, 0.42887985755305472),
+    (3.5, 19.0, 3.0301735683194853e-6),
+    (10.0, 5.0, 0.96817194269379519),
+    (10.0, 10.0, 0.45792971447185221),
+    (10.0, 45.0, 7.4129195653930891e-11),
+    (20.5, 10.25, 0.99689711893638509),
+    (20.5, 20.5, 0.4706223768189809),
+    (20.5, 87.0, 2.5854556818940844e-18),
+    (60.0, 30.0, 0.99999907481311951),
+    (60.0, 60.0, 0.48283072737061278),
+    (60.0, 245.0, 3.4320267207120625e-46),
+    (49999.5, 50100.0, 0.32612394025765203),
+    (200.5, 772.0, 1.5409478995991023e-133),
 ]
 
 
@@ -251,29 +278,36 @@ def test_gamma_q_recurrence():
         assert gamma_q(a + 1.0, x) == pytest.approx(gamma_q(a, x) + step, rel=1e-12)
 
 
-@pytest.mark.parametrize("a,x,part", [(1e5, 99999.0, "series"),
-                                      (1e7, 1e7 + 10.0, "continued fraction")])
-def test_gamma_q_cap_warns(a, x, part):
-    # Both need more than the 1,000 steps: Q(1e5, 99999) = 0.500841 (mpmath,
-    # 30 digits) while the capped series gives 0.501624, so the cap refuses
-    # and names a and x.
-    with pytest.raises(ValueError, match=f"incomplete-gamma {part} unconverged after "
-                                         f"1000 steps at a={a!r}, x={x!r}"):
+@pytest.mark.parametrize("a,x,expected", GAMMA_Q_HALF)
+def test_gamma_q_half_integer_frozen(a, x, expected):
+    assert gamma_q(a, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a,x,expected", [(1e5, 99999.0, 0.50084104730457641),
+                                          (1e7, 1e7 + 10.0, 0.49869638427416661)])
+def test_gamma_q_large_shape(a, x, expected):
+    # Shapes whose old series or continued fraction needed over 1,000 steps.
+    assert gamma_q(a, x) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("a,x", [(0.1, 0.01), (0.75, 1.0), (2.3, 4.0), (1e5 + 0.25, 1e5)])
+def test_gamma_q_rejects_non_half_integer_shape(a, x):
+    with pytest.raises(ValueError, match="positive multiple of 1/2"):
         gamma_q(a, x)
 
 
 def test_gamma_q_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        gamma_q(0.0, 1.0)
-    with pytest.raises(ValueError):
-        gamma_q(1.0, -1.0)
+    for a, x in ((0.0, 1.0), (-0.5, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                 (1.0, -1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            gamma_q(a, x)
 
 
 @pytest.mark.skipif(sps is None, reason="scipy not installed")
 def test_gamma_q_against_scipy():
     rng = np.random.default_rng(11)
     for _ in range(200):
-        a = float(rng.uniform(0.05, 40.0))
+        a = int(rng.integers(1, 81)) / 2.0
         x = float(rng.uniform(0.0, 60.0))
         assert gamma_q(a, x) == pytest.approx(
             float(sps.gammaincc(a, x)), abs=1e-13, rel=5e-12

@@ -18,9 +18,10 @@ import pytest
 from archarray import base as base_module
 from archarray.array import make_archimedean, make_custom, make_cylinder
 from archarray.base import Ball, ConvexPolygon, regular_polygon
-from archarray.region import Region
+from archarray.region import Region, philox
 from archarray.special import gamma_q
 from archarray.verify import (
+    _base_uniform,
     app_statistical_test,
     halton,
     interior_points,
@@ -168,6 +169,19 @@ def test_interior_points_rejects_empty_count(count):
         interior_points(unit_disk(), count)
 
 
+def test_interior_points_checks_the_count_before_sampling(monkeypatch):
+    import archarray.verify as verify
+
+    def no_halton(*args, **kwargs):
+        raise AssertionError("halton called before the count was checked")
+
+    monkeypatch.setattr(verify, "halton", no_halton)
+    with pytest.raises(TypeError):
+        interior_points(unit_disk(), 2.5)
+    monkeypatch.undo()
+    assert interior_points(unit_disk(), np.int64(5)).shape == (5, 2)
+
+
 def test_interior_points_impossible_quota():
     base = unit_disk()
     with pytest.raises(RuntimeError):
@@ -247,9 +261,9 @@ def test_sample_surface_rejects_empty_count(count):
 
 
 def test_sample_surface_reports_rate():
-    arr = make_archimedean(4, 2)
-    pts, rate = sample_surface(arr, 200000, seed=8, return_rate=True)
-    assert pts.shape == (200000, 4)
+    base = make_archimedean(4, 2).base
+    pts, _, rate = _base_uniform(base, 200000, philox(8, 0x5A11))
+    assert pts.shape == (200000, 2)
     assert 0.0 < rate <= 1.0
 
 
@@ -462,6 +476,6 @@ def test_statistical_report_pinned_values():
     regions = random_regions(arr.base, 8, seed=31)
     report = app_statistical_test(arr, regions, 20000, seed=32)
     assert report.chi2 == 6.4509546187147615
-    assert report.p_value == 0.5968527601406719
+    assert report.p_value == 0.5968527601406715
     assert [s.observed for s in report.scores] == [
         0.0865, 0.0043, 0.0322, 0.156, 0.20455, 0.01355, 0.1538, 0.22865]
