@@ -2,10 +2,10 @@
 
 Runs ``bench/run.py`` (untraced) on every workload and seed, times the
 hot kernels of the statistical gate and its p-value, of the profile
-layer, of the ellipse and hexagon bases, of the residual gate, of
-surface sampling, of the CSV and OBJ export, of the closed mesh check,
-of the Halton sequence and of two CLI calls in a fresh process, counts the
-incomplete betas per forward profile value and the share of values
+layer and its build, of the ellipse and hexagon bases, of the residual
+gate, of surface sampling, of the CSV and OBJ export, of the closed mesh
+check, of the Halton sequence and of two CLI calls in a fresh process,
+counts the incomplete betas per forward profile value and the share of values
 answered with none, hashes the results bit for bit, counts the lines
 under ``src/`` and writes it all, with the machine it ran on, to one
 JSON file.  With ``--baseline`` the same is done for a
@@ -79,7 +79,7 @@ def layers(root, reps, seeds):
     import archarray
     import archarray.cli  # noqa: F401  (workloads call the CLI)
     import workloads
-    from archarray.scaling import ScalingFunction, make_scaling
+    from archarray.scaling import ScalingFunction, _build, make_scaling
     from archarray.special import betainc_reg, gamma_q
     from archarray.verify import _base_uniform, _expected_fractions, _philox
 
@@ -102,6 +102,8 @@ def layers(root, reps, seeds):
     prof = make_scaling(3)
     xs = (1.0 - rng.random(65_536)) * prof.m_k
     ys = rng.random(65_536)
+    # The even-series cap: x uniform on [0.75, 1) m_k, from its own stream.
+    xs_cap = (0.75 + 0.25 * np.random.default_rng(1).random(65_536)) * prof.m_k
     # The chi-square p-value Q(dof/2, chi2/2) on chi2 from 0.5 dof to 1.5 dof.
     chi20 = np.linspace(10.0, 30.0, 200).tolist()
     chi2000 = np.linspace(1000.0, 3000.0, 20).tolist()
@@ -160,6 +162,10 @@ def layers(root, reps, seeds):
             archarray.Region.ball([0.55, -0.1], 0.22), depth=8, seed=1),
         "scaling.f.65536": lambda: prof.f(xs),
         "scaling.f_prime.65536": lambda: prof.f_prime(xs),
+        "scaling.f.cap.65536": lambda: prof.f(xs_cap),
+        # A whole k = 3 profile, built past make_scaling's cache; the
+        # checksum is of its series coefficients.
+        "scaling.build.k3": lambda: _build.__wrapped__(3).taylor,
         "scaling.f_inverse.65536": lambda: prof.f_inverse(ys),
         "special.betainc_reg.65536": lambda: betainc_reg(0.75, 0.5, ys ** 4),
         "special.gamma_q.dof20": lambda: [gamma_q(10.0, c / 2.0) for c in chi20],

@@ -29,6 +29,7 @@ verify numerically rather than assume.
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,8 +355,11 @@ class SphericalArray:
 
         Deterministic path: integrate the fiber-ball volume over the
         base.  With ``samples`` > 0 a Monte Carlo hit count over the
-        bounding box cross-checks the value.
+        bounding box cross-checks the value; a negative count raises.
         """
+        samples = operator.index(samples)
+        if samples < 0:
+            raise ValueError(f"samples must be nonnegative, got {samples}")
         ck = ball_volume(self.k, 1.0)
         if self.warp_mode == "cylinder":
             value = ck * self.r_scale ** self.k * self.base.volume()
@@ -369,9 +373,9 @@ class SphericalArray:
                 lambda pts: fiber_ball(np.maximum(self.base.signed_distance(pts), 0.0), pts),
                 lambda e: e * ck * self.r_scale ** self.k, depth, seed,
             )
-        if samples <= 0:
+        if samples == 0:
             return EnclosedVolume(value, err)
-        mc_value, mc_error = self._enclosed_mc(int(samples), seed)
+        mc_value, mc_error = self._enclosed_mc(samples, seed)
         return EnclosedVolume(value, err, mc_value, mc_error)
 
     def _enclosed_mc(self, samples, seed):

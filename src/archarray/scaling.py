@@ -16,7 +16,8 @@ k = 2 reproduces the quarter circle g(x) = sqrt(2x - x^2) with M_2 = 1.
 
 The profile satisfies y^(2k-2) * (1 + y'^2) = 1.  Near x = M_k all odd
 derivatives vanish and g has an even Taylor expansion, which is used as
-the evaluation path inside ``series_radius_guard`` of M_k.  Elsewhere g
+the evaluation path inside ``series_radius_guard`` of M_k, with exact
+rational coefficients each rounded once (``_even_series``).  Elsewhere g
 is a piecewise quintic Hermite interpolant of y(x) on a Chebyshev node
 table (de Boor, A Practical Guide to Splines, 1978): on each bracket it
 matches y, y' = sqrt(1 - y^(2k-2))/y^(k-1) and, from the derivative of
@@ -37,9 +38,11 @@ and g', which is derived from y through the profile relation.
 """
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,10 +59,6 @@ __all__ = [
 TABLE_SIZE = 4096
 _GUIDE_BUCKETS, _GUIDE_STEPS = 1 << 14, 2  # see _guide_table
 GUARD_FRACTION = 0.25
-# First omitted series term must stay below this at the guard radius.
-_SERIES_TAIL_TOL = 1e-12
-_MAX_SERIES_TERMS = 32
-_MIN_SERIES_TERMS = 4
 _NEWTON_CAP = 100
 # Margin, in units of m_k, by which at_most_by_nodes widens a node bracket.
 _NODE_PAD = 1e-12
@@ -96,55 +95,27 @@ def _check_k(k):
         raise ValueError(f"k must be at least 2, got {k}")
 
 
-def _pmul(a, b, nmax):
-    """Product of polynomials (coefficient lists), truncated at degree nmax."""
-    out = np.zeros(nmax + 1)
-    for i, ai in enumerate(a):
-        if i > nmax or ai == 0.0:
-            continue
-        top = min(len(b), nmax - i + 1)
-        out[i:i + top] += ai * np.asarray(b[:top])
-    return out
+def _even_series(k, guard):
+    """Coefficients c_j of the even series g(m_k + t) = sum c_j t^(2j).
 
-
-def _series_residual_coef(c, k, j):
-    """Coefficient of u^j in Y^(2k-2) (1 + u D^2) - 1.
-
-    Everything is expressed in u = (x - M_k)^2: Y(u) = sum c_i u^i is
-    the profile and D(u) = sum 2 i c_i u^(i-1) is y'(t)/t.
+    Differentiating the profile relation gives y'' = -(k-1) y^(1-2k) with
+    y(m_k) = 1, y'(m_k) = 0.  With y = sum a_j u^j in u = t^2 and
+    y^(1-2k) = sum w_j u^j, J. C. P. Miller's power recurrence (Knuth,
+    TAOCP vol. 2, 4.7) gives m w_m = sum_(i=1..m) ((2-2k) i - m) a_i w_(m-i),
+    and the t^(2m) terms of the equation give (2m+2)(2m+1) a_(m+1) =
+    -(k-1) w_m, all in exact rationals; each c_j is a_j rounded once.  The
+    series ends with the first c_j (after c_1, which y' needs however
+    narrow the guard) whose term at the guard radius is below a quarter of
+    rounding, so the guard must lie inside the radius of convergence (at
+    most m_k: y(0) = 0).
     """
-    ypow = np.zeros(j + 1)
-    ypow[0] = 1.0
-    for _ in range(2 * k - 2):
-        ypow = _pmul(ypow, c, j)
-    d = np.array([2.0 * i * c[i] for i in range(1, len(c))])
-    d2 = _pmul(d, d, j)
-    # u * D(u)^2 shifts degrees up by one.
-    ud2 = np.zeros(j + 1)
-    ud2[1:] = d2[:j]
-    total = ypow + _pmul(ypow, ud2, j)
-    return total[j]
-
-
-def _next_coefficient(c, k):
-    """The next even-series coefficient given c_0..c_(j-1).
-
-    Order one is quadratic in the unknown (the constant profile y = 1
-    solves the relation too) and is fixed to the nontrivial root
-    c_1 = -(k-1)/2.  Every later order enters the relation linearly, so
-    two trial evaluations of the order-j residual determine it.
-    """
-    j = len(c)
-    if j == 1:
-        return -(k - 1) / 2.0
-    r0 = _series_residual_coef(c + [0.0], k, j)
-    r1 = _series_residual_coef(c + [1.0], k, j)
-    if not (math.isfinite(r0) and math.isfinite(r1)) or r1 == r0:
-        raise ValueError(
-            f"series coefficient recursion lost precision at order {2 * j} "
-            f"for k={k}; narrow GUARD_FRACTION"
-        )
-    return -r0 / (r1 - r0)
+    a, w = [Fraction(1)], []
+    for m in itertools.count():
+        mw = sum(((2 - 2 * k) * i - m) * a[i] * w[m - i] for i in range(1, m + 1))
+        w.append(mw / m if m else Fraction(1))
+        a.append((1 - k) * w[m] / ((2 * m + 2) * (2 * m + 1)))
+        if m and abs(float(a[-1])) * guard ** (2 * m + 2) < _EPS / 4:
+            return np.array([float(c) for c in a])
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,8 +299,8 @@ class ScalingFunction:
         """Coefficients g^(2j)(m_k)/(2j)! for 2j <= order, as a list.
 
         Orders beyond the constructed expansion raise rather than
-        extrapolate.  The expansion ends where its first omitted term is
-        below ``_SERIES_TAIL_TOL`` at the guard radius.
+        extrapolate.  The expansion ends with the first coefficient whose
+        term at the guard radius is below a quarter of rounding.
         """
         if order % 2 != 0 or order < 0:
             raise ValueError("order must be a nonnegative even integer")
@@ -447,21 +418,6 @@ def _build(k):
     m_k = m_closed
     guard = GUARD_FRACTION * m_k
 
-    # Grow the expansion until the first omitted term is negligible at
-    # the guard radius.
-    c = [1.0]
-    while True:
-        nxt = _next_coefficient(c, k)
-        if (len(c) > _MIN_SERIES_TERMS
-                and abs(nxt) * guard ** (2 * len(c)) < _SERIES_TAIL_TOL):
-            break
-        c.append(nxt)
-        if len(c) > _MAX_SERIES_TERMS:
-            raise ValueError(
-                f"series guard {guard!r} too wide for a "
-                f"{_MAX_SERIES_TERMS}-term expansion; reduce GUARD_FRACTION"
-            )
-
     i = np.arange(TABLE_SIZE)
     y_nodes = 0.5 * (1.0 - np.cos(np.pi * i / (TABLE_SIZE - 1)))
     y_nodes[0] = 0.0
@@ -482,7 +438,7 @@ def _build(k):
         trusted=trusted,
         x_guide=_guide_table(x_nodes),
         y_guide=_guide_table(y_nodes),
-        taylor=np.array(c),
+        taylor=_even_series(k, guard),
         series_radius_guard=guard,
     )
 

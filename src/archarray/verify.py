@@ -171,7 +171,7 @@ def sample_surface(h, count, seed=0):
     """
     if h.warp_mode == "custom":
         raise ValueError("custom warps have non-uniform base density; not supported")
-    count = int(count)
+    count = operator.index(count)
     if count < 1:
         raise ValueError("count must be at least 1")
     philox = _philox(seed, 0x5A11)
@@ -294,7 +294,7 @@ def app_statistical_test(h, regions, samples, seed=0):
     so the run holds every sample between the widened bounds, and the
     counts equal those of ``contains`` over all samples.
     """
-    samples = int(samples)
+    samples = operator.index(samples)
     if not regions:
         raise ValueError("need at least one region")
     if samples < 1:

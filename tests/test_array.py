@@ -590,6 +590,15 @@ def test_enclosed_volume_monte_carlo_cross_check():
     assert abs(enc.mc_value - enc.value) < 4.0 * enc.mc_error
 
 
+def test_enclosed_volume_refuses_a_negative_or_fractional_sample_count():
+    arr = make_archimedean(3, 2)
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        arr.enclosed_volume(samples=-5)
+    with pytest.raises(TypeError):
+        arr.enclosed_volume(samples=2.5)
+    assert arr.enclosed_volume(samples=np.int64(1000), seed=1).mc_value is not None
+
+
 def test_enclosed_monte_carlo_deterministic_by_seed():
     arr = make_archimedean(3, 2)
     a = arr.enclosed_volume(samples=50000, seed=7)

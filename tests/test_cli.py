@@ -320,6 +320,14 @@ def test_verify_residual_rejects_a_negative_sample_count(capsys):
     assert "count must be at least 1" in err
 
 
+def test_volume_enclosed_rejects_a_negative_sample_count(capsys):
+    code, out, err = run_cli(capsys, ["volume", "--n", "3", "--k", "2", "--enclosed",
+                                      "--samples", "-5"])
+    assert code == 2
+    assert out == ""
+    assert "samples must be nonnegative" in err
+
+
 @pytest.mark.parametrize("mode,message", [("residual", "count must be at least 1"),
                                           ("statistical", "need at least one sample")])
 def test_verify_rejects_a_zero_sample_count(capsys, mode, message):

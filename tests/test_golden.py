@@ -40,27 +40,27 @@ CLI_DIGESTS = {
     ("mesh", "--n", "4", "--k", "2", "--res", "64"):
         "2700314b0af22a65858bc4c4e0021f657fbba5a413467ecf5e108e3188353c09",
     ("sample", "--n", "4", "--k", "3", "--count", "200", "--seed", "5"):
-        "7526a296cf1bf0aa4a99f5eda42af86c7137645bd20472ab1902648dfe5567e2",
+        "23e28f1c7211092e6ba166da0dc0e31f40a40299a5fe8715b4ea25edf48992ca",
     # Three 4,096-row blocks of the CSV kernel, written as bytes.
     ("sample", "--n", "4", "--k", "2", "--count", "9000", "--seed", "11"):
-        "8b12418051160ca3cda0c7c401e0e47d7ea408d0c5570ce17b5ad91eae3a1773",
+        "a0a3949223aded7190ffffd3d13a5f368b0a294e405b8d819a8b5ae7350b83da",
     ("scaling", "--k", "3", "--samples", "33"):
-        "489e2b31eb96e8ed03760988312437ac78d371f536938ae31b838445d0dbe7cb",
+        "5871f8506e4872eaaf066150c4881ffc866b08a4008ade1e14ed0832fb6ac7f3",
     ("volume", "--n", "4", "--k", "3", "--enclosed", "--samples", "200000", "--seed", "7"):
-        "7d2531ce2cf7edf2eb3292ee1b078a462e4bafd30c259ba94246de1056b68964",
+        "f5637b9e5f7a07f424c10c4cfcdcc8a0495a3b8fb7011ce3fa844c04e530f325",
 }
 
 # float.hex of max_abs_residual from `archarray verify --mode residual`.
 RESIDUAL_MAX = {
-    ("--n", "4", "--k", "2"): "0x1.7c18000000000p-39",
-    ("--n", "5", "--k", "3", "--r", "0.7"): "0x1.b910000000000p-38",
+    ("--n", "4", "--k", "2"): "0x1.0000000000000p-51",
+    ("--n", "5", "--k", "3", "--r", "0.7"): "0x1.8000000000000p-51",
 }
 
 # sha256 of warping_gradient's float64 bytes at 1,000 interior points of
 # an n=4, k=2 archimedean array.
 GRADIENT_DIGESTS = {
-    ("ball", 1.0): "03996fa49401c53f09abd65b8106ecb864e83213e98dce5a27d5edd499c4fdd4",
-    ("ball", 0.7): "54431bfffd8247711205dd93ca6a651f5ae602571a8c8d29127f9449401c0e58",
+    ("ball", 1.0): "e5c8d843a6a9caac320f671418458031ebad929cce76f4527862978052a94bd4",
+    ("ball", 0.7): "823e494c024dae843494c5a53e8975759692fde478c096735eed5eedf5e50c34",
     ("ellipse", 1.0): "6f16766f284f46e61afac7fd0dfb1952b5a31ce3efe109527c8aa2509ae9ad67",
     ("ellipse", 0.7): "6e06d3b0e82875c3283a68ba39793b7c292aa66cb17a74eba42b0a5282dcbebc",
     ("pentagon", 1.0): "23e9816d8a11099b5afdd923385de4814d8e6f3ab21c159d51be11dfa835b6be",
@@ -150,9 +150,9 @@ WALK_GATE = [
 # base points take two rejection chunks on every base.
 SAMPLE_DIGESTS = {
     "ball-n4-k2": (lambda: make_archimedean(4, 2),
-        "c23ebf9d615ae768b756ed1ff8a028f37738bde7957e2799a98544cb27eb1d77"),
+        "2cba44f3a5c7ac3228045d98f18e58884f7d7f336e9a861fda7abb7332b290da"),
     "ball-n5-k2": (lambda: make_archimedean(5, 2),
-        "5236688f9eebadf27a29d6aed3ef5c49746ef1ce6b2f5cf1fc95afe9e34c0405"),
+        "f805818f595e00197dc1302048c291a18fccd7a267d98eb349c1e5a90aba8128"),
     "ellipse-cylinder": (
         lambda: make_cylinder(2, Ellipse([0.1, -0.2], [0.9, 0.5]), r_scale=0.4),
         "059d39d183642ff57f5235045151ce33e32e17267f39435944aa0508c15f3e39"),
@@ -168,19 +168,19 @@ RANDOM_REGIONS_DIGEST = "af89e0b3a38948739728b1df7a1ba23221a26f63b4333598a7f48dc
 # sha256 over the name, dtype, shape and bytes of every array field of
 # make_scaling(k), in field order, and float.hex of its series guard.
 PROFILE_TABLES = {
-    2: ("f1f41313587e880a3a4e33e52d91a4b5f57e8c45fa8ec79f0d80faca42d69986",
+    2: ("4134a01c6d0a6744bf37843b1c0af264cf68219fabbd726ccf72a385a9725a7a",
         "0x1.0000000000001p-2"),
-    3: ("70ee8839ae1f86ebb263311f7da31ed4d054e978129a7bfd28d820e56eee4c8b",
+    3: ("cc7a54ab36155bbc8fbc49cc5d9c22e023a04f1ac72bc64df5e5bb527c531777",
         "0x1.32b95184360cep-3"),
-    4: ("9de962feeabe04ca69fc3e07927f9ca52428e007f2dd2df0c5c90403b92f80b2",
+    4: ("eca87560b764875b1823a22d0ed0b39b23f6bd8d5316df6a0a56c8c09c44635f",
         "0x1.b9888a980a655p-4"),
-    5: ("eb8ca999a45788c3e3750fab576be7a4e5f9edde3da0afcf1b52c14ca82bce9e",
+    5: ("9be0d9a81df3fbf68d1ddf8dba71111eee14affcb21991422be0d9c4380aad81",
         "0x1.5996942185cb4p-4"),
-    6: ("b343f4808dd73aa2d3214cff6a972af84c5101435bd67fcafef311ff554f8cc5",
+    6: ("c2056ea2b6a3a7c699b0897718711b0093f2572624f584d40665eb58719bfa02",
         "0x1.1c1be73108040p-4"),
-    7: ("6730f9d1933fa9a4a16a5736c5cdcccca50c2595ade8fe589f5d9b315cd242d5",
+    7: ("f2543f0c7a9a66348efdab8eb0c5107d05856846cbba093ddd9dad34e449f84c",
         "0x1.e28ffc7e4cd35p-5"),
-    8: ("a664d574f547fb2b47a4e03f2df3abea9b1f63ecd3864ce96b7a386cd930c07f",
+    8: ("dd0c3aaf9250e2bb20717e5f93315ca694eeecd337ec6cf913378c824a2eeb13",
         "0x1.a36bc693b536ep-5"),
 }
 
@@ -291,7 +291,7 @@ def test_depth14_patch_walk_bits():
     h = make_archimedean(4, 2)
     out = clipped_quadrature(h.base, Region.box([-0.4, -0.3], [0.99, 0.3]), h._area_density,
                              depth=14, seed=1)
-    assert _walk_row(out) == ("0x1.a871ecb020c4ap-1", "0x1.4d5bbc00fafebp+2",
+    assert _walk_row(out) == ("0x1.a871ecb020c4ap-1", "0x1.4d5bbc00fb168p+2",
                               "0x1.06f4577ec4657p-17", 62, 26, 46)
 
 

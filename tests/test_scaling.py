@@ -69,6 +69,131 @@ K2_TAYLOR = [
 ]
 
 
+# (x, g(x), g'(x)) on the series cap [0.75, 1) m_k, from mpmath (dps=50):
+# 40 bisections and 8 Newton steps on M_k I(y^(2k-2); p, 1/2) = x, then
+# g' = sqrt(1 - y^(2k-2))/y^(k-1), printed to 30 digits.
+CAP_PROFILE = {
+    2: [
+        (0.7500000000000002,
+         "0.968245836551854278626486815936", "0.258198889747160881063490371761"),
+        (0.7800000000000002,
+         "0.97549987186057595577221267075", "0.225525401228800381457616666136"),
+        (0.8100000000000003,
+         "0.981784090317214350319525394135", "0.193525238261510982459629518555"),
+        (0.8500000000000002,
+         "0.988685996664259455896451629831", "0.151716521227251878986802985386"),
+        (0.8800000000000002,
+         "0.992773891679268555066741534476", "0.120873444603806813300386538598"),
+        (0.9100000000000003,
+         "0.995941765365827022240463788771", "0.090366729390991204537380027789"),
+        (0.9400000000000002,
+         "0.998198377077422431655823928593", "0.0601082924775644081014246640357"),
+        (0.9600000000000002,
+         "0.999199679743743720402177355646", "0.0400320384512715964048063988297"),
+        (0.9800000000000002,
+         "0.999799979995999003806354073577", "0.020004001200399935646752020996"),
+        (0.9900000000000002,
+         "0.999949998749937498225211338675", "0.0100005000375029120786629632226"),
+        (0.9990000000000002,
+         "0.999999499999875000158656498021", "0.00100000050000015384355425988783"),
+        (0.9999000000000002,
+         "0.999999994999999987523305739349", "0.000100000000499766945729174848085"),
+    ],
+    3: [
+        (0.44930258802584727,
+         "0.977135372401858113959569583383", "0.311344534392004356231472467321"),
+        (0.46727469154688117,
+         "0.982371613535851642524331141949", "0.271540398161611585354181447362"),
+        (0.48524679506791507,
+         "0.98690152778381896181226725106", "0.232713529887626149268627193507"),
+        (0.5092095997626269,
+         "0.991870067507383984991957714355", "0.182185592181275815016640736582"),
+        (0.5271817032836608,
+         "0.994809621475955497817292132282", "0.14503012301510493459519455407"),
+        (0.5451538068046947,
+         "0.997085957840917583323676187367", "0.108358582904241000820410993185"),
+        (0.5631259103257286,
+         "0.998706620194583449186487072785", "0.072043673595587883441140144848"),
+        (0.5751073126730845,
+         "0.999425508978959096701245566788", "0.0479715361377106004036443914277"),
+        (0.5870887150204405,
+         "0.999856428820883399468583055398", "0.0239685398492221708991044011935"),
+        (0.5930794161941184,
+         "0.999964110426068235788060000036", "0.0119821190641240306545624273999"),
+        (0.5984710472504285,
+         "0.999999641114887145121038910531", "0.00119814095139331691694842380191"),
+        (0.5990102103560596,
+         "0.999999996411149934070833829138", "0.000119814024189637807044851568057"),
+    ],
+    6: [
+        (0.20808764388630419,
+         "0.987696402957191932804913712603", "0.363026865138735657403920228519"),
+        (0.21641114964175637,
+         "0.990521724335776336130412771644", "0.316096645987010982287794232535"),
+        (0.22473465539720852,
+         "0.992962217472979873424971685532", "0.270518897837455883142342151494"),
+        (0.23583266307114473,
+         "0.995635105602977947902237594336", "0.211460111769531996395486406584"),
+        (0.2441561688265969,
+         "0.997214567085628275692630963584", "0.168183982549973262245290199207"),
+        (0.25247967458204906,
+         "0.99843670644962140944190659995", "0.125571469990289152169943860233"),
+        (0.2608031803375012,
+         "0.999306310636905274845538939717", "0.0834471899203494648305555031125"),
+        (0.2663521841744694,
+         "0.999691911575564842856097544702", "0.0555527785135122099619619025362"),
+        (0.2719011880114375,
+         "0.999923010524627430682324323676", "0.0277528531868238451377493633901"),
+        (0.27467568992992153,
+         "0.999980754668732702150350458641", "0.013873488576919813657047977935"),
+        (0.2771727416565572,
+         "0.999999807553409709490093847561", "0.00138725193813871580519421739309"),
+        (0.27742244682922074,
+         "0.999999998075534769292702955622", "0.00013872509690308068169338432184"),
+    ],
+    8: [
+        (0.1535965571756504,
+         "0.990606445682929310030243733762", "0.375843303267936074484500514462"),
+        (0.15974041946267645,
+         "0.992765069251291949030934450126", "0.327114574019443902567118685829"),
+        (0.16588428174970246,
+         "0.99462892471098091261613387833", "0.279844477122038885688256974265"),
+        (0.1740760981324038,
+         "0.996669476811530846042971744667", "0.218661861667667361898146842508"),
+        (0.18021996041942984,
+         "0.997874894595253244344668388791", "0.173870890711087139858151011786"),
+        (0.18636382270645585,
+         "0.998807415873924924936146622687", "0.12979394987642038888650978141"),
+        (0.19250768499348184,
+         "0.999470841661883488524897571671", "0.0862421056825754597499881383621"),
+        (0.19660359318483253,
+         "0.999764991458660134893118278471", "0.0574101550333135620058900945302"),
+        (0.2006995013761832,
+         "0.999941273754783485010873290309", "0.0286797780243388503747371441878"),
+        (0.20274745547185855,
+         "0.999985320055331410483667653291", "0.0143367309632764787366798595954"),
+        (0.20459061415796637,
+         "0.999999853205886898869805640835", "0.00143356891917037474240488991977"),
+        (0.20477493002657715,
+         "0.999999998532059402306953995034", "0.000143356787749872010265971749918"),
+    ],
+}
+
+# c_1..c_6 of g(m_k + t) = sum c_j t^(2j) from mpmath (dps=40) without the
+# profile ODE: with y^(k-1) = cos(phi) the defining integral gives
+# m_k - x = int_0^phi cos(s)^(1/(k-1)) ds/(k-1), so t and y are power series
+# in phi (mpmath's taylor of cos^(1/(k-1))); reverting t(phi) and composing
+# gives y(t).
+TAYLOR_REF = {
+    3: ["-1.0", "-0.833333333333333333333333333333", "-1.27777777777777777777777777778",
+        "-2.37103174603174603174603174603", "-4.84678130511463844797178130511",
+        "-10.5109995457217679439901662124"],
+    6: ["-2.5", "-11.4583333333333333333333333333", "-89.7569444444444444444444444444",
+        "-824.761284722222222222222222222", "-8216.91141010802469135802469136",
+        "-86037.2836893968621399176954733"],
+}
+
+
 # half-width M_k -------------------------------------------------------------
 
 
@@ -293,6 +418,40 @@ def test_odd_derivatives_vanish_at_mk(k, build_scaling):
         series = series * u + cj
     resid = np.abs(probe.f(s.m_k - ts) - series) / ts**3
     assert np.max(resid) < 1e-7
+
+
+def _cap_columns(k):
+    return (np.array([float(v) for v in col]) for col in zip(*CAP_PROFILE[k]))
+
+
+@pytest.mark.parametrize("k", sorted(CAP_PROFILE))
+def test_cap_values_within_4_ulp_of_mpmath(k):
+    x, y, _ = _cap_columns(k)
+    assert np.all(np.abs(make_scaling(k).f(x) - y) <= 4 * np.spacing(y))
+
+
+@pytest.mark.parametrize("k", sorted(CAP_PROFILE))
+def test_cap_slopes_within_1e_11_of_mpmath(k):
+    x, _, yp = _cap_columns(k)
+    assert np.all(np.abs(make_scaling(k).f_prime(x) / yp - 1.0) <= 1e-11)
+
+
+@pytest.mark.parametrize("k", sorted(TAYLOR_REF))
+def test_taylor_coefficients_are_the_rounded_references(k):
+    # Exact rationals rounded once: each is the float nearest its reference.
+    assert make_scaling(k).taylor_at_mk(12)[1:] == [float(c) for c in TAYLOR_REF[k]]
+
+
+def test_series_stops_below_a_quarter_of_rounding_at_the_guard():
+    quarter = 2.0 ** -55
+    for k in range(2, 65):
+        guard = scaling.GUARD_FRACTION * mk_closed_form(k)
+        c = scaling._even_series(k, guard)
+        terms = np.abs(c) * guard ** (2.0 * np.arange(len(c)))
+        assert 13 <= len(c) <= 14
+        assert terms[-1] < quarter and np.all(terms[2:-1] >= quarter)
+    # However narrow the guard, c_1 stays: the slope near m_k is 2 c_1 t.
+    assert list(scaling._even_series(3, 1e-9)) == [1.0, -1.0, -5.0 / 6.0]
 
 
 def test_taylor_at_mk_validation():

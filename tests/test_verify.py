@@ -260,6 +260,13 @@ def test_sample_surface_rejects_empty_count(count):
         sample_surface(make_archimedean(3, 2), count)
 
 
+def test_sample_surface_refuses_a_fractional_count():
+    arr = make_archimedean(3, 2)
+    with pytest.raises(TypeError):
+        sample_surface(arr, 2.5)
+    assert sample_surface(arr, np.int64(5), seed=1).shape == (5, 3)
+
+
 def test_sample_surface_reports_rate():
     base = make_archimedean(4, 2).base
     pts, _, rate = _base_uniform(base, 200000, philox(8, 0x5A11))
@@ -389,6 +396,14 @@ def test_statistical_test_requires_regions():
     arr = make_archimedean(3, 2)
     with pytest.raises(ValueError):
         app_statistical_test(arr, [], 1000)
+
+
+def test_statistical_test_refuses_a_fractional_sample_count():
+    arr = make_archimedean(3, 2)
+    regions = random_regions(arr.base, 4, seed=71)
+    with pytest.raises(TypeError):
+        app_statistical_test(arr, regions, 2500.5)
+    assert app_statistical_test(arr, regions, np.int64(2500), seed=72).samples == 2500
 
 
 def test_report_serializes_to_plain_data():
