@@ -1,14 +1,15 @@
 """Benchmark record of a checkout: end-to-end runs, layer timings, checksums.
 
 Runs ``bench/run.py`` (untraced) on every workload and seed, times the
-hot kernels of the statistical gate and its p-value, of the profile
-layer and its build, of the ellipse and hexagon bases, of the residual
-gate, of surface sampling, of the CSV and OBJ export, of the closed mesh
-check, of the Halton sequence and of two CLI calls in a fresh process,
-counts the incomplete betas per forward profile value and the share of values
-answered with none, hashes the results bit for bit, counts the lines
-under ``src/`` and writes it all, with the machine it ran on, to one
-JSON file.  With ``--baseline`` the same is done for a
+hot kernels of the statistical gate and its p-value, of the cell walk
+(its box test, and walks on a warm and on an empty leaf-draw memo), of
+the profile layer and its build, of the ellipse and hexagon bases, of
+the residual gate, of surface sampling, of the CSV and OBJ export, of
+the closed mesh check, of the Halton sequence and of two CLI calls in a
+fresh process, counts the incomplete betas per forward profile value and
+the share of values answered with none, hashes the results bit for bit,
+counts the lines under ``src/`` and writes it all, with the machine it
+ran on, to one JSON file.  With ``--baseline`` the same is done for a
 second checkout.  The layer processes and the end-to-end runs of the
 two alternate, each pair starting with the other checkout, so both see
 the same phases of a shared host; each layer row records its median
@@ -78,6 +79,7 @@ def layers(root, reps, seeds):
 
     import archarray
     import archarray.cli  # noqa: F401  (workloads call the CLI)
+    import archarray.region as region_module
     import workloads
     from archarray.scaling import ScalingFunction, _build, make_scaling
     from archarray.special import betainc_reg, gamma_q
@@ -97,6 +99,22 @@ def layers(root, reps, seeds):
 
     cached = regions()
     _expected_fractions(h, cached)
+
+    def cold(fn):
+        """``fn`` on an empty leaf-draw memo; a checkout without the memo
+        draws the leaves in every walk anyway."""
+        def run():
+            getattr(region_module, "_LEAF_MEMO", {}).clear()
+            return fn()
+        return run
+
+    # 200 box tests of 256 boxes on the n=4, k=2 ball base, about one walk
+    # level each, from their own stream; a checkout without box_state gives
+    # the same states from its misses_box and holds_box.
+    box_lo = lo + np.random.default_rng(2).random((256, 2)) * (hi - lo)
+    box_hi = box_lo + np.random.default_rng(3).random((256, 2)) * (hi - lo) / 16
+    box_state = getattr(h.base, "box_state", None) or (lambda a, b: np.where(
+        h.base.misses_box(a, b), 0, h.base.holds_box(a, b) + 1))
     # The profile layer on 65,536 points (k = 3) and the enclosed-volume
     # Monte Carlo, whose hit test reads the profile's node table.
     prof = make_scaling(3)
@@ -156,10 +174,14 @@ def layers(root, reps, seeds):
         "region.contains.ball.200k": lambda: ball.contains(pts),
         "verify.base_uniform.200k": lambda: _base_uniform(h.base, 200_000, _philox(5, 0x5A11))[0],
         "stat.first_gate_volumes.20": lambda: _expected_fractions(h, regions()),
+        "stat.first_gate_volumes.20.cold": cold(lambda: _expected_fractions(h, regions())),
         "stat.cached_gate.200k": lambda: (lambda r: (r.chi2, r.p_value))(
             archarray.app_statistical_test(h, cached, 200_000, seed=5)),
         "region.patch_volume.depth8": lambda: h.patch_volume(
             archarray.Region.ball([0.55, -0.1], 0.22), depth=8, seed=1),
+        "region.patch_volume.depth8.cold": cold(lambda: h.patch_volume(
+            archarray.Region.ball([0.55, -0.1], 0.22), depth=8, seed=1)),
+        "region.box_state.ball": lambda: [box_state(box_lo, box_hi) for _ in range(200)][-1],
         "scaling.f.65536": lambda: prof.f(xs),
         "scaling.f_prime.65536": lambda: prof.f_prime(xs),
         "scaling.f.cap.65536": lambda: prof.f(xs_cap),

@@ -116,10 +116,31 @@ def box_corners(lo, hi):
     return np.where(bits == 1, hi[..., None, :], lo[..., None, :])
 
 
-def far_corner(lo, hi, center):
-    """The corner of each box [lo, hi] farthest from ``center`` in each axis,
-    hence in any rounded sum of squares, as that is monotone in each term."""
-    return np.where(np.abs(lo - center) > np.abs(hi - center), lo, hi)
+def box_reach(below, above):
+    """Squared distances from the origin to the nearest and the farthest
+    point of each axis box [below, above].  An axis adds max(below, -above,
+    0)^2 to the near sum and max(below^2, above^2) to the far sum, and the
+    columns are added in ``squared_distance``'s order.  The far point is a
+    corner, and a rounded sum of squares is monotone in each term, so no
+    corner's sum exceeds the far sum."""
+    near = np.maximum(np.maximum(below, -above), 0.0)
+    return _column_sum(near * near), _column_sum(np.maximum(below * below, above * above))
+
+
+def _column_sum(terms):
+    """Sum over the last axis, in ``squared_distance``'s order."""
+    if terms.shape[-1] >= _IN_ORDER_TERMS:
+        return np.add.reduce(terms, axis=-1)
+    total = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        total = total + terms[..., j]
+    return total
+
+
+def state_of(miss, held):
+    """The state of each box: 0 where it misses a set, 2 where the set
+    holds it, 1 where neither is known."""
+    return np.where(miss, 0, held + 1)
 
 
 class BaseDomain:
@@ -132,8 +153,8 @@ class BaseDomain:
 
     # Subclasses implement: _signed, _gradient, _singular_distance,
     # volume, inradius, bounding_box, describe.  They may override
-    # inside_mask, misses_box and holds_box with exact geometric tests,
-    # which give quadrature and sampling their fast paths.
+    # inside_mask and box_state with exact geometric tests, which give
+    # quadrature and sampling their fast paths.
 
     def _interior_omega(self, pts, what):
         """omega of points inside the domain, from one _signed call."""
@@ -152,16 +173,14 @@ class BaseDomain:
         of :meth:`contains` where a subclass has an exact test."""
         return self.contains(pts)
 
-    def misses_box(self, lo, hi):
-        """True only if the axis box [lo, hi] provably misses the domain;
-        a batch of boxes, (m, dim) each, gets one answer per box."""
-        return np.zeros(np.shape(lo)[:-1], dtype=bool)
-
-    def holds_box(self, lo, hi):
-        """``inside_mask`` at every corner of each axis box [lo, hi]."""
+    def box_state(self, lo, hi):
+        """0 only if the axis box [lo, hi] provably misses the domain, 2 if
+        ``inside_mask`` holds at every corner, else 1; a batch of boxes,
+        (m, dim) each, gets one state per box.  By default no box is
+        known to miss."""
         corners = box_corners(lo, hi)
         inside = self.inside_mask(corners.reshape(-1, self.dim))
-        return np.all(inside.reshape(corners.shape[:-1]), axis=-1)
+        return np.all(inside.reshape(corners.shape[:-1]), axis=-1) + 1
 
     def distance_to_boundary(self, x):
         """Interior distance omega(x) to the domain boundary."""
@@ -228,12 +247,9 @@ class Ball(BaseDomain):
     def inside_mask(self, pts):
         return self._rho(pts) <= self.radius
 
-    def holds_box(self, lo, hi):
-        return self.inside_mask(far_corner(lo, hi, self.center))
-
-    def misses_box(self, lo, hi):
-        # The box point nearest the centre is the centre clipped to the box.
-        return squared_distance(np.clip(self.center, lo, hi), self.center) > self.radius ** 2
+    def box_state(self, lo, hi):
+        near, far = box_reach(lo - self.center, hi - self.center)
+        return state_of(near > self.radius ** 2, np.sqrt(far) <= self.radius)
 
     def volume(self):
         return ball_volume(self.dim, self.radius)
@@ -354,14 +370,10 @@ class Ellipse(BaseDomain):
     def inside_mask(self, pts):
         return self._level(pts) <= 1.0
 
-    def holds_box(self, lo, hi):
-        return self.inside_mask(far_corner(lo, hi, self.center))
-
-    def misses_box(self, lo, hi):
-        s_lo = (lo - self.center) / self.semi_axes
-        s_hi = (hi - self.center) / self.semi_axes
-        gap = np.maximum(np.maximum(np.minimum(s_lo, s_hi), -np.maximum(s_lo, s_hi)), 0.0)
-        return np.sum(gap * gap, axis=-1) > 1.0
+    def box_state(self, lo, hi):
+        near, far = box_reach((lo - self.center) / self.semi_axes,
+                              (hi - self.center) / self.semi_axes)
+        return state_of(near > 1.0, far <= 1.0)
 
     def _signed(self, pts):
         near = self._nearest_boundary(pts)
@@ -469,9 +481,12 @@ class ConvexPolygon(BaseDomain):
     def inside_mask(self, pts):
         return np.min(self._edge_margins(pts), axis=1) >= 0.0
 
-    def misses_box(self, lo, hi):
-        margins = self._edge_margins(box_corners(lo, hi))
-        return np.any(np.all(margins < 0.0, axis=-2), axis=-1)
+    def box_state(self, lo, hi):
+        # A box misses if all its corners lie outside one edge line.
+        corners = box_corners(lo, hi)
+        margins = self._edge_margins(corners.reshape(-1, 2)).reshape(corners.shape[:-1] + (-1,))
+        return state_of(np.any(np.all(margins < 0.0, axis=-2), axis=-1),
+                        np.all(margins >= 0.0, axis=(-2, -1)))
 
     def _signed(self, pts):
         margins = self._edge_margins(pts)

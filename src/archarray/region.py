@@ -8,8 +8,8 @@ level by level, each test running on all cells of a level at once:
 * cells separated from either set by a supporting hyperplane or a
   distance test are discarded (exact);
 * cells whose corners all lie in both convex sets are entirely inside
-  (exact, by convexity; ``holds_box`` tests a far corner or bounds) and
-  take a composite tensor Gauss rule refined with the walk to the depth cap;
+  (exact, by convexity) and take a composite tensor Gauss rule refined
+  with the walk to the depth cap;
 * the other cells split along their longest axis, each lower half
   listed before its upper half, so every level is in depth-first order.
   Cells still undecided at the depth cap are Monte Carlo leaves, and
@@ -17,16 +17,19 @@ level by level, each test running on all cells of a level at once:
   at counter (0, 0, i, 0); one generator reaches each leaf's start by
   ``advance``.
 
-The integrand sees Gauss nodes and Monte Carlo hits in blocks of at most
-``_BLOCK`` points; volume, integral and variance are summed with
-``math.fsum``.  The Monte Carlo nodes depend only on (seed, leaf order),
-never on the integrand, so two quadratures over the same geometry share
-their nodes exactly and the geometric part of the error cancels in
-ratios.  The unit-cube draws of a leaf do not depend on the region
-either: a :class:`LeafDraws` passed to several walks (the statistical
-gate's windows) makes each leaf's draws once for all of them, while a
-walk on its own holds one block of leaves at a time.  In one dimension
-every intersection is an interval and is handled exactly.
+Each set answers both tests at once: its ``box_state`` gives every cell
+of a level 0 (missed), 1 (undecided) or 2 (held; a ball tests the box
+point farthest from its centre), and a cell's state is the smaller of
+the region's and the base's.  The integrand sees Gauss nodes and Monte
+Carlo hits in blocks of at most ``_BLOCK`` points; volume, integral and
+variance are summed with ``math.fsum``, which is exact, so the sums do
+not depend on the order of their terms.  The Monte Carlo nodes depend
+only on (seed, leaf order), never on the integrand, so two quadratures
+over the same geometry share their nodes exactly and the geometric part
+of the error cancels in ratios.  The unit-cube draws of a leaf do not
+depend on the region either, so each leaf is drawn once and held for
+every walk of its seed (:class:`LeafDraws`).  In one dimension every
+intersection is an interval and is handled exactly.
 
 Point tests work one coordinate column at a time: each coordinate is
 one long vector operation, where a row-wise reduction over a (N, dim)
@@ -36,11 +39,10 @@ array would run numpy's inner loop over dim elements.
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .base import box_corners, far_corner, squared_distance
+from .base import box_corners, box_reach, squared_distance, state_of
 from .quadrature import integrate
 
 __all__ = [
@@ -114,19 +116,15 @@ class Region:
             inside &= pts[..., j] <= self.hi[j]
         return inside
 
-    def misses_box(self, lo, hi):
-        """True only if the axis box [lo, hi] misses the region; a batch of
-        boxes, (m, dim) each, gets one answer per box."""
+    def box_state(self, lo, hi):
+        """0 if the axis box [lo, hi] misses the region, 2 if ``contains``
+        holds at every corner, else 1; a batch of boxes, (m, dim) each,
+        gets one state per box."""
         if self.shape == "box":
-            return np.any((hi < self.lo) | (lo > self.hi), axis=-1)
-        # The box point nearest the centre is the centre clipped to the box.
-        return squared_distance(np.clip(self.center, lo, hi), self.center) > self.radius ** 2
-
-    def holds_box(self, lo, hi):
-        """``contains`` at every corner of each axis box [lo, hi], lo <= hi."""
-        if self.shape == "box":
-            return np.all((lo >= self.lo) & (hi <= self.hi), axis=-1)
-        return self.contains(far_corner(lo, hi, self.center))
+            return state_of(((hi < self.lo) | (lo > self.hi)).any(axis=-1),
+                            ((lo >= self.lo) & (hi <= self.hi)).all(axis=-1))
+        near, far = box_reach(lo - self.center, hi - self.center)
+        return state_of(near > self.radius ** 2, far <= self.radius ** 2)
 
     def volume(self):
         """Exact volume of the region shape itself (unclipped)."""
@@ -141,12 +139,11 @@ class Region:
             return self.lo.copy(), self.hi.copy()
         return self.center - self.radius, self.center + self.radius
 
-    def clipped_volume(self, base, *, depth=CELL_DEPTH, seed=0, draws=None):
-        """Volume of region ∩ base, cached per (base value, depth, seed);
-        ``draws`` is passed on to :func:`clipped_quadrature`."""
+    def clipped_volume(self, base, *, depth=CELL_DEPTH, seed=0):
+        """Volume of region ∩ base, cached per (base value, depth, seed)."""
         key = _clip_key(base, depth, seed)
         if key not in self._clip_cache:
-            result = clipped_quadrature(base, self, depth=depth, seed=seed, draws=draws)
+            result = clipped_quadrature(base, self, depth=depth, seed=seed)
             self._clip_cache[key] = result.volume
         return self._clip_cache[key]
 
@@ -209,12 +206,14 @@ def _halve(lo, hi):
     """Split each cell of an (m, dim) batch at the midpoint of its longest
     axis.  Row 2i is cell i's lower half and row 2i + 1 its upper half, so
     halving level by level keeps the cells in depth-first order."""
-    rows = np.arange(len(lo))
-    axis = np.argmax(hi - lo, axis=1)
-    mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
-    lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
-    hi[2 * rows, axis] = mid
-    lo[2 * rows + 1, axis] = mid
+    m, dim = lo.shape
+    axis = (hi - lo).argmax(axis=1)
+    at = np.arange(0, m * dim, dim) + axis  # flat index of (i, axis i)
+    mid = 0.5 * (lo.take(at) + hi.take(at))
+    lo, hi = lo.repeat(2, axis=0), hi.repeat(2, axis=0)
+    at += at - axis  # flat index of (2i, axis i) in the halves
+    hi.put(at, mid)
+    lo.put(at + dim, mid)
     return lo, hi
 
 
@@ -255,51 +254,50 @@ class LeafDraws:
     where ``philox.jumped(i)`` would start.  One generator reads a leaf's
     draws, ceil(MC_POINTS * dim / 4) counters, and ``advance`` takes it on
     to the next leaf's start (advancing also drops the unread part of a
-    block).  The leaves depend only on (seed, dim), never on the region,
-    so walks over several regions can share them: with ``keep=True``
-    every leaf drawn is held and each is drawn once for all walks;
-    otherwise only the last request's leaves are held (an earlier one is redrawn).
+    block).  Every leaf drawn is held.  The leaves depend only on (seed,
+    dim, ``MC_POINTS``), never on the region, and the walks read them from
+    a memo of the last ``_LEAF_MEMO_KEYS`` keys, so a leaf is drawn once
+    for all the walks of its seed in a process.
     """
 
-    def __init__(self, seed, dim, *, keep=False):
+    def __init__(self, seed, dim):
         self._philox = philox(seed, 0x7C1)
         self._gen = np.random.Generator(self._philox)
         self._to_next_leaf = (1 << 128) - (MC_POINTS * dim + 3) // 4
-        self.key = (seed, dim)
-        self.keep = keep
-        self._first = 0
         self._held = np.empty((0, MC_POINTS, dim))
 
-    def leaves(self, start, count):
-        """Draws of leaves ``start`` to ``start + count - 1``, as a view
-        (count, MC_POINTS, dim)."""
-        if start < self._first:  # dropped already: jump back to its counter
-            self._philox = philox(self.key[0], 0x7C1).jumped(start)
-            self._gen = np.random.Generator(self._philox)
-            self._first, self._held = start, self._held[:0]
-        drawn = self._first + len(self._held)
-        if start + count > drawn:
-            new = np.empty((start + count - drawn,) + self._held.shape[1:])
+    def leaves(self, count):
+        """Draws of leaves 0 to ``count - 1``, as a view (count, MC_POINTS, dim)."""
+        if count > len(self._held):
+            new = np.empty((count - len(self._held),) + self._held.shape[1:])
             for leaf in new:
                 self._gen.random(out=leaf)
                 self._philox.advance(self._to_next_leaf)
-            if self.keep:
-                self._held = np.concatenate([self._held, new])
-            else:
-                self._first, self._held = drawn, new
-        return self._held[start - self._first:start - self._first + count]
+            self._held = np.concatenate([self._held, new])
+        return self._held[:count]
 
 
-def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH, seed=0,
-                       draws=None):
+# The leaf draws of the most recently used keys, least recent first.
+_LEAF_MEMO = {}
+_LEAF_MEMO_KEYS = 2
+
+
+def _leaf_draws(seed, dim):
+    """The memo's :class:`LeafDraws` of (seed, dim) at the current ``MC_POINTS``."""
+    key = (int(seed), dim, MC_POINTS)
+    draws = _LEAF_MEMO.pop(key, None) or LeafDraws(key[0], dim)
+    _LEAF_MEMO[key] = draws
+    if len(_LEAF_MEMO) > _LEAF_MEMO_KEYS:
+        del _LEAF_MEMO[next(iter(_LEAF_MEMO))]
+    return draws
+
+
+def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH, seed=0):
     """Quadrature of ``integrand`` over region ∩ base.
 
     Returns a :class:`ClippedIntegral`; with ``integrand=None`` the
     integral equals the volume.  Results are deterministic for fixed
     (base, region, depth, seed) and use integrand-independent nodes.
-    ``draws``, a :class:`LeafDraws` for (seed, base.dim), supplies the
-    Monte Carlo leaves when several walks share them; the result does
-    not depend on it.
     """
     if region.dim != base.dim:
         raise ValueError("region and base dimensions differ")
@@ -322,10 +320,6 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH, seed=0
         return ClippedIntegral(0.0, 0.0, 0.0)
 
     dim = base.dim
-    if draws is None:
-        draws = LeafDraws(seed, dim)
-    elif draws.key != (seed, dim):
-        raise ValueError(f"leaf draws for {draws.key}, not {(seed, dim)}")
     lo, hi = lo[None, :], hi[None, :]
     volume, variance, sums, rule = [], [], [], []
     # Accepted cells being refined, oldest level first; per level: end level, weights.
@@ -337,15 +331,13 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH, seed=0
         if d and len(plo):
             plo, phi = _halve(plo, phi)
         if len(lo):
-            keep = ~(region.misses_box(lo, hi) | base.misses_box(lo, hi))
-            discarded += len(lo)
-            lo, hi = lo[keep], hi[keep]
-            discarded -= len(lo)
-            inside = region.holds_box(lo, hi) & base.holds_box(lo, hi)
+            state = np.minimum(region.box_state(lo, hi), base.box_state(lo, hi))
+            inside, live = state == 2, state == 1
             alo, ahi = lo[inside], hi[inside]
+            lo, hi = lo[live], hi[live]
             accepted += len(alo)
-            volume.append(np.prod(ahi - alo, axis=1))
-            lo, hi = lo[~inside], hi[~inside]
+            discarded += len(state) - len(alo) - len(lo)
+            volume.append((ahi - alo).prod(axis=1))
             if integrand is not None and len(alo):
                 # One two-point rule on a large accepted cell is poor for kinked
                 # integrands (polygon distance functions).  Halving on to the depth
@@ -368,14 +360,16 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH, seed=0
         step = max(1, _BLOCK >> dim)
         for s in range(0, len(sub_lo), step):
             nodes = _gauss_nodes(sub_lo[s:s + step], sub_hi[s:s + step])
-            sums.append(math.fsum(np.repeat(weights[s:s + step], 2 ** dim) * integrand(nodes)))
+            sums.append(math.fsum((np.repeat(weights[s:s + step], 2 ** dim)
+                                   * integrand(nodes)).tolist()))
 
     # The cells left at the depth cap are the Monte Carlo leaves, in
     # depth-first order; leaf i scores the draws of LeafDraws leaf i.
+    draws = _leaf_draws(seed, dim).leaves(len(lo)) if len(lo) else None
     step = max(1, _BLOCK // MC_POINTS)
     for s in range(0, len(lo), step):
         clo, chi = lo[s:s + step], hi[s:s + step]
-        u = draws.leaves(s, len(clo))
+        u = draws[s:s + step]
         width = chi - clo
         # The leaf points clo + u * width, one coordinate column at a time.
         pts = np.empty_like(u)
@@ -384,17 +378,18 @@ def clipped_quadrature(base, region, integrand=None, *, depth=CELL_DEPTH, seed=0
             pts[:, :, j] += clo[:, j, None]
         pts = pts.reshape(-1, dim)
         mask = region.contains(pts) & inside_mask(base, pts)
-        hits = np.count_nonzero(mask.reshape(len(clo), MC_POINTS), axis=1)
-        cell_vol = np.prod(width, axis=1)
+        hits = mask.reshape(len(clo), MC_POINTS).sum(axis=1)
+        cell_vol = width.prod(axis=1)
         frac = hits / MC_POINTS
         volume.append(cell_vol * frac)
         variance.append(cell_vol ** 2 * frac * (1.0 - frac) / MC_POINTS)
         if integrand is not None and hits.any():
-            sums.append(math.fsum(np.repeat(cell_vol / MC_POINTS, hits)
-                                  * integrand(np.compress(mask, pts, axis=0))))
+            sums.append(math.fsum((np.repeat(cell_vol / MC_POINTS, hits)
+                                   * integrand(np.compress(mask, pts, axis=0))).tolist()))
 
-    vol = math.fsum(chain.from_iterable(volume))
+    vol = math.fsum(np.concatenate(volume).tolist())
     integral = vol if integrand is None else math.fsum(sums)
-    return ClippedIntegral(vol, integral, math.sqrt(math.fsum(chain.from_iterable(variance))),
+    error = math.sqrt(math.fsum(np.concatenate(variance).tolist())) if variance else 0.0
+    return ClippedIntegral(vol, integral, error,
                            cells_accepted=accepted, cells_discarded=discarded,
                            mc_leaves=len(lo))

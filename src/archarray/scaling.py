@@ -88,6 +88,12 @@ def mk_quadrature(k):
     return integrate(integrand, 0.0, 1.0, singular_right=True)
 
 
+# The largest k whose profile builds: from k = 25 on, the node table's
+# inverse is not strictly increasing, and from k = 43 on, the M_k
+# quadrature meets a non-finite integrand.
+_MAX_K = 24
+
+
 def _check_k(k):
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
@@ -401,8 +407,12 @@ def make_scaling(k):
     refuses to construct if they disagree beyond 1e-8 relative.  It also
     cross-checks the incomplete-beta inversion route against direct
     quadrature on a y-grid that includes the singular endpoint y = 1.
+    k runs from 2 to 24, the largest codimension whose profile builds.
     """
     _check_k(k)
+    if k > _MAX_K:
+        raise ValueError(f"k must be at most {_MAX_K}, the largest codimension "
+                         f"whose profile builds; got {k}")
     return _build(int(k))
 
 

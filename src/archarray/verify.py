@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import row_norm, to_box
-from .region import LeafDraws, Region, inside_mask, philox as _philox
+from .region import Region, inside_mask, philox as _philox
 from .special import gamma_q
 
 __all__ = [
@@ -262,17 +262,14 @@ def _expected_fractions(h, regions):
     """Surface-measure mass of each region under the warp's area density.
 
     For archimedean and cylinder warps the density is constant, so the
-    mass reduces to the clipped-volume fraction; the walks of the windows
-    missing from their clip caches share one set of Monte Carlo leaf
-    draws, held for this call only.  For custom warps the area integrand
-    is evaluated by quadrature.
+    mass reduces to the clipped-volume fraction.  For custom warps the
+    area integrand is evaluated by quadrature.
     """
     if h.warp_mode == "custom":
         total = h.total_volume().value
         return [h.patch_volume(u) / total for u in regions]
     total = h.base.volume()
-    draws = LeafDraws(0, h.base.dim, keep=True)
-    return [u.clipped_volume(h.base, draws=draws) / total for u in regions]
+    return [u.clipped_volume(h.base) / total for u in regions]
 
 
 def app_statistical_test(h, regions, samples, seed=0):

@@ -322,6 +322,7 @@ def test_inside_mask_matches_signed_distance(base):
 
 @pytest.mark.parametrize("base", CONTRACT_BASES, ids=CONTRACT_IDS)
 def test_misses_box_never_drops_an_inside_point(base):
+    # A box's state is 0 (missed) only if no point of the domain lies in it.
     rng = np.random.default_rng(23)
     pts = _padded_uniform(base, rng, 4000)
     inside = pts[base.signed_distance(pts) > 0.0][:300]
@@ -331,20 +332,23 @@ def test_misses_box_never_drops_an_inside_point(base):
     for p in inside:
         below = rng.uniform(0.0, 0.5, base.dim) * size
         above = rng.uniform(0.0, 0.5, base.dim) * size
-        assert not base.misses_box(p - below, p + above)
+        assert base.box_state(p - below, p + above) != 0
         boxes.append((p - below, p + above))
     # The test is not vacuous: a box clear of the bounding box is missed.
-    assert base.misses_box(hi + 0.1 * size, hi + 0.3 * size)
+    assert base.box_state(hi + 0.1 * size, hi + 0.3 * size) == 0
     # Asked as one batch, the boxes get the answers they got one by one,
     # and so do small boxes around all points, some of which are missed.
     blo, bhi = (np.array(side) for side in zip(*boxes))
-    assert not np.any(base.misses_box(blo, bhi))
+    assert not np.any(base.box_state(blo, bhi) == 0)
     blo = pts - rng.uniform(0.0, 0.05, pts.shape) * size
     bhi = pts + rng.uniform(0.0, 0.05, pts.shape) * size
-    batch = base.misses_box(blo, bhi)
-    assert batch.shape == (len(pts),) and 0 < np.count_nonzero(batch)
-    assert batch.tolist() == [bool(base.misses_box(a, b)) for a, b in zip(blo, bhi)]
-    assert BaseDomain.misses_box(base, blo, bhi).shape == (len(pts),)
+    batch = base.box_state(blo, bhi)
+    assert batch.shape == (len(pts),) and 0 < np.count_nonzero(batch == 0)
+    assert batch.tolist() == [int(base.box_state(a, b)) for a, b in zip(blo, bhi)]
+    # The default test knows no box to miss, and holds the same boxes.
+    default = BaseDomain.box_state(base, blo, bhi)
+    assert default.shape == (len(pts),) and np.all(default >= 1)
+    assert np.array_equal(default == 2, batch == 2)
 
 
 def test_omega_equals_signed_inside():

@@ -320,6 +320,13 @@ def test_verify_residual_rejects_a_negative_sample_count(capsys):
     assert "count must be at least 1" in err
 
 
+def test_scaling_refuses_an_order_that_does_not_build(capsys):
+    code, out, err = run_cli(capsys, ["scaling", "--k", "25"])
+    assert code == 2
+    assert out == ""
+    assert "k must be at most 24, the largest codimension whose profile builds" in err
+
+
 def test_volume_enclosed_rejects_a_negative_sample_count(capsys):
     code, out, err = run_cli(capsys, ["volume", "--n", "3", "--k", "2", "--enclosed",
                                       "--samples", "-5"])

@@ -353,7 +353,8 @@ LEAF_CASES = [(3, 2, 19), (5, 2, 18), (3, 3, 15), (5, 3, 13), (MC_POINTS, 2, 9),
 
 
 @pytest.mark.parametrize("mc_points, dim, depth", LEAF_CASES)
-def test_leaf_i_draws_the_stream_of_philox_jumped_i(monkeypatch, mc_points, dim, depth):
+def test_leaf_i_draws_the_stream_of_philox_jumped_i(monkeypatch, cold_leaf_memo, mc_points, dim,
+                                                    depth):
     from archarray import region as region_module
     from archarray.region import _BLOCK
 
@@ -384,7 +385,7 @@ def test_leaf_i_draws_the_stream_of_philox_jumped_i(monkeypatch, mc_points, dim,
         assert np.array_equal(got, want), i
 
 
-def test_quadrature_never_jumps_the_philox_stream(monkeypatch):
+def test_quadrature_never_jumps_the_philox_stream(monkeypatch, cold_leaf_memo):
     class NoJumps(np.random.Philox):
         def jumped(self, jumps=1):
             raise AssertionError("Philox.jumped called")
@@ -509,21 +510,40 @@ def test_region_contains_matches_the_row_formulas_on_boundaries():
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 9])
 def test_region_and_ball_misses_box_match_the_row_formulas(dim):
+    # The state is 0 exactly where the row formula says the box misses.
     rng = np.random.default_rng(dim)
     lo = rng.uniform(-1.0, 1.0, size=(2000, dim))
     hi = lo + rng.uniform(0.0, 0.5, size=(2000, dim))
     center, radius = rng.uniform(-0.3, 0.3, size=dim), 0.3 * math.sqrt(dim)
+    # Boxes with a face, or a corner, on the sphere, and 1 ulp either side.
+    face = center + radius * np.eye(dim)[rng.integers(0, dim, 300)] * rng.choice([-1, 1], (300, 1))
+    corner = _rim_of_ball(rng, center, radius, 300)
+    for rim in (face, corner):
+        for p in (rim, np.nextafter(rim, -np.inf), np.nextafter(rim, np.inf)):
+            out = p + (p - center) * rng.uniform(0.0, 0.5, (300, 1))
+            lo, hi = np.concatenate([lo, np.minimum(p, out)]), np.concatenate([hi, np.maximum(p, out)])
     gap = np.maximum(np.maximum(lo - center, center - hi), 0.0)
     want = np.sum(gap * gap, axis=-1) > radius ** 2
     assert want.any() and not want.all()
-    assert np.array_equal(Region.ball(center, radius).misses_box(lo, hi), want)
-    assert np.array_equal(Ball(center, radius).misses_box(lo, hi), want)
+    assert np.array_equal(Region.ball(center, radius).box_state(lo, hi) == 0, want)
+    assert np.array_equal(Ball(center, radius).box_state(lo, hi) == 0, want)
 
 
 def _corner_test(inside, lo, hi):
     """The containment test at all 2^dim corners of each box."""
     corners = box_corners(lo, hi)
     return np.all(inside(corners.reshape(-1, lo.shape[1])).reshape(corners.shape[:-1]), axis=1)
+
+
+def _check_state(shape, inside, lo, hi):
+    """The state is 2 exactly where every corner tests inside, and 0 only
+    where no corner does."""
+    want = _corner_test(inside, lo, hi)
+    assert want.any() and not want.all()
+    state = shape.box_state(lo, hi)
+    assert np.array_equal(state == 2, want)
+    some_inside = ~_corner_test(lambda pts: ~inside(pts), lo, hi)
+    assert np.count_nonzero(state == 0) and not np.any((state == 0) & some_inside)
 
 
 def _boxes_at_rim(rng, rim, center):
@@ -558,9 +578,16 @@ def test_ball_holds_box_equals_the_corner_test(dim):
     lo, hi = _boxes_at_rim(rng, _rim_of_ball(rng, center, radius), center)
     for shape, test in ((Ball(center, radius), "inside_mask"),
                         (Region.ball(center, radius), "contains")):
-        want = _corner_test(getattr(shape, test), lo, hi)
-        assert want.any() and not want.all()
-        assert np.array_equal(shape.holds_box(lo, hi), want)
+        _check_state(shape, getattr(shape, test), lo, hi)
+    # On the unit ball the corner (1, 2^-26) lies at squared distance
+    # 1 + 2^-52, whose rounded root is 1: the base ball, which tests the
+    # root, holds the box [0.5, 1] x [0, 2^-26]; the region ball does not.
+    lo, hi = np.zeros((1, dim)), np.zeros((1, dim))
+    lo[0, 0], hi[0, 0], hi[0, 1] = 0.5, 1.0, 2.0 ** -26
+    for shape, test, state in ((Ball(np.zeros(dim), 1.0), "inside_mask", 2),
+                               (Region.ball(np.zeros(dim), 1.0), "contains", 1)):
+        assert _corner_test(getattr(shape, test), lo, hi)[0] == (state == 2)
+        assert shape.box_state(lo, hi).tolist() == [state]
 
 
 def test_ellipse_and_polygon_hold_box_equals_the_corner_test():
@@ -574,9 +601,7 @@ def test_ellipse_and_polygon_hold_box_equals_the_corner_test():
     for base, rim in ((ellipse, rim), (hexagon, np.concatenate([edges, verts]))):
         center = np.mean(rim, axis=0)
         lo, hi = _boxes_at_rim(rng, rim, center)
-        want = _corner_test(base.inside_mask, lo, hi)
-        assert want.any() and not want.all()
-        assert np.array_equal(base.holds_box(lo, hi), want)
+        _check_state(base, base.inside_mask, lo, hi)
 
 
 def test_box_region_holds_box_equals_the_corner_test():
@@ -588,12 +613,24 @@ def test_box_region_holds_box_equals_the_corner_test():
     rim[np.arange(600), face] = np.where(rng.random(600) < 0.5, box.lo[face], box.hi[face])
     rim = np.concatenate([rim, box_corners(box.lo, box.hi)])
     lo, hi = _boxes_at_rim(rng, rim, 0.5 * (box.lo + box.hi))
-    want = _corner_test(box.contains, lo, hi)
-    assert want.any() and not want.all()
-    assert np.array_equal(box.holds_box(lo, hi), want)
+    _check_state(box, box.contains, lo, hi)
+    # The state is 0 exactly where the row formula says the box misses.
+    want = np.any((hi < box.lo) | (lo > box.hi), axis=-1)
+    assert np.array_equal(box.box_state(lo, hi) == 0, want)
 
 
-# leaf draws shared by many walks ----------------------------------------------
+# leaf draws held for every walk of a seed --------------------------------------
+
+@pytest.fixture
+def cold_leaf_memo(monkeypatch):
+    """An empty leaf-draw memo for one test; the process's memo, untouched,
+    comes back after it."""
+    import archarray.region as region_module
+
+    memo = {}
+    monkeypatch.setattr(region_module, "_LEAF_MEMO", memo)
+    return memo
+
 
 def _walk_windows():
     """Windows on the unit disc: one inside it (no leaves), one disjoint,
@@ -611,76 +648,117 @@ def _walk_windows():
     ]
 
 
+def _bits(out):
+    """Volume, integral and error estimate as hex, and the walk's counters."""
+    return ([v.hex() for v in (out.volume, out.integral, out.error_estimate)],
+            (out.cells_accepted, out.cells_discarded, out.mc_leaves))
+
+
+@pytest.fixture
+def counting_generator(monkeypatch, cold_leaf_memo):
+    """numpy's generator class, for walks on a cold memo, replaced by one
+    that counts its constructions and its draws."""
+    class Counting(np.random.Generator):
+        made = draws = 0
+
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            Counting.made += 1
+
+        def random(self, *args, **kwargs):
+            Counting.draws += 1
+            return super().random(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    return Counting
+
+
 @pytest.mark.parametrize("integrand", [None, _smooth], ids=["volume", "integral"])
-def test_walks_sharing_leaf_draws_equal_walks_drawing_their_own(integrand):
-    from archarray.region import _BLOCK, MC_POINTS, LeafDraws
+def test_walks_sharing_leaf_draws_equal_walks_drawing_their_own(cold_leaf_memo, integrand):
+    import archarray.region as region_module
+    from archarray.region import _BLOCK
 
     base = Ball([0.0, 0.0], 1.0)
-    draws = LeafDraws(3, 2, keep=True)
+
+    def walk(u):
+        return _bits(clipped_quadrature(base, u, integrand, depth=8, seed=3))
+
+    cold = []
     for u in _walk_windows():
-        shared = clipped_quadrature(base, u, integrand, depth=8, seed=3, draws=draws)
-        alone = clipped_quadrature(base, u, integrand, depth=8, seed=3)
-        assert [v.hex() for v in (shared.volume, shared.integral, shared.error_estimate)] == \
-               [v.hex() for v in (alone.volume, alone.integral, alone.error_estimate)]
-        assert (shared.cells_accepted, shared.cells_discarded, shared.mc_leaves) == \
-               (alone.cells_accepted, alone.cells_discarded, alone.mc_leaves)
-    leaves = sorted({clipped_quadrature(base, u, depth=8, seed=3).mc_leaves
-                     for u in _walk_windows()})
+        cold_leaf_memo.clear()
+        cold.append(walk(u))
+    # Warm: each walk finds the draws of the walks before it, more leaves
+    # than it needs or fewer.
+    warm = [walk(u) for u in _walk_windows()]
+    # Evicted: walks of another seed and of another dim push the key out first.
+    evicted = []
+    for u in _walk_windows():
+        clipped_quadrature(base, Region.ball([0.9, 0.0], 0.3), depth=8, seed=4)
+        clipped_quadrature(Ball(np.zeros(3), 1.0), Region.ball([0.9, 0.0, 0.0], 0.3),
+                           depth=6, seed=3)
+        assert len(cold_leaf_memo) == region_module._LEAF_MEMO_KEYS
+        assert (3, 2, MC_POINTS) not in cold_leaf_memo
+        evicted.append(walk(u))
+    assert cold == warm == evicted
+    leaves = sorted({counters[2] for _, counters in cold})
     assert leaves[0] == 0 and leaves[-1] > _BLOCK // MC_POINTS and len(leaves) >= 4
 
 
-def test_shared_leaf_draws_draw_each_leaf_once(monkeypatch):
-    from archarray.region import _BLOCK, MC_POINTS, LeafDraws
-
-    generator = np.random.Generator
-    draws = []
-
-    class Recording(generator):
-        def random(self, *args, **kwargs):
-            draws.append(1)
-            return super().random(*args, **kwargs)
-
+def test_shared_leaf_draws_draw_each_leaf_once(counting_generator, cold_leaf_memo):
     base = Ball([0.0, 0.0], 1.0)
     leaves = [clipped_quadrature(base, u, depth=8, seed=3).mc_leaves for u in _walk_windows()]
-    monkeypatch.setattr(np.random, "Generator", Recording)
-    shared = LeafDraws(3, 2, keep=True)
+    assert counting_generator.draws == max(leaves) < sum(leaves)
+    # Walks of the same seed again, with an integrand or at another depth,
+    # draw no leaf they can read.
     for u in _walk_windows():
-        clipped_quadrature(base, u, depth=8, seed=3, draws=shared)
-    assert len(draws) == max(leaves) < sum(leaves)
-    # A walk's own draws hold one block at a time.
-    own = LeafDraws(3, 2)
-    out = clipped_quadrature(base, Region.box([-1.2, -1.2], [1.2, 1.2]), depth=8, seed=3,
-                             draws=own)
-    assert out.mc_leaves > _BLOCK // MC_POINTS >= len(own._held)
+        clipped_quadrature(base, u, _smooth, depth=8, seed=3)
+        clipped_quadrature(base, u, depth=7, seed=3)
+    assert counting_generator.draws == max(leaves) and counting_generator.made == 1
+    assert len(cold_leaf_memo[(3, 2, MC_POINTS)]._held) == max(leaves)
 
 
-def test_leaf_draws_of_one_walk_serve_the_next():
-    # A store that holds only its last request jumps back to leaf 0 when a
-    # second walk asks for it, so both walks match walks on their own.
+def test_leaf_draws_of_one_walk_serve_the_next(counting_generator, cold_leaf_memo):
+    # The second pass over the windows reads the first pass's draws and
+    # draws none of its own; both passes match walks on a cold memo.
     from archarray.array import make_archimedean
     from archarray.region import LeafDraws
 
     h = make_archimedean(4, 2)
-    draws = LeafDraws(0, 2)
     windows = (Region.ball([0.9, 0.0], 0.3), Region.box([0.75, -0.3], [1.15, 0.1]))
-    for window in windows + windows:
-        shared = clipped_quadrature(h.base, window, depth=9, draws=draws)
+    first = [clipped_quadrature(h.base, window, depth=9) for window in windows]
+    drawn = counting_generator.draws
+    again = [clipped_quadrature(h.base, window, depth=9) for window in windows]
+    assert counting_generator.draws == drawn
+    for window, a, b in zip(windows, first, again):
+        cold_leaf_memo.clear()
         alone = clipped_quadrature(h.base, window, depth=9)
-        assert shared.mc_leaves > 0 and shared == alone
-    assert draws._first > 0
-    assert np.array_equal(draws.leaves(1, 2), LeafDraws(0, 2).leaves(0, 3)[1:])
+        assert a.mc_leaves > 0 and a == b == alone
+    held = cold_leaf_memo[(0, 2, MC_POINTS)]
+    assert np.array_equal(held.leaves(3)[1:], LeafDraws(0, 2).leaves(3)[1:])
 
 
-def test_leaf_draws_must_match_the_walk():
-    from archarray.region import LeafDraws
+def test_leaf_draws_must_match_the_walk(monkeypatch, cold_leaf_memo):
+    # A walk reads only the draws of its own (seed, dim, MC_POINTS).
+    import archarray.region as region_module
 
     base, region = Ball([0.0, 0.0], 1.0), Region.ball([0.9, 0.0], 0.3)
-    for key in ((4, 2), (3, 3)):
-        with pytest.raises(ValueError, match="leaf draws"):
-            clipped_quadrature(base, region, depth=8, seed=3, draws=LeafDraws(*key))
+    want = _bits(clipped_quadrature(base, region, depth=8, seed=3))
+    for seed, dim in ((4, 2), (3, 3)):
+        cold_leaf_memo.clear()
+        clipped_quadrature(Ball(np.zeros(dim), 1.0), Region.ball([0.9] + [0.0] * (dim - 1), 0.3),
+                           depth=8, seed=seed)
+        assert list(cold_leaf_memo) == [(seed, dim, MC_POINTS)]
+        assert _bits(clipped_quadrature(base, region, depth=8, seed=3)) == want
+    cold_leaf_memo.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(region_module, "MC_POINTS", 128)
+        fewer = _bits(clipped_quadrature(base, region, depth=8, seed=3))
+    assert list(cold_leaf_memo) == [(3, 2, 128)] and fewer != want
+    assert _bits(clipped_quadrature(base, region, depth=8, seed=3)) == want
 
 
-def test_statistical_windows_share_one_set_of_leaf_draws(monkeypatch):
+def test_statistical_windows_share_one_set_of_leaf_draws(monkeypatch, counting_generator,
+                                                         cold_leaf_memo):
     import archarray.region as region_module
     from archarray.array import make_archimedean
     from archarray.verify import _expected_fractions
@@ -688,17 +766,21 @@ def test_statistical_windows_share_one_set_of_leaf_draws(monkeypatch):
     h = make_archimedean(4, 2)
     windows = _walk_windows()
     want = [u.clipped_volume(h.base) / h.base.volume() for u in _walk_windows()]
-    shared = []
+    cold_leaf_memo.clear()
+    counting_generator.made = counting_generator.draws = 0
+    walks = []
     walk = region_module.clipped_quadrature
 
-    def recording(*args, draws=None, **kwargs):
-        shared.append(draws)
-        return walk(*args, draws=draws, **kwargs)
+    def recording(*args, **kwargs):
+        walks.append(args[1])
+        return walk(*args, **kwargs)
 
     monkeypatch.setattr(region_module, "clipped_quadrature", recording)
     got = _expected_fractions(h, windows)
     assert [v.hex() for v in got] == [v.hex() for v in want]
-    # One walk per window, all on the same draws; a second gate walks none.
-    assert len(shared) == len(windows) and shared[0].keep
-    assert all(d is shared[0] for d in shared)
-    assert _expected_fractions(h, windows) == got and len(shared) == len(windows)
+    # One walk per window, all on one set of draws, each leaf drawn once;
+    # a second gate walks none.
+    assert walks == windows
+    leaves = max(walk(h.base, u).mc_leaves for u in windows)
+    assert counting_generator.made == 1 and counting_generator.draws == leaves > 0
+    assert _expected_fractions(h, windows) == got and len(walks) == len(windows)

@@ -489,6 +489,20 @@ def test_make_scaling_validation():
             make_scaling(bad)
 
 
+def test_make_scaling_refuses_orders_that_do_not_build():
+    # k = 24 is the largest order that builds; above it the node table
+    # (k = 25 to 42) or the M_k quadrature (from k = 43) used to fail
+    # inside the build, the latter after a RuntimeWarning.
+    assert make_scaling(24).k == 24
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (25, 43, 64):
+            with pytest.raises(ValueError, match="k must be at most 24, the largest"):
+                make_scaling(k)
+    # The closed form of M_k has no such limit.
+    assert mk_closed_form(64) > 0.0
+
+
 def test_domain_validation():
     s = make_scaling(3)
     with pytest.raises(ValueError):
