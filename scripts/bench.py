@@ -132,9 +132,16 @@ def layers(root, reps, seeds):
     m2 = h.scaling.m_k
     ellipse = archarray.Ellipse(np.zeros(2), [m2, 0.6 * m2])
     ell_pts = rng.uniform(-1.2, 1.2, (65_536, 2)) * ellipse.semi_axes
-    h_ell = archarray.SphericalArray(4, 2, ellipse, h.scaling, 1.0, "archimedean")
-    h_hex = archarray.SphericalArray(4, 2, archarray.regular_polygon(6, inradius=0.8),
-                                     h.scaling, 1.0, "archimedean")
+
+    def over(base):
+        """The n=4, k=2 archimedean array over ``base``; a checkout from
+        before the warp classes takes n, k, the profile and a mode name."""
+        if hasattr(archarray, "ArchimedeanWarp"):
+            return archarray.SphericalArray(base, archarray.ArchimedeanWarp(2))
+        return archarray.SphericalArray(4, 2, base, h.scaling, 1.0, "archimedean")
+
+    h_ell = over(ellipse)
+    h_hex = over(archarray.regular_polygon(6, inradius=0.8))
     # Text export: the 25,000-point n=4, k=3 sample as CSV and stat-mesh's
     # two meshes as OBJ; and the signed volume and the shared-edge check of
     # the 128x128 revolve mesh, which orient and check every closed mesh.

@@ -9,6 +9,9 @@ quadrature, surface sampling, statistical tests, and mesh export.
 """
 
 from .array import (
+    ArchimedeanWarp,
+    CustomWarp,
+    CylinderWarp,
     EnclosedVolume,
     SphericalArray,
     TotalVolume,
@@ -16,8 +19,6 @@ from .array import (
     equizonal_enclosed_volume,
     equizonal_total_volume,
     make_archimedean,
-    make_custom,
-    make_cylinder,
 )
 from .base import (
     Ball,
@@ -53,10 +54,13 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ArchimedeanWarp",
     "Ball",
     "BaseDomain",
     "ClippedIntegral",
     "ConvexPolygon",
+    "CustomWarp",
+    "CylinderWarp",
     "Ellipse",
     "EnclosedVolume",
     "Mesh",
@@ -82,8 +86,6 @@ __all__ = [
     "integrate",
     "interior_points",
     "make_archimedean",
-    "make_custom",
-    "make_cylinder",
     "make_scaling",
     "mesh_area",
     "mk_closed_form",

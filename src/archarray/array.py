@@ -6,19 +6,21 @@ u in S^{k-1}}: a (k-1)-sphere of radius f(x'') over each point of an
 (n-k)-dimensional convex base Omega.  Points in R^n are ordered with
 the n-k base coordinates first and the k fiber coordinates last.
 
-Three warp modes are supported:
+An array is ``SphericalArray(base, warp)``, with n = base.dim + k.  A
+warp holds k and the radius scale R, and is one of three classes:
 
-* ``archimedean``: f = R * f_k(omega(x'')/R) with omega the distance to
-  the boundary of the base.  This is the unique choice (up to the
-  trivial one) that makes orthogonal projection onto the base scale
-  volumes by the constant Vol(S^{k-1}(R)): the projection property that
-  the classical sphere-to-cylinder correspondence exhibits for n=3, k=2.
-  The canonical closed array uses a ball base of radius R*m_k; any
-  convex base with inradius <= R*m_k is accepted.
-* ``cylinder``: f = R constant, which satisfies the same projection
-  property trivially.
-* ``custom``: user-supplied warp (and optional gradient) callables, for
-  probing non-constant-factor surfaces; no projection property assumed.
+* :class:`ArchimedeanWarp`: f = R * f_k(omega(x'')/R) with omega the
+  distance to the boundary of the base.  This is the unique choice (up
+  to the trivial one) that makes orthogonal projection onto the base
+  scale volumes by the constant Vol(S^{k-1}(R)): the projection property
+  that the classical sphere-to-cylinder correspondence exhibits for
+  n=3, k=2.  The canonical closed array uses a ball base of radius
+  R*m_k; any convex base with inradius <= R*m_k is accepted.
+* :class:`CylinderWarp`: f = R constant, which satisfies the same
+  projection property trivially.
+* :class:`CustomWarp`: user-supplied warp (and optional gradient)
+  callables, for probing non-constant-factor surfaces; no projection
+  property assumed.
 
 The area of the portion of the surface over a window U is
 integral over U of Vol(S^{k-1}(1)) * f^{k-1} * sqrt(1 + |grad f|^2);
@@ -42,9 +44,10 @@ from .special import ball_volume, gamma, sphere_area
 
 __all__ = [
     "SphericalArray",
+    "ArchimedeanWarp",
+    "CylinderWarp",
+    "CustomWarp",
     "make_archimedean",
-    "make_cylinder",
-    "make_custom",
     "equizonal_total_volume",
     "equizonal_enclosed_volume",
     "TotalVolume",
@@ -56,8 +59,6 @@ __all__ = [
 # integrand is replaced by its finite analytic limit; the raw product is
 # 0 * infinity there.
 BOUNDARY_OFFSET_FRACTION = 1e-6
-
-_MODES = ("archimedean", "cylinder", "custom")
 
 
 @dataclass(slots=True)
@@ -79,52 +80,154 @@ class EnclosedVolume:
     mc_error: float | None = None
 
 
-class SphericalArray:
-    """Immutable description of a warped product Omega x_f S^{k-1}.
+class _Warp:
+    """Answers ``radius(omega, pts)``, f at ``pts`` of boundary distance
+    ``omega``; ``value_and_gradient(base, pts)``, (f/R, grad f); ``density(h,
+    omega, pts)``, array h's area integrand (omega None: read from pts); and
+    ``constant_density``: f reads omega alone and the density is C."""
 
-    Use :func:`make_archimedean`, :func:`make_cylinder` or
-    :func:`make_custom` rather than constructing directly.
-    """
+    scaling = None  # the profile f_k of an archimedean warp
+    constant_density = True
+    constant_radius = False  # f = R: total area and enclosed volume in closed form
+    max_inradius = math.inf  # the largest base inradius f is defined over
 
-    def __init__(self, n, k, base, scaling, r_scale, warp_mode,
-                 warp=None, warp_gradient=None):
-        n = int(n)
-        k = int(k)
-        if n < 3:
-            raise ValueError("ambient dimension must be at least 3")
-        if not 2 <= k <= n - 1:
-            raise ValueError("codimension k must satisfy 2 <= k <= n-1")
-        if not isinstance(base, BaseDomain):
-            raise TypeError("base must be a BaseDomain")
-        if base.dim + k != n:
-            raise ValueError("base dimension plus k must equal n")
+    def __init__(self, k, r_scale=1.0):
+        if int(k) < 2:
+            raise ValueError("codimension k must be at least 2")
         if not r_scale > 0.0:
             raise ValueError("r_scale must be positive")
-        if warp_mode not in _MODES:
-            raise ValueError(f"warp_mode must be one of {_MODES}")
-        if warp_mode == "archimedean":
-            if scaling is None or scaling.k != k:
-                raise ValueError("archimedean mode needs the scaling profile for k")
-            if base.inradius() > r_scale * scaling.m_k * (1.0 + 1e-9):
-                raise ValueError(
-                    "archimedean mode requires base inradius <= r_scale * m_k"
-                )
-        if warp_mode == "custom" and warp is None:
-            raise ValueError("custom mode needs a warp callable")
-        self.n = n
-        self.k = k
-        self.base = base
-        self.scaling = scaling
+        self.k = int(k)
         self.r_scale = float(r_scale)
-        self.warp_mode = warp_mode
-        self._warp = warp
-        self._warp_gradient = warp_gradient
+
+    def density(self, h, omega, pts):
+        """C * (f/R)^{k-1} * sqrt(1 + |grad f|^2) at the base points."""
+        g, grad = self.value_and_gradient(h.base, pts)
+        gnorm2 = np.einsum("nd,nd->n", grad, grad)
+        return h.projection_constant * g ** (self.k - 1) * np.sqrt(1.0 + gnorm2)
+
+
+class ArchimedeanWarp(_Warp):
+    """f = R * f_k(omega/R), the constant-factor warp, over bases of
+    inradius at most R * m_k."""
+
+    name = "archimedean"
+
+    def __init__(self, k, r_scale=1.0):
+        super().__init__(k, r_scale)
+        self.scaling = make_scaling(self.k)
+        self.max_inradius = self.r_scale * self.scaling.m_k
+
+    def radius(self, omega, pts):
+        return self.r_scale * self.scaling.f(omega / self.r_scale)
+
+    def value_and_gradient(self, base, pts):
+        """(f/R, grad f) from one profile evaluation per point.
+
+        Over a ball base the gradient within the profile's series guard of
+        the center comes from the even series, so it is smooth through the
+        center (where the raw chain rule is 0/0).  Elsewhere the chain rule
+        applies and points must stay outside the base's singular band.
+        """
+        scal = self.scaling
+        r = self.r_scale
+        omega = base.distance_to_boundary(pts)
+        if np.any(omega <= 0.0):
+            raise ValueError("gradient undefined on the base boundary")
+        w = np.minimum(omega / r, scal.m_k)
+        y, yp = scal._f_pair(w)
+        grads = np.empty((len(pts), base.dim))
+        near = np.zeros(len(pts), dtype=bool)
+        if isinstance(base, Ball):
+            near = scal.m_k - w <= scal.series_radius_guard
+            if np.any(near):
+                rel = pts[near] - base.center
+                t = scal.m_k - w[near]
+                # f' * grad(omega) = ratio(t) * (x - c) / r with the
+                # even series ratio, finite and smooth at the center.
+                ratio = scal.series_prime_ratio(t)
+                grads[near] = (ratio / r)[:, None] * rel
+        if np.any(~near):
+            # omega_gradient raises in the singular band, which for a
+            # ball is the guarded center: call it off the guard only.
+            grads[~near] = yp[~near][:, None] * base.omega_gradient(pts[~near])
+        # r * y / r rounds as radius() / r does.
+        return r * y / r, grads
+
+    def density(self, h, omega, pts):
+        """C times the unit density y^{k-1} sqrt(1 + y'^2), which depends
+        on the base point only through omega because |grad omega| = 1
+        almost everywhere; within the boundary offset it is its limit C."""
+        if omega is None:
+            omega = np.maximum(h.base.signed_distance(pts), 0.0)
+        scal = self.scaling
+        w = np.minimum(np.asarray(omega, dtype=float) / self.r_scale, scal.m_k)
+        out = np.ones_like(w)
+        live = w * self.r_scale >= BOUNDARY_OFFSET_FRACTION * h.base.inradius()
+        if np.any(live):
+            y, yp = scal._f_pair(w[live])
+            out[live] = y ** (self.k - 1) * np.sqrt(1.0 + yp * yp)
+        return h.projection_constant * out
+
+
+class CylinderWarp(_Warp):
+    """f = R constant over any convex base."""
+
+    name = "cylinder"
+    constant_radius = True
+
+    def radius(self, omega, pts):
+        return np.full(len(pts), self.r_scale)
+
+    def value_and_gradient(self, base, pts):
+        return np.ones(len(pts)), np.zeros((len(pts), base.dim))
+
+
+class CustomWarp(_Warp):
+    """User-defined warp, no projection property assumed: ``warp`` maps
+    (npoints, dim) interior base points to fiber radii, and the optional
+    ``warp_gradient`` (needed for residuals and areas) to gradients."""
+
+    name = "custom"
+    constant_density = False
+
+    def __init__(self, k, warp, warp_gradient=None, r_scale=1.0):
+        super().__init__(k, r_scale)
+        self.warp = warp
+        self.warp_gradient = warp_gradient
+
+    def radius(self, omega, pts):
+        return np.asarray(self.warp(pts), dtype=float)
+
+    def value_and_gradient(self, base, pts):
+        if self.warp_gradient is None:
+            raise ValueError("custom warp has no gradient callable")
+        return self.radius(None, pts) / self.r_scale, np.asarray(self.warp_gradient(pts), float)
+
+
+class SphericalArray:
+    """Immutable description of a warped product Omega x_f S^{k-1}: a
+    convex ``base`` and a ``warp``, which give n, k, r_scale and the
+    profile ``scaling`` (None but for an archimedean warp)."""
+
+    def __init__(self, base, warp):
+        if not isinstance(base, BaseDomain):
+            raise TypeError("base must be a BaseDomain")
+        if base.inradius() > warp.max_inradius * (1.0 + 1e-9):
+            raise ValueError("an archimedean warp requires base inradius <= r_scale * m_k")
+        self.base = base
+        self.warp = warp
+        self.base_dim = base.dim
+        self.n = base.dim + warp.k
+        self.k = warp.k
+        self.r_scale = warp.r_scale
+        self.scaling = warp.scaling
 
     # -- basic structure ------------------------------------------------
 
     @property
-    def base_dim(self):
-        return self.n - self.k
+    def warp_mode(self):
+        """The warp's name, as :meth:`to_json` writes it."""
+        return self.warp.name
 
     @property
     def projection_constant(self):
@@ -132,14 +235,6 @@ class SphericalArray:
         archimedean or cylinder warp the area over a window U is C times
         the volume of U ∩ Omega."""
         return sphere_area(self.k - 1, self.r_scale)
-
-    def _is_canonical_ball(self):
-        return (
-            self.warp_mode == "archimedean"
-            and isinstance(self.base, Ball)
-            and abs(self.base.radius - self.r_scale * self.scaling.m_k)
-            <= 1e-9 * self.r_scale
-        )
 
     def split_point(self, x):
         """Split ambient points into (base block, fiber block)."""
@@ -155,77 +250,26 @@ class SphericalArray:
     def warping(self, x):
         """Fiber radius f(x'') at base points; zero on the base boundary."""
         pts, single = _points(x, self.base_dim)
-        vals = self._warp_from_omega(self.base.distance_to_boundary(pts), pts)
+        vals = self.warp.radius(self.base.distance_to_boundary(pts), pts)
         return float(vals[0]) if single else vals
 
-    def _warp_from_omega(self, omega, pts):
-        if self.warp_mode == "archimedean":
-            return self.r_scale * self.scaling.f(omega / self.r_scale)
-        if self.warp_mode == "cylinder":
-            return np.full(len(pts), self.r_scale)
-        return np.asarray(self._warp(pts), dtype=float)
-
     def warping_gradient(self, x):
-        """Gradient of the fiber radius at strictly interior base points.
-
-        For the archimedean warp over a ball base the value within the
-        profile's series guard of the center comes from the even series,
-        so it is smooth through the center (where the raw chain rule is
-        0/0).  Elsewhere the chain rule applies and points must stay
-        outside the base's singular band.
-        """
+        """Gradient of the fiber radius at strictly interior base points;
+        see the warp's ``value_and_gradient``."""
         pts, single = _points(x, self.base_dim)
-        if self.warp_mode == "custom":
-            if self._warp_gradient is None:
-                raise ValueError("custom mode has no gradient callable")
-            grads = np.asarray(self._warp_gradient(pts), dtype=float)
-        elif self.warp_mode == "cylinder":
-            grads = np.zeros((len(pts), self.base_dim))
-        else:
-            grads = self._profile_and_gradient(pts)[1]
+        grads = self.warp.value_and_gradient(self.base, pts)[1]
         return grads[0] if single else grads
-
-    def _profile_and_gradient(self, pts):
-        """(f/R, grad f) of the archimedean warp from one profile
-        evaluation per point; see :meth:`warping_gradient`."""
-        scal = self.scaling
-        r = self.r_scale
-        omega = self.base.distance_to_boundary(pts)
-        if np.any(omega <= 0.0):
-            raise ValueError("gradient undefined on the base boundary")
-        w = np.minimum(omega / r, scal.m_k)
-        y, yp = scal._f_pair(w)
-        grads = np.empty((len(pts), self.base_dim))
-        near = np.zeros(len(pts), dtype=bool)
-        if isinstance(self.base, Ball):
-            near = scal.m_k - w <= scal.series_radius_guard
-            if np.any(near):
-                rel = pts[near] - self.base.center
-                t = scal.m_k - w[near]
-                # f' * grad(omega) = ratio(t) * (x - c) / r with the
-                # even series ratio, finite and smooth at the center.
-                ratio = scal.series_prime_ratio(t)
-                grads[near] = (ratio / r)[:, None] * rel
-        if np.any(~near):
-            # omega_gradient raises in the singular band, which for a
-            # ball is the guarded center: call it off the guard only.
-            grads[~near] = yp[~near][:, None] * self.base.omega_gradient(pts[~near])
-        return r * y / r, grads
 
     def app_residual(self, x):
         """Deviation of the unit-normalized area element from 1.
 
         Returns g^{k-1} * sqrt(1 + |grad g|^2) - 1 with g = f/R; zero in
-        exact arithmetic for archimedean and cylinder modes.  An
-        archimedean warp takes g and the gradient from one profile
-        inversion per point.
+        exact arithmetic for archimedean and cylinder warps.  g and the
+        gradient come from one ``value_and_gradient`` call, which for an
+        archimedean warp is one profile inversion per point.
         """
         pts, single = _points(x, self.base_dim)
-        if self.warp_mode == "archimedean":
-            g, grad = self._profile_and_gradient(pts)
-        else:
-            g = self._warp_from_omega(self.base.distance_to_boundary(pts), pts) / self.r_scale
-            grad = self.warping_gradient(pts)
+        g, grad = self.warp.value_and_gradient(self.base, pts)
         gnorm2 = np.einsum("nd,nd->n", grad, grad)
         res = g ** (self.k - 1) * np.sqrt(1.0 + gnorm2) - 1.0
         return float(res[0]) if single else res
@@ -245,10 +289,10 @@ class SphericalArray:
 
         Returns f_k^{-1}(|x'|/R) - omega(x'')/R, which is differentiable
         where the squared form is degenerate (near the base boundary);
-        archimedean mode only.
+        archimedean warps only.
         """
-        if self.warp_mode != "archimedean":
-            raise ValueError("boundary form applies to archimedean mode only")
+        if self.scaling is None:
+            raise ValueError("the boundary form needs an archimedean warp")
         xb, xf, single = self.split_point(x)
         rho = row_norm(xf)
         if np.any(rho > self.r_scale * (1.0 + 1e-12)):
@@ -260,34 +304,9 @@ class SphericalArray:
     # -- area and volume ------------------------------------------------
 
     def _area_density(self, pts):
-        """Coarea integrand f^{k-1} sqrt(1+|grad f|^2) times the
-        unit-sphere constant, clamped to its analytic limit within the
-        boundary offset."""
-        if self.warp_mode == "cylinder":
-            return np.full(len(pts), self.projection_constant)
-        if self.warp_mode == "custom":
-            f = np.asarray(self._warp(pts), dtype=float)
-            grad = np.asarray(self._warp_gradient(pts), dtype=float)
-            gnorm2 = np.einsum("nd,nd->n", grad, grad)
-            return sphere_area(self.k - 1, 1.0) * f ** (self.k - 1) * np.sqrt(1.0 + gnorm2)
-        delta = BOUNDARY_OFFSET_FRACTION * self.base.inradius()
-        omega = np.maximum(self.base.signed_distance(pts), 0.0)
-        return self.projection_constant * self._profile_density(omega, delta)
-
-    def _profile_density(self, omega, delta):
-        """Unit-normalized area density as a function of omega alone.
-
-        Valid for archimedean mode: |grad omega| = 1 almost everywhere,
-        so the density depends on the base point only through omega.
-        """
-        scal = self.scaling
-        w = np.minimum(np.asarray(omega, dtype=float) / self.r_scale, scal.m_k)
-        out = np.ones_like(w)
-        live = w * self.r_scale >= delta
-        if np.any(live):
-            y, yp = scal._f_pair(w[live])
-            out[live] = y ** (self.k - 1) * np.sqrt(1.0 + yp * yp)
-        return out
+        """The warp's coarea integrand C * (f/R)^{k-1} sqrt(1+|grad f|^2)
+        at base points."""
+        return self.warp.density(self, None, pts)
 
     def patch_volume(self, region, *, depth=CELL_DEPTH, seed=0):
         """Area of the portion of the surface over region ∩ base.
@@ -301,48 +320,47 @@ class SphericalArray:
         region._remember_clipped_volume(self.base, result.volume, depth=depth, seed=seed)
         return result.integral
 
-    def _base_integral(self, profile, density, to_units, depth, seed):
-        """Integral over the base, with an error estimate.
-
-        An archimedean warp over a ball base depends on the base point
-        only through omega, so ``profile(omega)`` is integrated radially.
-        Any other base takes clipped quadrature of ``density(pts)`` over
-        its padded bounding box; the Monte Carlo error of that is a base
-        volume, which ``to_units`` converts to the integrand's units.
-        """
-        if self.warp_mode == "archimedean" and isinstance(self.base, Ball):
+    def _base_integral(self, integrand, to_units, depth, seed):
+        """Integral of ``integrand(omega, pts)`` over the base, with an
+        error estimate.  A constant-density warp depends on the base point
+        only through omega, so over a ball it is integrated radially with
+        ``pts`` None.  Otherwise clipped quadrature over the padded bounding
+        box runs; ``to_units`` converts its Monte Carlo error, a base
+        volume, to the integrand's units."""
+        if self.warp.constant_density and isinstance(self.base, Ball):
             rad = self.base.radius
             d = self.base_dim
             if d == 1:
-                value = 2.0 * integrate(lambda rho: profile(rad - rho), 0.0, rad)
+                value = 2.0 * integrate(lambda rho: integrand(rad - rho, None), 0.0, rad)
             else:
                 shell = sphere_area(d - 1, 1.0)
-                value = integrate(lambda rho: shell * rho ** (d - 1) * profile(rad - rho),
+                value = integrate(lambda rho: shell * rho ** (d - 1) * integrand(rad - rho, None),
                                   0.0, rad)
             return value, abs(value) * REL_TOL
         blo, bhi = self.base.bounding_box()
-        result = clipped_quadrature(self.base, Region.box(blo - 1.0, bhi + 1.0), density,
-                                    depth=depth, seed=seed)
+        result = clipped_quadrature(
+            self.base, Region.box(blo - 1.0, bhi + 1.0),
+            lambda pts: integrand(np.maximum(self.base.signed_distance(pts), 0.0), pts),
+            depth=depth, seed=seed)
         return result.integral, to_units(result.error_estimate)
 
     def total_volume(self, *, depth=CELL_DEPTH, seed=0):
         """Total area of the surface, with a closed form when available.
 
-        The closed form applies to the canonical archimedean array over
-        a ball base of radius R*m_k: the area factorizes into the unit
-        fiber-sphere area times the base-ball volume, scaled by R^{n-1}.
+        The closed form applies to a cylinder and to the canonical
+        archimedean array over a ball base of radius R*m_k: there the area
+        factorizes into the unit fiber-sphere area times the base-ball
+        volume, scaled by R^{n-1}.
         """
         coeff = self.projection_constant
-        if self.warp_mode == "cylinder":
+        if self.warp.constant_radius:
             value = coeff * self.base.volume()
             return TotalVolume(value, value, 0.0)
-        delta = BOUNDARY_OFFSET_FRACTION * self.base.inradius()
-        value, err = self._base_integral(
-            lambda om: coeff * self._profile_density(om, delta), self._area_density,
-            lambda e: e * coeff, depth, seed,
-        )
+        value, err = self._base_integral(lambda om, pts: self.warp.density(self, om, pts),
+                                         lambda e: e * coeff, depth, seed)
         closed = None
-        if self._is_canonical_ball():
+        if (isinstance(self.base, Ball)
+                and abs(self.base.radius - self.warp.max_inradius) <= 1e-9 * self.r_scale):
             closed = (
                 sphere_area(self.k - 1, 1.0)
                 * ball_volume(self.base_dim, self.scaling.m_k)
@@ -361,16 +379,12 @@ class SphericalArray:
         if samples < 0:
             raise ValueError(f"samples must be nonnegative, got {samples}")
         ck = ball_volume(self.k, 1.0)
-        if self.warp_mode == "cylinder":
+        if self.warp.constant_radius:
             value = ck * self.r_scale ** self.k * self.base.volume()
             err = 0.0
         else:
-            def fiber_ball(om, pts=None):
-                return ck * self._warp_from_omega(om, pts) ** self.k
-
             value, err = self._base_integral(
-                fiber_ball,
-                lambda pts: fiber_ball(np.maximum(self.base.signed_distance(pts), 0.0), pts),
+                lambda om, pts: ck * self.warp.radius(om, pts) ** self.k,
                 lambda e: e * ck * self.r_scale ** self.k, depth, seed,
             )
         if samples == 0:
@@ -407,7 +421,7 @@ class SphericalArray:
             xf = pts[:, self.base_dim:]
             sd = self.base.signed_distance(xb)
             inside = sd >= 0.0
-            if self.warp_mode == "archimedean":
+            if self.scaling is not None:
                 rho = row_norm(xf) / self.r_scale
                 keep = np.flatnonzero(inside & (rho <= 1.0))  # take: faster than a mask
                 y, x = rho.take(keep), sd.take(keep) / self.r_scale
@@ -415,7 +429,7 @@ class SphericalArray:
                 hits += int(np.count_nonzero(sure))
                 unsure.append((y[idx], x[idx]))
             elif np.any(inside):
-                f = self._warp_from_omega(sd[inside], xb[inside])
+                f = self.warp.radius(sd[inside], xb[inside])
                 if np.any(f > self.r_scale):
                     raise ValueError("fiber radius exceeds r_scale, the half-height "
                                      "of the Monte Carlo box")
@@ -434,7 +448,7 @@ class SphericalArray:
 
     def to_json(self):
         """Serializable description; custom warps are not serializable."""
-        if self.warp_mode == "custom":
+        if self.warp_mode not in _WARPS:
             raise ValueError("custom warp callables cannot be serialized")
         doc = {
             "schema": 1,
@@ -447,17 +461,21 @@ class SphericalArray:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+_WARPS = {w.name: w for w in (ArchimedeanWarp, CylinderWarp)}
+
+
 def array_from_json(text):
     doc = json.loads(text)
     if doc.get("schema") != 1:
         raise ValueError("unsupported schema")
-    base = base_from_description(doc["base"])
     mode = doc["warp_mode"]
-    k = int(doc["k"])
-    scaling = make_scaling(k) if mode == "archimedean" else None
-    return SphericalArray(
-        int(doc["n"]), k, base, scaling, float(doc["r_scale"]), mode
-    )
+    if not isinstance(mode, str) or mode not in _WARPS:
+        raise ValueError(f"warp_mode must be one of {tuple(_WARPS)}, got {mode!r}")
+    h = SphericalArray(base_from_description(doc["base"]),
+                       _WARPS[mode](int(doc["k"]), float(doc["r_scale"])))
+    if h.n != int(doc["n"]):
+        raise ValueError("base dimension plus k must equal n")
+    return h
 
 
 def make_archimedean(n, k, r_scale=1.0):
@@ -469,30 +487,8 @@ def make_archimedean(n, k, r_scale=1.0):
         raise ValueError("ambient dimension must be at least 3")
     if not 2 <= k <= n - 1:
         raise ValueError("codimension k must satisfy 2 <= k <= n-1")
-    if not r_scale > 0.0:
-        raise ValueError("r_scale must be positive")
-    scaling = make_scaling(k)
-    base = Ball(np.zeros(n - k), r_scale * scaling.m_k)
-    return SphericalArray(n, k, base, scaling, r_scale, "archimedean")
-
-
-def make_cylinder(k, base, r_scale=1.0):
-    """Constant warp f = r_scale over an arbitrary convex base."""
-    return SphericalArray(base.dim + int(k), int(k), base, None, r_scale, "cylinder")
-
-
-def make_custom(k, base, warp, warp_gradient=None, r_scale=1.0):
-    """User-defined warp over a convex base; no projection property assumed.
-
-    ``warp`` maps (npoints, dim) base points to fiber radii; the
-    optional ``warp_gradient`` maps them to (npoints, dim) gradients and
-    is required for residual evaluation.  Callables must be defined on
-    the open interior of the base.
-    """
-    return SphericalArray(
-        base.dim + int(k), int(k), base, None, r_scale, "custom",
-        warp=warp, warp_gradient=warp_gradient,
-    )
+    warp = ArchimedeanWarp(k, r_scale)
+    return SphericalArray(Ball(np.zeros(n - k), warp.max_inradius), warp)
 
 
 def equizonal_total_volume(n, r_scale=1.0):

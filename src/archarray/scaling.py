@@ -80,6 +80,8 @@ def mk_closed_form(k):
 def mk_quadrature(k):
     """M_k by direct adaptive quadrature of the defining integral."""
     _check_k(k)
+    if k > 42:  # see _MAX_K
+        raise ValueError(f"mk_quadrature takes k up to 42, got {k}")
     e = 2 * k - 2
 
     def integrand(t):

@@ -169,7 +169,7 @@ def sample_surface(h, count, seed=0):
     warps; custom warps are rejected (their density is not constant and
     would need importance weights).
     """
-    if h.warp_mode == "custom":
+    if not h.warp.constant_density:
         raise ValueError("custom warps have non-uniform base density; not supported")
     count = operator.index(count)
     if count < 1:
@@ -265,7 +265,7 @@ def _expected_fractions(h, regions):
     mass reduces to the clipped-volume fraction.  For custom warps the
     area integrand is evaluated by quadrature.
     """
-    if h.warp_mode == "custom":
+    if not h.warp.constant_density:
         total = h.total_volume().value
         return [h.patch_volume(u) / total for u in regions]
     total = h.base.volume()

@@ -16,6 +16,8 @@ import numpy as np
 
 from archarray import (
     Ball,
+    CustomWarp,
+    SphericalArray,
     app_statistical_test,
     ball_volume,
     clipped_quadrature,
@@ -24,7 +26,6 @@ from archarray import (
     graph_slice_mesh,
     interior_points,
     make_archimedean,
-    make_custom,
     make_scaling,
     mesh_area,
     mk_closed_form,
@@ -237,11 +238,11 @@ def test_criterion_09_statistical_projection_test():
         details.append(f"p={report.p_value:.3f}/outliers={outliers}")
 
     base = Ball(np.zeros(2), 1.0)
-    control = make_custom(
-        2, base,
+    control = SphericalArray(base, CustomWarp(
+        2,
         warp=lambda pts: 0.2 + 0.6 * np.einsum("nd,nd->n", pts, pts),
         warp_gradient=lambda pts: 1.2 * pts,
-    )
+    ))
     regions = random_regions(base, 20, seed=905)
     report = app_statistical_test(control, regions, 10**5, seed=906)
     control_z = report.count_large_z(4.0)
@@ -274,13 +275,13 @@ def test_criterion_11_custom_warp_over_polygon_base():
     scal = _scaling(3)
     hexagon = regular_polygon(6, inradius=0.55)
     assert hexagon.inradius() < scal.m_k
-    arr = make_custom(
-        3, hexagon,
+    arr = SphericalArray(hexagon, CustomWarp(
+        3,
         warp=lambda pts: scal.f(hexagon.signed_distance(pts)),
         warp_gradient=lambda pts: scal.f_prime(
             hexagon.distance_to_boundary(pts)
         )[:, None] * hexagon.omega_gradient(pts),
-    )
+    ))
     pts = interior_points(hexagon, 10000,
                           boundary_offset=1e-6 * hexagon.inradius())
     res = arr.app_residual(pts)

@@ -19,13 +19,14 @@ import archarray.array
 import archarray.base
 import archarray.verify
 from archarray.array import (
+    ArchimedeanWarp,
+    CustomWarp,
+    CylinderWarp,
     SphericalArray,
     array_from_json,
     equizonal_enclosed_volume,
     equizonal_total_volume,
     make_archimedean,
-    make_custom,
-    make_cylinder,
 )
 from archarray.base import Ball, Ellipse, SingularRegionError, regular_polygon
 from archarray.region import Region
@@ -106,39 +107,44 @@ def test_make_archimedean_rejects_bad_scale():
 
 
 def test_make_cylinder_shape():
-    arr = make_cylinder(2, Ball(np.zeros(2), 0.7))
+    arr = SphericalArray(Ball(np.zeros(2), 0.7), CylinderWarp(2))
     assert arr.n == 4 and arr.k == 2
     assert arr.warp_mode == "cylinder"
     assert arr.scaling is None
 
 
 def test_constructor_validation():
-    scal = make_scaling(2)
     base1 = Ball(np.zeros(1), 1.0)
-    with pytest.raises(ValueError):  # base dim + k != n
-        SphericalArray(4, 2, base1, scal, 1.0, "archimedean")
-    with pytest.raises(ValueError):  # missing scaling
-        SphericalArray(3, 2, base1, None, 1.0, "archimedean")
-    with pytest.raises(ValueError):  # scaling built for the wrong k
-        SphericalArray(3, 2, base1, make_scaling(3), 1.0, "archimedean")
+    arr = SphericalArray(base1, ArchimedeanWarp(2))
+    assert (arr.n, arr.k, arr.base_dim, arr.r_scale) == (3, 2, 1, 1.0)
+    assert arr.scaling is make_scaling(2)
     with pytest.raises(ValueError):  # base too large for the warp domain
-        SphericalArray(3, 2, Ball(np.zeros(1), 2.0), scal, 1.0, "archimedean")
-    with pytest.raises(ValueError):  # custom without warp callable
-        SphericalArray(3, 2, base1, None, 1.0, "custom")
-    with pytest.raises(ValueError):
-        SphericalArray(3, 2, base1, scal, 1.0, "helix")
+        SphericalArray(Ball(np.zeros(1), 2.0), ArchimedeanWarp(2))
+    with pytest.raises(TypeError):  # custom without warp callable
+        CustomWarp(2)
+    for warp in (ArchimedeanWarp, CylinderWarp):
+        with pytest.raises(ValueError, match="at least 2"):
+            warp(1)
+        with pytest.raises(ValueError, match="r_scale must be positive"):
+            warp(2, r_scale=0.0)
     with pytest.raises(TypeError):
-        SphericalArray(3, 2, [[0.0], [1.0]], scal, 1.0, "archimedean")
+        SphericalArray([[0.0], [1.0]], ArchimedeanWarp(2))
+
+
+def test_warp_mode_is_read_only():
+    arr = make_archimedean(3, 2)
+    with pytest.raises(AttributeError):
+        arr.warp_mode = "cylinder"
 
 
 def test_archimedean_accepts_smaller_convex_base():
     hexagon = regular_polygon(6, inradius=0.8)
     scal = make_scaling(2)
-    arr = SphericalArray(4, 2, hexagon, scal, 1.0, "archimedean")
+    arr = SphericalArray(hexagon, ArchimedeanWarp(2))
     assert arr.warp_mode == "archimedean"
+    assert arr.n == 4 and arr.scaling is scal
     with pytest.raises(ValueError):
-        SphericalArray(4, 2, regular_polygon(6, inradius=1.2), scal, 1.0,
-                       "archimedean")
+        SphericalArray(regular_polygon(6, inradius=1.2), ArchimedeanWarp(2))
 
 
 def test_split_point_orders_base_first():
@@ -211,7 +217,7 @@ def test_k2_scaled_array_is_sphere_of_radius_r():
 
 
 def test_cylinder_warp_is_constant():
-    arr = make_cylinder(2, Ball(np.zeros(2), 0.7), r_scale=0.4)
+    arr = SphericalArray(Ball(np.zeros(2), 0.7), CylinderWarp(2, r_scale=0.4))
     rng = np.random.default_rng(9)
     pts = ball_points(rng, 2, 0.7, 200)
     assert np.all(arr.warping(pts) == 0.4)
@@ -219,10 +225,10 @@ def test_cylinder_warp_is_constant():
 
 def test_custom_warp_uses_callable():
     base = Ball(np.zeros(2), 1.0)
-    arr = make_custom(
-        2, base,
+    arr = SphericalArray(base, CustomWarp(
+        2,
         warp=lambda pts: 0.3 + 0.1 * np.einsum("nd,nd->n", pts, pts),
-    )
+    ))
     assert arr.warping([0.5, 0.0]) == pytest.approx(0.325, rel=1e-14)
 
 
@@ -277,25 +283,25 @@ def test_gradient_rejects_boundary_point():
 
 def test_gradient_inside_polygon_singular_band_raises():
     hexagon = regular_polygon(6, inradius=0.8)
-    arr = SphericalArray(4, 2, hexagon, make_scaling(2), 1.0, "archimedean")
+    arr = SphericalArray(hexagon, ArchimedeanWarp(2))
     with pytest.raises(SingularRegionError):
         arr.warping_gradient([0.0, 0.0])
 
 
 def test_cylinder_gradient_is_zero():
-    arr = make_cylinder(3, Ball(np.zeros(2), 1.0))
+    arr = SphericalArray(Ball(np.zeros(2), 1.0), CylinderWarp(3))
     assert np.all(arr.warping_gradient([[0.3, 0.1], [0.0, 0.0]]) == 0.0)
 
 
 def test_custom_gradient_callable_and_missing():
     base = Ball(np.zeros(2), 1.0)
-    arr = make_custom(
-        2, base,
+    arr = SphericalArray(base, CustomWarp(
+        2,
         warp=lambda pts: 0.3 + 0.1 * np.einsum("nd,nd->n", pts, pts),
         warp_gradient=lambda pts: 0.2 * pts,
-    )
+    ))
     assert np.allclose(arr.warping_gradient([0.5, -0.25]), [0.1, -0.05])
-    bare = make_custom(2, base, warp=lambda pts: np.full(len(pts), 0.5))
+    bare = SphericalArray(base, CustomWarp(2, warp=lambda pts: np.full(len(pts), 0.5)))
     with pytest.raises(ValueError):
         bare.warping_gradient([0.0, 0.0])
 
@@ -313,7 +319,7 @@ def test_archimedean_residual_vanishes(n, k):
 
 
 def test_cylinder_residual_exactly_zero():
-    arr = make_cylinder(2, regular_polygon(5, inradius=0.6), r_scale=0.8)
+    arr = SphericalArray(regular_polygon(5, inradius=0.6), CylinderWarp(2, r_scale=0.8))
     rng = np.random.default_rng(3)
     pts = 0.3 * unit_vectors(rng, 2, 50)
     assert np.all(arr.app_residual(pts) == 0.0)
@@ -321,17 +327,17 @@ def test_cylinder_residual_exactly_zero():
 
 def test_non_archimedean_warp_has_nonzero_residual():
     base = Ball(np.zeros(2), 1.0)
-    arr = make_custom(
-        2, base,
+    arr = SphericalArray(base, CustomWarp(
+        2,
         warp=lambda pts: np.full(len(pts), 0.5),
         warp_gradient=lambda pts: np.zeros_like(pts),
-    )
+    ))
     assert arr.app_residual([0.2, 0.1]) == pytest.approx(-0.5)
-    bumpy = make_custom(
-        2, base,
+    bumpy = SphericalArray(base, CustomWarp(
+        2,
         warp=lambda pts: 0.3 + 0.1 * np.einsum("nd,nd->n", pts, pts),
         warp_gradient=lambda pts: 0.2 * pts,
-    )
+    ))
     res = bumpy.app_residual([[0.0, 0.0], [0.5, 0.0]])
     assert res[0] == pytest.approx(-0.7)
     assert res[1] == pytest.approx(
@@ -345,13 +351,13 @@ def test_custom_warp_reproducing_scaling_profile_over_hexagon():
     # smooth, just like the built-in mode.
     scal = make_scaling(3)
     hexagon = regular_polygon(6, inradius=0.55)
-    arr = make_custom(
-        3, hexagon,
+    arr = SphericalArray(hexagon, CustomWarp(
+        3,
         warp=lambda pts: scal.f(hexagon.signed_distance(pts)),
         warp_gradient=lambda pts: scal.f_prime(
             hexagon.distance_to_boundary(pts)
         )[:, None] * hexagon.omega_gradient(pts),
-    )
+    ))
     rng = np.random.default_rng(23)
     pts = []
     while len(pts) < 200:
@@ -368,23 +374,27 @@ def test_custom_warp_reproducing_scaling_profile_over_hexagon():
 @pytest.mark.parametrize("r", [1.0, 0.7])
 @pytest.mark.parametrize("shape", ["ball", "ellipse", "pentagon"])
 def test_residual_matches_two_call_composition(shape, r, k):
-    # app_residual takes f and its gradient from one profile inversion per
-    # point; it must equal f from the warp and the gradient from
-    # warping_gradient assembled separately, bit for bit.  The ball's
-    # center lies in the series guard, where omega_gradient would raise.
+    # app_residual takes f/R and its gradient from one value_and_gradient
+    # call, which for an archimedean warp is one profile inversion per
+    # point; for every warp it must equal warping / R and warping_gradient
+    # assembled separately, bit for bit.  The ball's center lies in the
+    # series guard, where omega_gradient would raise.
     base = {
         "ball": lambda: Ball(np.zeros(2), r * make_scaling(k).m_k),
         "ellipse": lambda: Ellipse([0.1, -0.2], [0.5 * r, 0.35 * r]),
         "pentagon": lambda: regular_polygon(5, inradius=0.5 * r),
     }[shape]()
-    arr = SphericalArray(2 + k, k, base, make_scaling(k), r, "archimedean")
     pts = interior_points(base, 1500, boundary_offset=1e-6 * base.inradius())
     if shape == "ball":
         pts = np.vstack([pts, base.center, base.center + 1e-9])
-    g = arr._warp_from_omega(base.distance_to_boundary(pts), pts) / r
-    grad = arr.warping_gradient(pts)
-    want = g ** (k - 1) * np.sqrt(1.0 + np.einsum("nd,nd->n", grad, grad)) - 1.0
-    assert [v.hex() for v in arr.app_residual(pts)] == [v.hex() for v in want]
+    custom = CustomWarp(k, lambda p: 0.5 * r + 0.1 * np.einsum("nd,nd->n", p, p),
+                        lambda p: 0.2 * p, r_scale=r)
+    for warp in (ArchimedeanWarp(k, r), CylinderWarp(k, r), custom):
+        arr = SphericalArray(base, warp)
+        g = arr.warping(pts) / r
+        grad = arr.warping_gradient(pts)
+        want = g ** (k - 1) * np.sqrt(1.0 + np.einsum("nd,nd->n", grad, grad)) - 1.0
+        assert [v.hex() for v in arr.app_residual(pts)] == [v.hex() for v in want], warp.name
 
 
 def test_ellipse_gradients_solve_the_nearest_point_few_times(monkeypatch):
@@ -392,7 +402,7 @@ def test_ellipse_gradients_solve_the_nearest_point_few_times(monkeypatch):
     # omega from one signed distance, so the ellipse's nearest-point solve
     # runs once for omega and once for the gradient.
     base = Ellipse([0.1, -0.2], [0.5, 0.35])
-    arr = SphericalArray(4, 2, base, make_scaling(2), 1.0, "archimedean")
+    arr = SphericalArray(base, ArchimedeanWarp(2))
     pts = np.array([[0.2, 0.0], [-0.15, -0.3]])
     calls = []
     solve = Ellipse._nearest_boundary
@@ -451,7 +461,7 @@ def test_boundary_form_signs_match_implicit():
 
 
 def test_boundary_form_mode_and_range_checks():
-    cyl = make_cylinder(2, Ball(np.zeros(1), 1.0))
+    cyl = SphericalArray(Ball(np.zeros(1), 1.0), CylinderWarp(2))
     with pytest.raises(ValueError):
         cyl.boundary_form_eval([0.0, 0.5, 0.0])
     arr = make_archimedean(3, 2)
@@ -503,7 +513,7 @@ def test_patch_ball_region_ratio():
 
 
 def test_cylinder_patch_area():
-    arr = make_cylinder(2, Ball(np.zeros(2), 1.0), r_scale=0.5)
+    arr = SphericalArray(Ball(np.zeros(2), 1.0), CylinderWarp(2, r_scale=0.5))
     region = Region.box([-0.3, -0.3], [0.3, 0.3])
     patch = arr.patch_volume(region, depth=6)
     assert patch == pytest.approx(2.0 * math.pi * 0.5 * 0.36, rel=1e-9)
@@ -544,7 +554,7 @@ def test_total_area_matches_factorized_form(n, k):
 
 def test_cylinder_total_area_exact():
     base = regular_polygon(6, inradius=0.8)
-    arr = make_cylinder(2, base, r_scale=0.5)
+    arr = SphericalArray(base, CylinderWarp(2, r_scale=0.5))
     total = arr.total_volume()
     expected = 2.0 * math.pi * 0.5 * base.volume()
     assert total.value == total.closed_form
@@ -556,7 +566,7 @@ def test_hexagon_base_total_area():
     # Archimedean warp over a non-ball base: the area density is still
     # the constant fiber-sphere area, so total = 2*pi * base area.
     hexagon = regular_polygon(6, inradius=0.8)
-    arr = SphericalArray(4, 2, hexagon, make_scaling(2), 1.0, "archimedean")
+    arr = SphericalArray(hexagon, ArchimedeanWarp(2))
     total = arr.total_volume(depth=10)
     expected = 2.0 * math.pi * hexagon.volume()
     assert total.closed_form is None
@@ -694,7 +704,7 @@ def test_row_norm_sites_equal_the_norm_bitwise(dim, monkeypatch):
 
 def test_cylinder_enclosed_volume_exact():
     base = Ball(np.zeros(2), 0.7)
-    arr = make_cylinder(2, base, r_scale=0.5)
+    arr = SphericalArray(base, CylinderWarp(2, r_scale=0.5))
     enc = arr.enclosed_volume()
     assert enc.value == pytest.approx(
         math.pi * 0.25 * base.volume(), rel=1e-14
@@ -709,7 +719,7 @@ def test_hexagon_base_enclosed_volume():
     #   enclosed = pi * 4*sqrt(3) * (a^3/3 - a^4/12).
     a = 0.8
     hexagon = regular_polygon(6, inradius=a)
-    arr = SphericalArray(4, 2, hexagon, make_scaling(2), 1.0, "archimedean")
+    arr = SphericalArray(hexagon, ArchimedeanWarp(2))
     enc = arr.enclosed_volume(depth=10)
     expected = math.pi * 4.0 * math.sqrt(3.0) * (a**3 / 3.0 - a**4 / 12.0)
     assert enc.value == pytest.approx(expected, rel=2e-3)
@@ -720,11 +730,11 @@ def test_custom_warp_enclosed_volume():
     # f(x) = 0.3 + 0.1*|x|^2 over the unit disk with k = 2:
     # enclosed = pi * integral of f^2 = 2*pi^2 * (0.045 + 0.015 + 1/600).
     base = Ball(np.zeros(2), 1.0)
-    arr = make_custom(
-        2, base,
+    arr = SphericalArray(base, CustomWarp(
+        2,
         warp=lambda pts: 0.3 + 0.1 * np.einsum("nd,nd->n", pts, pts),
         warp_gradient=lambda pts: 0.2 * pts,
-    )
+    ))
     enc = arr.enclosed_volume(depth=10)
     expected = 2.0 * math.pi**2 * (0.045 + 0.015 + 1.0 / 600.0)
     assert enc.value == pytest.approx(expected, rel=2e-3)
@@ -733,7 +743,7 @@ def test_custom_warp_enclosed_volume():
 
 def test_cylinder_monte_carlo_matches_closed_form():
     # The forward hit test |x'|^2 <= f^2 with f = R on the whole base.
-    arr = make_cylinder(2, regular_polygon(5, inradius=0.7), r_scale=0.3)
+    arr = SphericalArray(regular_polygon(5, inradius=0.7), CylinderWarp(2, r_scale=0.3))
     enc = arr.enclosed_volume(samples=200000, seed=3)
     assert enc.value == pytest.approx(math.pi * 0.09 * arr.base.volume(), rel=1e-14)
     assert abs(enc.mc_value - enc.value) < 4.0 * enc.mc_error
@@ -741,11 +751,11 @@ def test_cylinder_monte_carlo_matches_closed_form():
 
 def test_custom_monte_carlo_matches_deterministic_value():
     # f = (1 - |x|^2) / 2 on the unit disk: enclosed = pi^2 / 12.
-    arr = make_custom(
-        2, Ball(np.zeros(2), 1.0),
+    arr = SphericalArray(Ball(np.zeros(2), 1.0), CustomWarp(
+        2,
         warp=lambda pts: 0.5 * (1.0 - np.einsum("nd,nd->n", pts, pts)),
         warp_gradient=lambda pts: -pts,
-    )
+    ))
     enc = arr.enclosed_volume(samples=200000, seed=3, depth=8)
     assert enc.value == pytest.approx(math.pi ** 2 / 12.0, rel=2e-3)
     assert abs(enc.mc_value - enc.value) < 4.0 * enc.mc_error
@@ -754,9 +764,9 @@ def test_custom_monte_carlo_matches_deterministic_value():
 def test_monte_carlo_rejects_a_warp_taller_than_its_box():
     # The sampling box reaches R in each fiber coordinate, so a fiber
     # radius of 2R would be clipped to about a third of its true volume.
-    arr = make_custom(2, Ball(np.zeros(2), 1.0),
-                      warp=lambda pts: np.full(len(pts), 2.0),
-                      warp_gradient=lambda pts: np.zeros_like(pts))
+    arr = SphericalArray(Ball(np.zeros(2), 1.0),
+                         CustomWarp(2, warp=lambda pts: np.full(len(pts), 2.0),
+                                    warp_gradient=lambda pts: np.zeros_like(pts)))
     assert arr.enclosed_volume(depth=8).value == pytest.approx(4.0 * math.pi ** 2, rel=2e-3)
     with pytest.raises(ValueError, match="exceeds r_scale"):
         arr.enclosed_volume(samples=100000, seed=3, depth=8)
@@ -765,8 +775,8 @@ def test_monte_carlo_rejects_a_warp_taller_than_its_box():
 @pytest.mark.parametrize("mode", ["archimedean", "cylinder"])
 def test_projection_constant_is_the_fiber_sphere_area(mode):
     base = regular_polygon(5, inradius=0.6)
-    arr = (SphericalArray(5, 3, base, make_scaling(3), 1.5, "archimedean")
-           if mode == "archimedean" else make_cylinder(3, base, r_scale=1.5))
+    warp = {"archimedean": ArchimedeanWarp, "cylinder": CylinderWarp}[mode]
+    arr = SphericalArray(base, warp(3, r_scale=1.5))
     assert arr.projection_constant == sphere_area(2, 1.0) * 1.5 ** 2
     assert arr.projection_constant == pytest.approx(4.0 * math.pi * 2.25, rel=1e-15)
 
@@ -787,7 +797,7 @@ def test_json_round_trip_archimedean():
 
 
 def test_json_round_trip_cylinder_polygon_base():
-    arr = make_cylinder(2, regular_polygon(5, inradius=0.6), r_scale=0.8)
+    arr = SphericalArray(regular_polygon(5, inradius=0.6), CylinderWarp(2, r_scale=0.8))
     back = array_from_json(arr.to_json())
     assert back.warp_mode == "cylinder"
     assert back.base.volume() == pytest.approx(arr.base.volume(), rel=1e-14)
@@ -802,7 +812,7 @@ def test_json_round_trip_cylinder_polygon_base():
 def test_json_round_trip_keeps_interior_points(base):
     # interior_points reads the base's singular band, which the JSON
     # document does not hold: the reloaded base must derive the same one.
-    arr = make_cylinder(2, base, r_scale=0.5)
+    arr = SphericalArray(base, CylinderWarp(2, r_scale=0.5))
     back = array_from_json(arr.to_json())
     assert back.base.singular_band == base.singular_band
     assert np.array_equal(interior_points(back.base, 2000), interior_points(base, 2000))
@@ -817,8 +827,8 @@ def test_json_document_fields():
 
 
 def test_custom_warp_not_serializable():
-    arr = make_custom(2, Ball(np.zeros(1), 1.0),
-                      warp=lambda pts: np.full(len(pts), 0.5))
+    arr = SphericalArray(Ball(np.zeros(1), 1.0),
+                         CustomWarp(2, warp=lambda pts: np.full(len(pts), 0.5)))
     with pytest.raises(ValueError):
         arr.to_json()
 
@@ -826,6 +836,20 @@ def test_custom_warp_not_serializable():
 def test_unknown_schema_rejected():
     with pytest.raises(ValueError):
         array_from_json(json.dumps({"schema": 2}))
+
+
+@pytest.mark.parametrize("change", [
+    {"warp_mode": "custom"},
+    {"warp_mode": "helix"},
+    {"warp_mode": ["archimedean"]},
+    {"n": 4},
+], ids=["custom", "unknown", "not-a-name", "n-mismatch"])
+def test_json_document_refused(change):
+    # A custom warp has no callables in JSON, an unknown name names no
+    # warp, and n must be the base dimension plus k: each is a ValueError.
+    doc = {**json.loads(make_archimedean(3, 2).to_json()), **change}
+    with pytest.raises(ValueError):
+        array_from_json(json.dumps(doc))
 
 
 # Equizonal closed forms -----------------------------------------------------

@@ -61,6 +61,15 @@ def test_mk_table_bad_range_exits_2(capsys):
     assert "error" in err
 
 
+def test_mk_table_refuses_an_order_past_the_quadrature_limit(capsys):
+    # From k = 43 on the M_k integrand is infinite at a node near t = 1;
+    # the order is refused before any integrand runs (the suite turns a
+    # RuntimeWarning into an error) and no partial table is written.
+    code, out, err = run_cli(capsys, ["mk-table", "--k-min", "42", "--k-max", "43"])
+    assert code == 2 and out == ""
+    assert err == "error: mk_quadrature takes k up to 42, got 43\n"
+
+
 def test_mk_table_file_output(tmp_path, capsys):
     path = tmp_path / "table.csv"
     code, out, _ = run_cli(capsys, ["mk-table", "--out", str(path)])
@@ -173,6 +182,19 @@ def test_verify_bad_dimensions_exit_2(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--n", "2", "--k", "2"], "ambient dimension must be at least 3"),
+    (["--n", "4", "--k", "4"], "codimension k must satisfy 2 <= k <= n-1"),
+    (["--n", "4", "--k", "2", "--r", "0"], "r_scale must be positive"),
+], ids=["n2-k2", "n4-k4", "r0"])
+def test_verify_names_the_bad_array_input(capsys, args, message):
+    # make_archimedean checks n, k and r before it builds the ball base,
+    # so a zero-dimensional base never reports its own error instead.
+    code, out, err = run_cli(capsys, ["verify", *args, "--mode", "residual"])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 # volume ---------------------------------------------------------------------

@@ -20,7 +20,7 @@ import json
 import numpy as np
 import pytest
 
-from archarray.array import SphericalArray, make_archimedean, make_cylinder
+from archarray.array import ArchimedeanWarp, CylinderWarp, SphericalArray, make_archimedean
 from archarray.base import Ball, Ellipse, regular_polygon
 from archarray.cli import run
 from archarray.mesh import graph_slice_mesh, write_obj
@@ -154,10 +154,10 @@ SAMPLE_DIGESTS = {
     "ball-n5-k2": (lambda: make_archimedean(5, 2),
         "f805818f595e00197dc1302048c291a18fccd7a267d98eb349c1e5a90aba8128"),
     "ellipse-cylinder": (
-        lambda: make_cylinder(2, Ellipse([0.1, -0.2], [0.9, 0.5]), r_scale=0.4),
+        lambda: SphericalArray(Ellipse([0.1, -0.2], [0.9, 0.5]), CylinderWarp(2, r_scale=0.4)),
         "059d39d183642ff57f5235045151ce33e32e17267f39435944aa0508c15f3e39"),
     "pentagon-cylinder": (
-        lambda: make_cylinder(2, regular_polygon(5, inradius=0.7), r_scale=0.3),
+        lambda: SphericalArray(regular_polygon(5, inradius=0.7), CylinderWarp(2, r_scale=0.3)),
         "664c60faccdba82f5cce57ebb7ad03b2bcfd05166d99e33dc1e701e881f377a5"),
 }
 # sha256 of the JSON descriptions of random_regions(base, 30, seed=4) on the
@@ -186,16 +186,15 @@ PROFILE_TABLES = {
 
 
 def _pentagon_archimedean():
-    return SphericalArray(4, 2, regular_polygon(5, inradius=0.7), make_scaling(2),
-                          1.0, "archimedean")
+    return SphericalArray(regular_polygon(5, inradius=0.7), ArchimedeanWarp(2))
 
 
 SLICE_CASES = {
     "ellipse-cylinder": (
-        lambda: make_cylinder(2, Ellipse([0.1, -0.2], [0.9, 0.5]), r_scale=0.4),
+        lambda: SphericalArray(Ellipse([0.1, -0.2], [0.9, 0.5]), CylinderWarp(2, r_scale=0.4)),
         "b6b8fa08a76b3922c5e60107a6c0e50f52ca33b6768308360870cf6bb49ce683"),
     "pentagon-cylinder": (
-        lambda: make_cylinder(2, regular_polygon(5, inradius=0.7), r_scale=0.3),
+        lambda: SphericalArray(regular_polygon(5, inradius=0.7), CylinderWarp(2, r_scale=0.3)),
         "a8cd14174be17f9d5170419f42238fd720bd3160a86da6705462bb35dbcf1489"),
     "pentagon-archimedean": (_pentagon_archimedean,
         "f9401bc152a46d22f2b0ac865bcf73903d9e2e185169d2630910a08172b55e17"),
@@ -253,7 +252,7 @@ def test_warping_gradient_bytes(shape, r):
         "ellipse": lambda: Ellipse([0.1, -0.2], [0.5 * r, 0.35 * r]),
         "pentagon": lambda: regular_polygon(5, inradius=0.5 * r),
     }[shape]()
-    arr = SphericalArray(4, 2, base, make_scaling(2), r, "archimedean")
+    arr = SphericalArray(base, ArchimedeanWarp(2, r))
     pts = interior_points(base, 1000, boundary_offset=1e-6 * base.inradius())
     assert _sha256(arr.warping_gradient(pts).tobytes()) == GRADIENT_DIGESTS[shape, r]
 

@@ -14,7 +14,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from archarray.array import SphericalArray, make_archimedean, make_cylinder
+from archarray.array import ArchimedeanWarp, CylinderWarp, SphericalArray, make_archimedean
 from archarray.base import Ball, regular_polygon
 from archarray.mesh import (
     Mesh,
@@ -162,7 +162,7 @@ def test_revolve_area_second_order_convergence():
 def test_revolve_capped_tube():
     # Constant warp: lateral tube area plus two end caps, which the pole
     # fans approximate by near-flat disks under Chebyshev clustering.
-    cyl = make_cylinder(2, Ball(np.zeros(1), 0.8), r_scale=0.5)
+    cyl = SphericalArray(Ball(np.zeros(1), 0.8), CylinderWarp(2, r_scale=0.5))
     mesh = revolve_mesh(cyl, 128, 128)
     assert mesh.is_watertight()
     oracle = 2.0 * math.pi * 0.5 * 1.6 + 2.0 * math.pi * 0.25
@@ -232,7 +232,7 @@ def test_graph_slice_vertices_satisfy_implicit_equation():
 def test_graph_slice_slab_over_disk():
     # Constant warp over a disk: two copies of the base plus the side
     # wall of height 2 * r_scale, closed by the shared rim.
-    arr = make_cylinder(2, Ball(np.zeros(2), 0.7), r_scale=0.3)
+    arr = SphericalArray(Ball(np.zeros(2), 0.7), CylinderWarp(2, r_scale=0.3))
     mesh = graph_slice_mesh(arr, 96)
     assert mesh.is_watertight()
     area_oracle = 2.0 * math.pi * 0.49 + 2.0 * math.pi * 0.7 * 0.6
@@ -246,7 +246,7 @@ def test_graph_slice_hexagon_base_volume():
     # volume = 2 * 4*sqrt(3) * integral of f_2(t) * (a - t) on [0, a].
     a = 0.8
     hexagon = regular_polygon(6, inradius=a)
-    arr = SphericalArray(4, 2, hexagon, make_scaling(2), 1.0, "archimedean")
+    arr = SphericalArray(hexagon, ArchimedeanWarp(2))
     mesh = graph_slice_mesh(arr, 96)
     assert mesh.is_watertight()
     assert mesh.euler_characteristic() == 2

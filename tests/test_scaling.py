@@ -503,6 +503,17 @@ def test_make_scaling_refuses_orders_that_do_not_build():
     assert mk_closed_form(64) > 0.0
 
 
+def test_mk_quadrature_refuses_orders_past_its_limit():
+    # k = 42 is the largest order whose M_k integrand stays finite at every
+    # node; from k = 43 on the order is refused before any node runs.
+    assert mk_quadrature(42) == pytest.approx(mk_closed_form(42), rel=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (43, 64):
+            with pytest.raises(ValueError, match="takes k up to 42"):
+                mk_quadrature(k)
+
+
 def test_domain_validation():
     s = make_scaling(3)
     with pytest.raises(ValueError):

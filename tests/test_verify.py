@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from archarray import base as base_module
-from archarray.array import make_archimedean, make_custom, make_cylinder
+from archarray.array import CustomWarp, CylinderWarp, SphericalArray, make_archimedean
 from archarray.base import Ball, ConvexPolygon, regular_polygon
 from archarray.region import Region, philox
 from archarray.special import gamma_q
@@ -241,7 +241,7 @@ def test_sample_surface_fiber_directions_isotropic():
 
 
 def test_sample_surface_cylinder_mode():
-    arr = make_cylinder(2, unit_disk(), r_scale=0.5)
+    arr = SphericalArray(unit_disk(), CylinderWarp(2, r_scale=0.5))
     pts = sample_surface(arr, 3000, seed=7)
     rho = np.linalg.norm(pts[:, 2:], axis=1)
     assert np.max(np.abs(rho - 0.5)) < 1e-12
@@ -249,7 +249,7 @@ def test_sample_surface_cylinder_mode():
 
 
 def test_sample_surface_rejects_custom():
-    arr = make_custom(2, unit_disk(), warp=lambda pts: np.full(len(pts), 0.5))
+    arr = SphericalArray(unit_disk(), CustomWarp(2, warp=lambda pts: np.full(len(pts), 0.5)))
     with pytest.raises(ValueError):
         sample_surface(arr, 10)
 
@@ -329,7 +329,7 @@ def test_statistical_test_passes_for_archimedean():
 
 
 def test_statistical_test_passes_for_cylinder():
-    arr = make_cylinder(2, regular_polygon(5, inradius=0.8), r_scale=0.3)
+    arr = SphericalArray(regular_polygon(5, inradius=0.8), CylinderWarp(2, r_scale=0.3))
     regions = random_regions(arr.base, 10, seed=21)
     # the smallest drawn region holds ~0.23% of the mass, so the sample
     # count must be large enough to clear the expected-hits floor
@@ -380,11 +380,11 @@ def test_statistical_test_fails_for_non_archimedean_warp():
     # base.  Samples stay base-uniform while the expectations follow
     # the true surface measure, so the fit must break down.
     base = unit_disk()
-    arr = make_custom(
-        2, base,
+    arr = SphericalArray(base, CustomWarp(
+        2,
         warp=lambda pts: 0.2 + 0.6 * np.einsum("nd,nd->n", pts, pts),
         warp_gradient=lambda pts: 1.2 * pts,
-    )
+    ))
     regions = random_regions(base, 12, seed=61)
     report = app_statistical_test(arr, regions, 50000, seed=62)
     assert not report.passed()
