@@ -81,10 +81,11 @@ class EnclosedVolume:
 
 
 class _Warp:
-    """Answers ``radius(omega, pts)``, f at ``pts`` of boundary distance
-    ``omega``; ``value_and_gradient(base, pts)``, (f/R, grad f); ``density(h,
-    omega, pts)``, array h's area integrand (omega None: read from pts); and
-    ``constant_density``: f reads omega alone and the density is C."""
+    """Answers ``radius(base, omega, pts)``, f at ``pts`` of boundary
+    distance ``omega``; ``value_and_gradient(base, pts)``, (f/R, grad f),
+    and ``gradient(base, pts)``, grad f alone; ``density(h, omega, pts)``,
+    array h's area integrand; and ``constant_density``: f reads omega
+    alone and the density is C.  An omega of None is read from pts."""
 
     scaling = None  # the profile f_k of an archimedean warp
     constant_density = True
@@ -96,14 +97,12 @@ class _Warp:
             raise ValueError("codimension k must be at least 2")
         if not r_scale > 0.0:
             raise ValueError("r_scale must be positive")
-        self.k = int(k)
-        self.r_scale = float(r_scale)
+        self.k, self.r_scale = int(k), float(r_scale)
 
-    def density(self, h, omega, pts):
-        """C * (f/R)^{k-1} * sqrt(1 + |grad f|^2) at the base points."""
-        g, grad = self.value_and_gradient(h.base, pts)
-        gnorm2 = np.einsum("nd,nd->n", grad, grad)
-        return h.projection_constant * g ** (self.k - 1) * np.sqrt(1.0 + gnorm2)
+    def value_and_gradient(self, base, pts):
+        """f/R, read through ``distance_to_boundary`` to refuse points off the base, and grad f."""
+        g = self.radius(base, base.distance_to_boundary(pts), pts) / self.r_scale
+        return g, self.gradient(base, pts)
 
 
 class ArchimedeanWarp(_Warp):
@@ -117,7 +116,9 @@ class ArchimedeanWarp(_Warp):
         self.scaling = make_scaling(self.k)
         self.max_inradius = self.r_scale * self.scaling.m_k
 
-    def radius(self, omega, pts):
+    def radius(self, base, omega, pts):
+        if omega is None:
+            omega = np.maximum(base.signed_distance(pts), 0.0)
         return self.r_scale * self.scaling.f(omega / self.r_scale)
 
     def value_and_gradient(self, base, pts):
@@ -128,30 +129,30 @@ class ArchimedeanWarp(_Warp):
         center (where the raw chain rule is 0/0).  Elsewhere the chain rule
         applies and points must stay outside the base's singular band.
         """
-        scal = self.scaling
-        r = self.r_scale
+        scal, r = self.scaling, self.r_scale
         omega = base.distance_to_boundary(pts)
         if np.any(omega <= 0.0):
             raise ValueError("gradient undefined on the base boundary")
         w = np.minimum(omega / r, scal.m_k)
         y, yp = scal._f_pair(w)
         grads = np.empty((len(pts), base.dim))
-        near = np.zeros(len(pts), dtype=bool)
-        if isinstance(base, Ball):
-            near = scal.m_k - w <= scal.series_radius_guard
-            if np.any(near):
-                rel = pts[near] - base.center
-                t = scal.m_k - w[near]
-                # f' * grad(omega) = ratio(t) * (x - c) / r with the
-                # even series ratio, finite and smooth at the center.
-                ratio = scal.series_prime_ratio(t)
-                grads[near] = (ratio / r)[:, None] * rel
+        near = (scal.m_k - w <= scal.series_radius_guard) & isinstance(base, Ball)
+        if np.any(near):
+            rel = pts[near] - base.center
+            t = scal.m_k - w[near]
+            # f' * grad(omega) = ratio(t) * (x - c) / r with the
+            # even series ratio, finite and smooth at the center.
+            ratio = scal.series_prime_ratio(t)
+            grads[near] = (ratio / r)[:, None] * rel
         if np.any(~near):
             # omega_gradient raises in the singular band, which for a
             # ball is the guarded center: call it off the guard only.
             grads[~near] = yp[~near][:, None] * base.omega_gradient(pts[~near])
         # r * y / r rounds as radius() / r does.
         return r * y / r, grads
+
+    def gradient(self, base, pts):
+        return self.value_and_gradient(base, pts)[1]
 
     def density(self, h, omega, pts):
         """C times the unit density y^{k-1} sqrt(1 + y'^2), which depends
@@ -175,11 +176,14 @@ class CylinderWarp(_Warp):
     name = "cylinder"
     constant_radius = True
 
-    def radius(self, omega, pts):
+    def radius(self, base, omega, pts):
         return np.full(len(pts), self.r_scale)
 
-    def value_and_gradient(self, base, pts):
-        return np.ones(len(pts)), np.zeros((len(pts), base.dim))
+    def gradient(self, base, pts):
+        return np.zeros((len(pts), base.dim))
+
+    def density(self, h, omega, pts):
+        return np.full(len(pts), h.projection_constant)
 
 
 class CustomWarp(_Warp):
@@ -192,16 +196,24 @@ class CustomWarp(_Warp):
 
     def __init__(self, k, warp, warp_gradient=None, r_scale=1.0):
         super().__init__(k, r_scale)
+        if not callable(warp) or not (warp_gradient is None or callable(warp_gradient)):
+            raise ValueError("a custom warp needs a warp callable and a callable or no gradient")
         self.warp = warp
         self.warp_gradient = warp_gradient
 
-    def radius(self, omega, pts):
+    def radius(self, base, omega, pts):
         return np.asarray(self.warp(pts), dtype=float)
 
-    def value_and_gradient(self, base, pts):
+    def gradient(self, base, pts):
         if self.warp_gradient is None:
             raise ValueError("custom warp has no gradient callable")
-        return self.radius(None, pts) / self.r_scale, np.asarray(self.warp_gradient(pts), float)
+        return np.asarray(self.warp_gradient(pts), dtype=float)
+
+    def density(self, h, omega, pts):
+        f = self.radius(h.base, omega, pts)
+        grad = self.gradient(h.base, pts)
+        gnorm2 = np.einsum("nd,nd->n", grad, grad)
+        return sphere_area(self.k - 1, 1.0) * f ** (self.k - 1) * np.sqrt(1.0 + gnorm2)
 
 
 class SphericalArray:
@@ -216,11 +228,8 @@ class SphericalArray:
             raise ValueError("an archimedean warp requires base inradius <= r_scale * m_k")
         self.base = base
         self.warp = warp
-        self.base_dim = base.dim
-        self.n = base.dim + warp.k
-        self.k = warp.k
-        self.r_scale = warp.r_scale
-        self.scaling = warp.scaling
+        self.base_dim, self.n, self.k = base.dim, base.dim + warp.k, warp.k
+        self.r_scale, self.scaling = warp.r_scale, warp.scaling
 
     # -- basic structure ------------------------------------------------
 
@@ -250,14 +259,14 @@ class SphericalArray:
     def warping(self, x):
         """Fiber radius f(x'') at base points; zero on the base boundary."""
         pts, single = _points(x, self.base_dim)
-        vals = self.warp.radius(self.base.distance_to_boundary(pts), pts)
+        vals = self.warp.radius(self.base, self.base.distance_to_boundary(pts), pts)
         return float(vals[0]) if single else vals
 
     def warping_gradient(self, x):
         """Gradient of the fiber radius at strictly interior base points;
-        see the warp's ``value_and_gradient``."""
+        see the warp's ``gradient``."""
         pts, single = _points(x, self.base_dim)
-        grads = self.warp.value_and_gradient(self.base, pts)[1]
+        grads = self.warp.gradient(self.base, pts)
         return grads[0] if single else grads
 
     def app_residual(self, x):
@@ -325,11 +334,10 @@ class SphericalArray:
         error estimate.  A constant-density warp depends on the base point
         only through omega, so over a ball it is integrated radially with
         ``pts`` None.  Otherwise clipped quadrature over the padded bounding
-        box runs; ``to_units`` converts its Monte Carlo error, a base
-        volume, to the integrand's units."""
+        box runs with ``omega`` None; ``to_units`` converts its Monte Carlo
+        error, a base volume, to the integrand's units."""
         if self.warp.constant_density and isinstance(self.base, Ball):
-            rad = self.base.radius
-            d = self.base_dim
+            rad, d = self.base.radius, self.base_dim
             if d == 1:
                 value = 2.0 * integrate(lambda rho: integrand(rad - rho, None), 0.0, rad)
             else:
@@ -338,10 +346,8 @@ class SphericalArray:
                                   0.0, rad)
             return value, abs(value) * REL_TOL
         blo, bhi = self.base.bounding_box()
-        result = clipped_quadrature(
-            self.base, Region.box(blo - 1.0, bhi + 1.0),
-            lambda pts: integrand(np.maximum(self.base.signed_distance(pts), 0.0), pts),
-            depth=depth, seed=seed)
+        result = clipped_quadrature(self.base, Region.box(blo - 1.0, bhi + 1.0),
+                                    lambda pts: integrand(None, pts), depth=depth, seed=seed)
         return result.integral, to_units(result.error_estimate)
 
     def total_volume(self, *, depth=CELL_DEPTH, seed=0):
@@ -361,11 +367,8 @@ class SphericalArray:
         closed = None
         if (isinstance(self.base, Ball)
                 and abs(self.base.radius - self.warp.max_inradius) <= 1e-9 * self.r_scale):
-            closed = (
-                sphere_area(self.k - 1, 1.0)
-                * ball_volume(self.base_dim, self.scaling.m_k)
-                * self.r_scale ** (self.n - 1)
-            )
+            closed = (sphere_area(self.k - 1, 1.0) * ball_volume(self.base_dim, self.scaling.m_k)
+                      * self.r_scale ** (self.n - 1))
         return TotalVolume(value, closed, err)
 
     def enclosed_volume(self, samples=0, seed=0, *, depth=CELL_DEPTH):
@@ -380,11 +383,10 @@ class SphericalArray:
             raise ValueError(f"samples must be nonnegative, got {samples}")
         ck = ball_volume(self.k, 1.0)
         if self.warp.constant_radius:
-            value = ck * self.r_scale ** self.k * self.base.volume()
-            err = 0.0
+            value, err = ck * self.r_scale ** self.k * self.base.volume(), 0.0
         else:
             value, err = self._base_integral(
-                lambda om, pts: ck * self.warp.radius(om, pts) ** self.k,
+                lambda om, pts: ck * self.warp.radius(self.base, om, pts) ** self.k,
                 lambda e: e * ck * self.r_scale ** self.k, depth, seed,
             )
         if samples == 0:
@@ -417,8 +419,7 @@ class SphericalArray:
             gen = np.random.Generator(bits.jumped(index))
             index += 1
             pts = to_box(gen.random((m, self.n)), lo, hi)
-            xb = pts[:, : self.base_dim]
-            xf = pts[:, self.base_dim:]
+            xb, xf = pts[:, : self.base_dim], pts[:, self.base_dim:]
             sd = self.base.signed_distance(xb)
             inside = sd >= 0.0
             if self.scaling is not None:
@@ -429,7 +430,7 @@ class SphericalArray:
                 hits += int(np.count_nonzero(sure))
                 unsure.append((y[idx], x[idx]))
             elif np.any(inside):
-                f = self.warp.radius(sd[inside], xb[inside])
+                f = self.warp.radius(self.base, sd[inside], xb[inside])
                 if np.any(f > self.r_scale):
                     raise ValueError("fiber radius exceeds r_scale, the half-height "
                                      "of the Monte Carlo box")
@@ -481,8 +482,7 @@ def array_from_json(text):
 def make_archimedean(n, k, r_scale=1.0):
     """Canonical constant-factor projection array: ball base of radius
     r_scale*m_k with the warp f = r_scale * f_k(omega/r_scale)."""
-    n = int(n)
-    k = int(k)
+    n, k = int(n), int(k)
     if n < 3:
         raise ValueError("ambient dimension must be at least 3")
     if not 2 <= k <= n - 1:

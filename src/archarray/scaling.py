@@ -80,8 +80,8 @@ def mk_closed_form(k):
 def mk_quadrature(k):
     """M_k by direct adaptive quadrature of the defining integral."""
     _check_k(k)
-    if k > 42:  # see _MAX_K
-        raise ValueError(f"mk_quadrature takes k up to 42, got {k}")
+    if k > _MAX_K_QUADRATURE:
+        raise ValueError(f"mk_quadrature takes k up to {_MAX_K_QUADRATURE}, got {k}")
     e = 2 * k - 2
 
     def integrand(t):
@@ -91,9 +91,9 @@ def mk_quadrature(k):
 
 
 # The largest k whose profile builds: from k = 25 on, the node table's
-# inverse is not strictly increasing, and from k = 43 on, the M_k
-# quadrature meets a non-finite integrand.
-_MAX_K = 24
+# inverse is not strictly increasing.  The largest k mk_quadrature takes:
+# from k = 43 on, the M_k quadrature meets a non-finite integrand.
+_MAX_K, _MAX_K_QUADRATURE = 24, 42
 
 
 def _check_k(k):

@@ -120,8 +120,10 @@ def test_constructor_validation():
     assert arr.scaling is make_scaling(2)
     with pytest.raises(ValueError):  # base too large for the warp domain
         SphericalArray(Ball(np.zeros(1), 2.0), ArchimedeanWarp(2))
-    with pytest.raises(TypeError):  # custom without warp callable
-        CustomWarp(2)
+    with pytest.raises(ValueError):  # custom without warp callable
+        CustomWarp(2, None)
+    with pytest.raises(ValueError):  # custom gradient that is not callable
+        CustomWarp(2, lambda pts: np.full(len(pts), 0.5), warp_gradient=0.0)
     for warp in (ArchimedeanWarp, CylinderWarp):
         with pytest.raises(ValueError, match="at least 2"):
             warp(1)
@@ -323,6 +325,26 @@ def test_cylinder_residual_exactly_zero():
     rng = np.random.default_rng(3)
     pts = 0.3 * unit_vectors(rng, 2, 50)
     assert np.all(arr.app_residual(pts) == 0.0)
+
+
+@pytest.mark.parametrize("warp", [
+    CylinderWarp(2),
+    CustomWarp(2, lambda pts: np.full(len(pts), 0.5), lambda pts: np.zeros_like(pts)),
+], ids=["cylinder", "custom"])
+def test_residual_refuses_points_outside_the_base(warp):
+    # The residual reads f through distance_to_boundary, which refuses a
+    # point the base does not hold, for every warp.
+    arr = SphericalArray(Ball(np.zeros(2), 1.0), warp)
+    with pytest.raises(ValueError, match="inside the domain"):
+        arr.app_residual([3.0, 0.0])
+
+
+def test_custom_gradient_does_not_call_the_warp():
+    def warp(pts):
+        raise AssertionError("warp called")
+
+    arr = SphericalArray(Ball(np.zeros(2), 1.0), CustomWarp(2, warp, lambda pts: 0.2 * pts))
+    assert np.array_equal(arr.warping_gradient([[0.5, -0.25]]), [[0.1, -0.05]])
 
 
 def test_non_archimedean_warp_has_nonzero_residual():
