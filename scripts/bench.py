@@ -6,8 +6,8 @@ hot kernels of the statistical gate and its p-value, of the cell walk
 the profile layer and its build, of the ellipse and hexagon bases, of
 the residual gate, of surface sampling, of the CSV and OBJ export, of
 the closed mesh check, of the Halton sequence and of two CLI calls in a
-fresh process, counts the incomplete betas per forward profile value and
-the share of values answered with none, hashes the results bit for bit,
+fresh process, counts the forward profile values answered by its low
+series, its quintic and its cap series, hashes the results bit for bit,
 counts the lines under ``src/`` and writes it all, with the machine it
 ran on, to one JSON file.  With ``--baseline`` the same is done for a
 second checkout.  The layer processes and the end-to-end runs of the
@@ -81,7 +81,7 @@ def layers(root, reps, seeds):
     import archarray.cli  # noqa: F401  (workloads call the CLI)
     import archarray.region as region_module
     import workloads
-    from archarray.scaling import ScalingFunction, _build, make_scaling
+    from archarray.scaling import _build, make_scaling
     from archarray.special import betainc_reg, gamma_q
     from archarray.verify import _base_uniform, _expected_fractions, _philox
 
@@ -115,13 +115,23 @@ def layers(root, reps, seeds):
     box_hi = box_lo + np.random.default_rng(3).random((256, 2)) * (hi - lo) / 16
     box_state = getattr(h.base, "box_state", None) or (lambda a, b: np.where(
         h.base.misses_box(a, b), 0, h.base.holds_box(a, b) + 1))
+    def _series_end(s):
+        """Where the profile's low series ends; a checkout without one (it
+        solved by Newton there) gives the left node of its first trusted
+        bracket."""
+        if hasattr(s, "low_end"):
+            return s.low_end
+        return float(s.x_table[int(np.argmax(s.trusted))])
+
     # The profile layer on 65,536 points (k = 3) and the enclosed-volume
     # Monte Carlo, whose hit test reads the profile's node table.
     prof = make_scaling(3)
     xs = (1.0 - rng.random(65_536)) * prof.m_k
     ys = rng.random(65_536)
-    # The even-series cap: x uniform on [0.75, 1) m_k, from its own stream.
+    # The even-series cap: x uniform on [0.75, 1) m_k, from its own stream;
+    # and the low run, x uniform on (0, series end], from another.
     xs_cap = (0.75 + 0.25 * np.random.default_rng(1).random(65_536)) * prof.m_k
+    xs_low = _series_end(prof) * (1.0 - np.random.default_rng(4).random(65_536))
     # The chi-square p-value Q(dof/2, chi2/2) on chi2 from 0.5 dof to 1.5 dof.
     chi20 = np.linspace(10.0, 30.0, 200).tolist()
     chi2000 = np.linspace(1000.0, 3000.0, 20).tolist()
@@ -192,6 +202,7 @@ def layers(root, reps, seeds):
         "scaling.f.65536": lambda: prof.f(xs),
         "scaling.f_prime.65536": lambda: prof.f_prime(xs),
         "scaling.f.cap.65536": lambda: prof.f(xs_cap),
+        "scaling.f.low.65536": lambda: prof.f(xs_low),
         # A whole k = 3 profile, built past make_scaling's cache; the
         # checksum is of its series coefficients.
         "scaling.build.k3": lambda: _build.__wrapped__(3).taylor,
@@ -231,24 +242,19 @@ def layers(root, reps, seeds):
         out["layers"][name] = {"s": seconds, "checksum": check}
     objdir.cleanup()
 
-    # Incomplete betas per point of one forward solve on the points f
-    # sends to it (outside the series guard), for k = 2, 3 and 6, and the
-    # share of those points answered with none: the first batch of
-    # incomplete betas holds every point that reaches Newton.
-    out["newton_evals_per_point"] = {}
-    out["interpolated_share"] = {}
-    raw = ScalingFunction._raw_inverse
+    # How many of 65,536 uniform points of (0, m_k] the forward profile
+    # answers by each path, for k = 2, 3 and 6, by its routing rule: the
+    # even series within the guard of m_k, the low series below the
+    # series end, the quintic elsewhere.
+    out["profile_paths"] = {}
     for k in (2, 3, 6):
         sk = make_scaling(k)
-        pts_k = np.random.default_rng(5).uniform(0.0, sk.m_k - sk.series_radius_guard, 65_536)
-        sizes = []
-        ScalingFunction._raw_inverse = lambda self, y: sizes.append(y.size) or raw(self, y)
-        try:
-            sk._f_root(pts_k)
-        finally:
-            ScalingFunction._raw_inverse = raw
-        out["newton_evals_per_point"][str(k)] = sum(sizes) / pts_k.size
-        out["interpolated_share"][str(k)] = 1.0 - (sizes[0] if sizes else 0) / pts_k.size
+        pts_k = sk.m_k * (1.0 - np.random.default_rng(5).random(65_536))
+        cap = sk.m_k - pts_k <= sk.series_radius_guard
+        low = ~cap & (pts_k < _series_end(sk))
+        out["profile_paths"][str(k)] = {
+            "low_series": int(low.sum()), "cap_series": int(cap.sum()),
+            "quintic": int(pts_k.size - low.sum() - cap.sum())}
 
     # One round of every workload: the sha256 of its values, floats as hex.
     with open(os.path.join(root, "bench", "reference.json")) as fh:

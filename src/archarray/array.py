@@ -160,12 +160,12 @@ class ArchimedeanWarp(_Warp):
         almost everywhere; within the boundary offset it is its limit C."""
         if omega is None:
             omega = np.maximum(h.base.signed_distance(pts), 0.0)
-        scal = self.scaling
-        w = np.minimum(np.asarray(omega, dtype=float) / self.r_scale, scal.m_k)
-        out = np.ones_like(w)
+        w = np.minimum(np.asarray(omega, dtype=float) / self.r_scale, self.scaling.m_k)
         live = w * self.r_scale >= BOUNDARY_OFFSET_FRACTION * h.base.inradius()
-        if np.any(live):
-            y, yp = scal._f_pair(w[live])
+        out = np.ones_like(w)
+        if live.any():
+            live = slice(None) if live.all() else live  # a view: no gather or scatter
+            y, yp = self.scaling._f_pair(w[live])
             out[live] = y ** (self.k - 1) * np.sqrt(1.0 + yp * yp)
         return h.projection_constant * out
 

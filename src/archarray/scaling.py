@@ -24,23 +24,27 @@ matches y, y' = sqrt(1 - y^(2k-2))/y^(k-1) and, from the derivative of
 the profile relation, y'' = -(k-1)/y^(2k-1) at both nodes.  Its error
 is at most max|y^(6)| h^6/46080 on a bracket of width h.  Every
 derivative of y is a polynomial in 1/y, times y' for odd orders, so the
-sum of the absolute terms of y^(6) at the left node bounds it.  Where
-that bound is below rounding, both of y and of M_k in x, the bracket is
-trusted and the interpolant is the value, with no incomplete beta.  The
-other brackets (the first ones, where the power law y ~ (kx)^(1/k)
-spoils the polynomial, and all of a coarse table) invert g^{-1} by a
-safeguarded Newton started from the same interpolant; in the first
-bracket, where y' is infinite, from the leading term of
-g^{-1}(y) = y^k/k + O(y^(3k-2)) instead, which is the root where the
-omitted term is below rounding.  Each point is answered on its own, so
-its value does not depend on its batch.  One evaluation serves both g
-and g', which is derived from y through the profile relation.
+sum of the absolute terms of y^(6) at the left node bounds it.  A
+bracket is trusted where that bound is below rounding, both of y and of
+M_k in x.  For every k the other brackets are one run from x = 0, where
+the power law y ~ (kx)^(1/k) spoils the polynomial, and brackets inside
+the guard; the builder refuses a table with any other.  On that low run
+g comes from the binomial series of its inverse: with u = y^(2k-2),
+
+    g^{-1}(y) = (y^k/k) A(u),   A(u) = sum_j binom(2j, j)/4^j k/(k + j(2k-2)) u^j,
+
+reverted (Lagrange-Buermann) to y = v (1 + sum_(j>=1) b_j w^j) in
+v = (kx)^(1/k) and w = v^(2k-2), with b_j = [u^j] A^(-s_j/k) / s_j,
+s_j = 1 + j(2k-2).  w stays below 1.1e-3 on the run, so a few terms
+reach rounding (``_low_series``).  No forward value takes an incomplete
+beta, and each point is answered on its own, so its value does not
+depend on its batch.  One evaluation serves both g and g', which is
+derived from y through the profile relation.
 """
 
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -59,11 +63,11 @@ __all__ = [
 TABLE_SIZE = 4096
 _GUIDE_BUCKETS, _GUIDE_STEPS = 1 << 14, 2  # see _guide_table
 GUARD_FRACTION = 0.25
-_NEWTON_CAP = 100
+_LOW_W_MAX = 2.0 ** -6  # reach of the low series in w; the default table needs 1.07e-3
 # Margin, in units of m_k, by which at_most_by_nodes widens a node bracket.
 _NODE_PAD = 1e-12
-# Relative rounding of a float64: half an ulp of 1.
-_EPS = 2.0 ** -53
+# Relative rounding of a float64: half an ulp of 1; the smallest normal float.
+_EPS, _TINY = 2.0 ** -53, np.finfo(float).tiny
 
 
 def _beta_p(k):
@@ -82,12 +86,13 @@ def mk_quadrature(k):
     _check_k(k)
     if k > _MAX_K_QUADRATURE:
         raise ValueError(f"mk_quadrature takes k up to {_MAX_K_QUADRATURE}, got {k}")
-    e = 2 * k - 2
+    return _inverse_quadrature(k, 1.0)
 
-    def integrand(t):
-        return t ** (k - 1) / np.sqrt(1.0 - t ** e)
 
-    return integrate(integrand, 0.0, 1.0, singular_right=True)
+def _inverse_quadrature(k, y):
+    """g^{-1}(y) by adaptive quadrature of the defining integral."""
+    return integrate(lambda t: t ** (k - 1) / np.sqrt(1.0 - t ** (2 * k - 2)), 0.0, y,
+                     singular_right=y == 1.0)
 
 
 # The largest k whose profile builds: from k = 25 on, the node table's
@@ -103,7 +108,7 @@ def _check_k(k):
         raise ValueError(f"k must be at least 2, got {k}")
 
 
-def _even_series(k, guard):
+def _even_series(k, guard, extra=0):
     """Coefficients c_j of the even series g(m_k + t) = sum c_j t^(2j).
 
     Differentiating the profile relation gives y'' = -(k-1) y^(1-2k) with
@@ -114,16 +119,34 @@ def _even_series(k, guard):
     -(k-1) w_m, all in exact rationals; each c_j is a_j rounded once.  The
     series ends with the first c_j (after c_1, which y' needs however
     narrow the guard) whose term at the guard radius is below a quarter of
-    rounding, so the guard must lie inside the radius of convergence (at
-    most m_k: y(0) = 0).
+    rounding, and ``extra`` more, so the guard must lie inside the radius
+    of convergence (at most m_k: y(0) = 0).
     """
-    a, w = [Fraction(1)], []
+    a, w, stop = [Fraction(1)], [], None
     for m in itertools.count():
         mw = sum(((2 - 2 * k) * i - m) * a[i] * w[m - i] for i in range(1, m + 1))
         w.append(mw / m if m else Fraction(1))
         a.append((1 - k) * w[m] / ((2 * m + 2) * (2 * m + 1)))
-        if m and abs(float(a[-1])) * guard ** (2 * m + 2) < _EPS / 4:
+        if stop is None and m and abs(float(a[-1])) * guard ** (2 * m + 2) < _EPS / 4:
+            stop = m + extra
+        if m == stop:
             return np.array([float(c) for c in a])
+
+
+def _low_series(k, w_end):
+    """b_1, b_2, ... of the low series (module docstring) up to the first
+    term below a quarter of rounding at ``w_end``; A^s by Miller's power
+    recurrence, in floats: every term past b_0 = 1 is below w <= 2^-6."""
+    e = 2 * k - 2
+    a, b = [1.0], []
+    while not b or abs(b[-1]) * w_end ** len(b) >= _EPS / 4:
+        n = len(a)
+        a.append(a[-1] * (2 * n - 1) / (2 * n) * (k + (n - 1) * e) / (k + n * e))
+        s, p = -(1 + n * e) / k, [1.0]
+        for m in range(1, n + 1):
+            p.append(sum(((s + 1) * i - m) * a[i] * p[m - i] for i in range(1, m + 1)) / m)
+        b.append(p[n] / (1 + n * e))
+    return np.array(b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,10 +158,12 @@ class ScalingFunction:
     y_table: np.ndarray = field(repr=False)
     x_table: np.ndarray = field(repr=False)
     hermite: np.ndarray = field(repr=False)
-    trusted: np.ndarray = field(repr=False)
+    low_end: float
+    low_series: np.ndarray = field(repr=False)
     x_guide: np.ndarray = field(repr=False)
     y_guide: np.ndarray = field(repr=False)
     taylor: np.ndarray = field(repr=False)
+    prime_ratio: np.ndarray = field(repr=False)
     series_radius_guard: float
 
     # -- inverse profile ------------------------------------------------
@@ -149,8 +174,7 @@ class ScalingFunction:
         if np.any(y_arr < -1e-12) or np.any(y_arr > 1.0 + 1e-12):
             raise ValueError("f_inverse argument must lie in [0, 1]")
         y_arr = np.clip(y_arr, 0.0, 1.0)
-        x = self.m_k * betainc_reg(_beta_p(self.k), 0.5, y_arr ** (2 * self.k - 2))
-        x = np.where(y_arr >= 1.0, self.m_k, x)
+        x = np.where(y_arr >= 1.0, self.m_k, self._raw_inverse(y_arr))
         return _unprep(x, scalar)
 
     def at_most_by_nodes(self, y, x):
@@ -189,7 +213,8 @@ class ScalingFunction:
         """(g(x), g'(x)) from one evaluation of g per point.
 
         With ``slope`` x must lie in (0, m_k]; without it x may be 0 and
-        the second entry is None.
+        the second entry is None.  A batch with no point in the series
+        guard goes through ``_f_root`` whole, with no gather or scatter.
         """
         x_arr, scalar = _prep(x)
         tol = 1e-12 * max(1.0, self.m_k)
@@ -198,44 +223,34 @@ class ScalingFunction:
             name, left = ("f_prime", "(") if slope else ("f", "[")
             raise ValueError(f"{name} argument must lie in {left}0, {self.m_k!r}]")
         x_arr = np.clip(x_arr, 0.0, self.m_k)
+        near = self.m_k - x_arr <= self.series_radius_guard
+        if not near.any():
+            y = self._f_root(x_arr)
+            return _unprep(y, scalar), (_unprep(self._root_slope(y), scalar) if slope else None)
         y = np.empty_like(x_arr)
         yp = np.empty_like(x_arr) if slope else None
-        near = self.m_k - x_arr <= self.series_radius_guard
-        if np.any(near):
-            y[near] = self._f_series(x_arr[near])
+        t = x_arr[near] - self.m_k
+        y[near] = self._f_series(t)
+        if slope:
+            yp[near] = t * self.series_prime_ratio(t)
+        if (far := ~near).any():
+            y[far] = self._f_root(x_arr[far])
             if slope:
-                t = x_arr[near] - self.m_k
-                yp[near] = t * self.series_prime_ratio(t)
-        if np.any(~near):
-            yf = self._f_root(x_arr[~near])
-            y[~near] = yf
-            if slope:
-                e = 2 * self.k - 2
-                yp[~near] = np.sqrt(np.clip(1.0 - yf ** e, 0.0, None)) / yf ** (self.k - 1)
+                yp[far] = self._root_slope(y[far])
         return _unprep(y, scalar), (_unprep(yp, scalar) if slope else None)
 
-    def _f_series(self, x):
-        """Even Taylor expansion about m_k; valid within the guard radius."""
-        u = (x - self.m_k) ** 2
-        acc = np.zeros_like(u)
-        for cj in self.taylor[::-1]:
-            acc = acc * u + cj
-        return np.minimum(acc, 1.0)
+    def _root_slope(self, y):
+        """g' = sqrt(1 - y^(2k-2))/y^(k-1), from the profile relation."""
+        return np.sqrt(np.clip(1.0 - y ** (2 * self.k - 2), 0.0, None)) / y ** (self.k - 1)
+
+    def _f_series(self, t):
+        """g(m_k + t) from the even Taylor expansion; valid for |t| <= guard."""
+        return np.minimum(_horner(self.taylor, t * t), 1.0)
 
     def _f_root(self, x):
-        """g(x) from the quintic Hermite of its node bracket (module docstring).
-
-        The bracket comes from a guide table (``_bracket``).
-        Outside the trusted brackets it starts a bracketed Newton; a
-        start that is not finite or not strictly inside the bracket falls
-        back to its midpoint.  A point leaves the active set once its step
-        passes |dy| <= 1e-16 + 1e-15 y.  A zero step is accepted as
-        convergence.  Any other step that is not finite or not strictly
-        inside the bracket (lo, hi) is replaced by bisection: landing on
-        the far end, which is already evaluated, would let rounding noise
-        in g^{-1} cycle between two neighbouring floats.  x = 0 maps to
-        exactly 0.  Points still moving after ``_NEWTON_CAP`` steps keep
-        their last iterate and raise a RuntimeWarning.
+        """g(x) for x in [0, m_k]: below ``low_end`` the reverted low series,
+        elsewhere the quintic Hermite of the node bracket (module docstring),
+        which a guide table finds (``_bracket``).  x = 0 maps to exactly 0.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         idx = _bracket(self.x_table, self.x_guide, x)
@@ -246,60 +261,31 @@ class ScalingFunction:
         for row in self.hermite[4::-1]:
             out *= t
             out += row[idx]
-        act = np.flatnonzero(~self.trusted[idx])
-        xa, idx, y = x[act], idx[act], out[act]
-        lo = self.y_table[idx]
-        hi = self.y_table[idx + 1]
-        e = 2 * self.k - 2
-        first = idx == 0
-        y[first] = (self.k * xa[first]) ** (1.0 / self.k)
-        # Where the power law's first omitted term (y^(2k-2)/(6k-4),
-        # relative) is below rounding, it is the root; g^{-1} there
-        # underflows for k >= 3, and a Newton step could only move it away.
-        exact = first & (y < hi) & (y ** e < _EPS)
-        out[act[exact]] = y[exact]
-        keep = ~exact
-        act, xa, y, lo, hi = act[keep], xa[keep], y[keep], lo[keep], hi[keep]
-        y = np.where(np.isfinite(y) & (y > lo) & (y < hi), y, 0.5 * (lo + hi))
-        for _ in range(_NEWTON_CAP):
-            if not act.size:
-                break
-            g = self._raw_inverse(y) - xa
-            low_side = g < 0.0
-            lo = np.where(low_side, y, lo)
-            hi = np.where(low_side, hi, y)
-            deriv = y ** (self.k - 1) / np.sqrt(np.clip(1.0 - y ** e, 1e-300, None))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                y_new = y - g / deriv
-            bad = ~np.isfinite(y_new) | (((y_new <= lo) | (y_new >= hi)) & (y_new != y))
-            y_new = np.where(bad, 0.5 * (lo + hi), y_new)
-            done = np.abs(y_new - y) <= 1e-16 + 1e-15 * y_new
-            out[act[done]] = y_new[done]
-            keep = ~done
-            act, xa, y, lo, hi = act[keep], xa[keep], y_new[keep], lo[keep], hi[keep]
-        if act.size:
-            warnings.warn(
-                f"profile inversion left {act.size} of {x.size} points "
-                f"unconverged after {_NEWTON_CAP} Newton steps",
-                RuntimeWarning, stacklevel=2,
-            )
-            out[act] = y
+        low = np.flatnonzero(x < self.low_end)
+        if low.size:
+            out[low] = self._f_low(x[low])
         return out
+
+    def _f_low(self, x):
+        """y = v (1 + sum b_j w^j), v = (kx)^(1/k), w = v^(2k-2)."""
+        k, z = self.k, self.k * x
+        v = z ** (1.0 / k)
+        # One Newton step on v^k = z drops the rounding of 1/k, scaled by |ln z|.
+        v -= v * ((v ** k - z) / np.maximum(z, _TINY)) / k
+        w = v ** (2 * k - 2)
+        return v + v * (w * _horner(self.low_series, w))
 
     def _raw_inverse(self, y):
         return self.m_k * betainc_reg(_beta_p(self.k), 0.5, y ** (2 * self.k - 2))
 
     def series_prime_ratio(self, t):
-        """g'(m_k + t)/t for |t| <= guard: the even series sum 2j c_j t^(2j-2).
+        """g'(m_k + t)/t for |t| <= guard: the even series sum 2j c_j t^(2j-2),
+        summed one term past the value's cut, which alone falls 3 ulp short.
 
         Finite (and negative) at t = 0; used to assemble warp gradients
         across the smooth cap without a 0/0.
         """
-        u = np.asarray(t, dtype=float) ** 2
-        acc = np.zeros_like(u)
-        for j in range(len(self.taylor) - 1, 0, -1):
-            acc = acc * u + 2.0 * j * self.taylor[j]
-        return acc
+        return _horner(self.prime_ratio, np.asarray(t, dtype=float) ** 2)
 
     # -- series data ----------------------------------------------------
 
@@ -321,10 +307,18 @@ class ScalingFunction:
         return [float(c) for c in self.taylor[: terms + 1]]
 
 
+def _horner(coef, u):
+    """sum coef[j] u^j."""
+    acc = np.zeros_like(u)
+    for c in coef[::-1]:
+        acc = acc * u + c
+    return acc
+
+
 def _prep(x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    return np.atleast_1d(arr).astype(float), scalar
+    return np.atleast_1d(arr), scalar
 
 
 def _unprep(arr, scalar):
@@ -395,7 +389,6 @@ def _quintic_table(k, m_k, x, y):
             6.0 * r - 3.0 * s0 - 3.0 * s1 - 0.5 * c0 + 0.5 * c1,
         ])
         bound = np.polyval(d6[::-1], 1.0 / y[:-1]) * h ** 6 / 46080.0
-    coef[:, 0] = np.nan
     return coef, bound <= _EPS * np.minimum(y[:-1], m_k * d1[1:])
 
 
@@ -408,14 +401,26 @@ def make_scaling(k):
     defining integral and from the Gamma-function closed form, and
     refuses to construct if they disagree beyond 1e-8 relative.  It also
     cross-checks the incomplete-beta inversion route against direct
-    quadrature on a y-grid that includes the singular endpoint y = 1.
-    k runs from 2 to 24, the largest codimension whose profile builds.
+    quadrature on a y-grid that includes the singular endpoint y = 1.  It
+    refuses a table with a bracket below the guard that neither the quintic
+    nor the low series answers to rounding (a coarse ``TABLE_SIZE``, or a
+    guard too narrow to hold the brackets at M_k).  k runs from 2 to 24,
+    the largest codimension whose profile builds.
     """
     _check_k(k)
     if k > _MAX_K:
         raise ValueError(f"k must be at most {_MAX_K}, the largest codimension "
                          f"whose profile builds; got {k}")
     return _build(int(k))
+
+
+def _nodes(k, m_k, size):
+    """The node table: ``size`` Chebyshev nodes y_i on [0, 1] and x_i = g^{-1}(y_i)."""
+    y = 0.5 * (1.0 - np.cos(np.pi * np.arange(size) / (size - 1)))
+    y[[0, -1]] = 0.0, 1.0
+    x = m_k * betainc_reg(_beta_p(k), 0.5, y ** (2 * k - 2))
+    x[[0, -1]] = 0.0, m_k
+    return y, x
 
 
 @functools.cache
@@ -430,39 +435,34 @@ def _build(k):
     m_k = m_closed
     guard = GUARD_FRACTION * m_k
 
-    i = np.arange(TABLE_SIZE)
-    y_nodes = 0.5 * (1.0 - np.cos(np.pi * i / (TABLE_SIZE - 1)))
-    y_nodes[0] = 0.0
-    y_nodes[-1] = 1.0
-    x_nodes = m_k * betainc_reg(_beta_p(k), 0.5, y_nodes ** (2 * k - 2))
-    x_nodes[0] = 0.0
-    x_nodes[-1] = m_k
+    y_nodes, x_nodes = _nodes(k, m_k, TABLE_SIZE)
     if np.any(np.diff(x_nodes) <= 0.0):
         raise ValueError("inverse table failed to be strictly increasing")
     hermite, trusted = _quintic_table(k, m_k, x_nodes, y_nodes)
-
+    # The low series answers the brackets before the first trusted one, up
+    # to w = _LOW_W_MAX; each other bracket below the guard must be trusted.
+    low = int(np.argmax(trusted)) if trusted.any() else len(trusted)
+    reach = min(x_nodes[low], _LOW_W_MAX ** (k / (2 * k - 2)) / k)
+    bad = np.flatnonzero(~trusted & (x_nodes[:-1] < m_k - guard) & (x_nodes[1:] > reach))
+    if bad.size:
+        raise ValueError(
+            f"profile k={k}: node bracket {bad[0]}, {x_nodes[bad[0]:bad[0] + 2].tolist()}, is "
+            f"answered by neither the quintic nor the low series (TABLE_SIZE {TABLE_SIZE}, "
+            f"GUARD_FRACTION {GUARD_FRACTION})")
+    hermite[:, :low] = np.nan  # never read; y'' may overflow there
+    even = _even_series(k, guard, extra=1)
     s = ScalingFunction(
-        k=k,
-        m_k=m_k,
-        y_table=y_nodes,
-        x_table=x_nodes,
-        hermite=hermite,
-        trusted=trusted,
-        x_guide=_guide_table(x_nodes),
-        y_guide=_guide_table(y_nodes),
-        taylor=_even_series(k, guard),
+        k=k, m_k=m_k, y_table=y_nodes, x_table=x_nodes, hermite=hermite,
+        low_end=float(x_nodes[low]),
+        low_series=_low_series(k, (k * x_nodes[low]) ** ((2 * k - 2) / k)),
+        x_guide=_guide_table(x_nodes), y_guide=_guide_table(y_nodes),
+        taylor=even[:-1], prime_ratio=2.0 * np.arange(1, len(even)) * even[1:],
         series_radius_guard=guard,
     )
 
     # Dual-route check of the inversion integral itself.
-    e = 2 * k - 2
     for y in (0.25, 0.5, 0.75, 0.95, 1.0):
-        direct = integrate(
-            lambda t: t ** (k - 1) / np.sqrt(1.0 - t ** e),
-            0.0,
-            y,
-            singular_right=(y == 1.0),
-        )
+        direct = _inverse_quadrature(k, y)
         if abs(direct - s.f_inverse(y)) > 1e-10 * max(1.0, m_k):
             raise ValueError(
                 f"inversion routes disagree for k={k} at y={y}: "

@@ -186,31 +186,33 @@ def test_criterion_07_enclosed_volumes_deterministic_and_mc():
             f"{worst_z:.2f} standard errors at 10^6 samples")
 
 
-def test_criterion_08_boundary_series_against_finite_differences(build_scaling):
-    # Independent probe: force direct (non-series) evaluation with a
-    # tiny guard, substitute u = (m_k - x)^2 so the profile is analytic
-    # in u, and Richardson-differentiate at u = 0.
+def test_criterion_08_boundary_series_against_finite_differences():
+    # Independent probe: evaluate the node table's quintic (``_f_root``)
+    # instead of the series, substitute u = (m_k - x)^2 so the profile is
+    # analytic in u, and Richardson-differentiate at u = 0.
     worst_even = 0.0
     worst_odd = 0.0
     for k in range(2, 7):
         s = _scaling(k)
         coefs = s.taylor_at_mk(6)
-        probe = build_scaling(k, GUARD_FRACTION=1e-9)
+
+        def probe(x):
+            return s._f_root(np.atleast_1d(np.asarray(x, dtype=float)))
 
         def even_profile(u):
-            return probe.f(probe.m_k - math.sqrt(max(u, 0.0)))
+            return probe(s.m_k - math.sqrt(max(u, 0.0)))[0]
 
         assert abs(coefs[0] - 1.0) <= 1e-12
         for j in (1, 2, 3):
             deriv = nth_derivative(
-                even_profile, 0.0, j, h=0.04 * probe.m_k**2, side=+1,
+                even_profile, 0.0, j, h=0.04 * s.m_k**2, side=+1,
                 levels=3,
             )
             target = coefs[j] * math.factorial(j)
             worst_even = max(worst_even, abs(deriv - target) / abs(target))
 
         d1 = nth_derivative(
-            lambda x: probe.f(x), probe.m_k, 1, h=0.03 * probe.m_k, side=-1
+            lambda x: probe(x)[0], s.m_k, 1, h=0.03 * s.m_k, side=-1
         )
         worst_odd = max(worst_odd, abs(d1))
         ts = np.linspace(0.02, 0.12, 41) * s.m_k
@@ -218,7 +220,7 @@ def test_criterion_08_boundary_series_against_finite_differences(build_scaling):
         series = np.zeros_like(u)
         for cj in s.taylor[::-1]:
             series = series * u + cj
-        resid = np.abs(probe.f(s.m_k - ts) - series) / ts**3
+        resid = np.abs(probe(s.m_k - ts) - series) / ts**3
         worst_odd = max(worst_odd, float(np.max(resid)))
     ok = worst_even <= 1e-5 and worst_odd <= 1e-7
     _report(8, ok,

@@ -43,7 +43,7 @@ CLI_DIGESTS = {
         "23e28f1c7211092e6ba166da0dc0e31f40a40299a5fe8715b4ea25edf48992ca",
     # Three 4,096-row blocks of the CSV kernel, written as bytes.
     ("sample", "--n", "4", "--k", "2", "--count", "9000", "--seed", "11"):
-        "a0a3949223aded7190ffffd3d13a5f368b0a294e405b8d819a8b5ae7350b83da",
+        "d1e7696b7c6b581be26e539a027abee0027a66f8f07086315656b75f90b34f6a",
     ("scaling", "--k", "3", "--samples", "33"):
         "5871f8506e4872eaaf066150c4881ffc866b08a4008ade1e14ed0832fb6ac7f3",
     ("volume", "--n", "4", "--k", "3", "--enclosed", "--samples", "200000", "--seed", "7"):
@@ -59,12 +59,12 @@ RESIDUAL_MAX = {
 # sha256 of warping_gradient's float64 bytes at 1,000 interior points of
 # an n=4, k=2 archimedean array.
 GRADIENT_DIGESTS = {
-    ("ball", 1.0): "e5c8d843a6a9caac320f671418458031ebad929cce76f4527862978052a94bd4",
-    ("ball", 0.7): "823e494c024dae843494c5a53e8975759692fde478c096735eed5eedf5e50c34",
-    ("ellipse", 1.0): "6f16766f284f46e61afac7fd0dfb1952b5a31ce3efe109527c8aa2509ae9ad67",
-    ("ellipse", 0.7): "6e06d3b0e82875c3283a68ba39793b7c292aa66cb17a74eba42b0a5282dcbebc",
-    ("pentagon", 1.0): "23e9816d8a11099b5afdd923385de4814d8e6f3ab21c159d51be11dfa835b6be",
-    ("pentagon", 0.7): "8aa74a13625b62e1706ce1f183f7abfa71e431278f22b9a135574d976b424068",
+    ("ball", 1.0): "9bc9ab0e0255680801066f8a4741971d83b395a3bedaed6757dc765a9a1eb1d9",
+    ("ball", 0.7): "610bebe1214ba7c0726e18e44e9c92c568e7197773a4bec00ee32ee6580597fa",
+    ("ellipse", 1.0): "f0465ca667888d737645214d9b52ae8cdd470da4529e2ca0a6896e26d71d6c60",
+    ("ellipse", 0.7): "89e88b3409046485a0e8dda5e49d3b1ac7efd81f1f7f44296d8a91213cfa06fa",
+    ("pentagon", 1.0): "4d1aaefcc871a9b1d4be43ae5a2b8a75b065d5666440bebd9ab6b5a3ef2dd815",
+    ("pentagon", 0.7): "701f2ad2f00c19ee16b4e4f4de861c0b87abce49c1fdad69f35ec205a62480b6",
 }
 
 
@@ -150,9 +150,9 @@ WALK_GATE = [
 # base points take two rejection chunks on every base.
 SAMPLE_DIGESTS = {
     "ball-n4-k2": (lambda: make_archimedean(4, 2),
-        "2cba44f3a5c7ac3228045d98f18e58884f7d7f336e9a861fda7abb7332b290da"),
+        "d87b0fb5126033bc7d4e8154b7559b957856ad95b085e9626345e50c173240c8"),
     "ball-n5-k2": (lambda: make_archimedean(5, 2),
-        "f805818f595e00197dc1302048c291a18fccd7a267d98eb349c1e5a90aba8128"),
+        "cd3b263e34944cea0738d834aacd79665cb72a7bf39df4b06252d64269dddd0b"),
     "ellipse-cylinder": (
         lambda: SphericalArray(Ellipse([0.1, -0.2], [0.9, 0.5]), CylinderWarp(2, r_scale=0.4)),
         "059d39d183642ff57f5235045151ce33e32e17267f39435944aa0508c15f3e39"),
@@ -168,19 +168,19 @@ RANDOM_REGIONS_DIGEST = "af89e0b3a38948739728b1df7a1ba23221a26f63b4333598a7f48dc
 # sha256 over the name, dtype, shape and bytes of every array field of
 # make_scaling(k), in field order, and float.hex of its series guard.
 PROFILE_TABLES = {
-    2: ("4134a01c6d0a6744bf37843b1c0af264cf68219fabbd726ccf72a385a9725a7a",
+    2: ("ee2c324717304267f2d36d39bd2b84ae38b2920b22444c4a5b1517819443b618",
         "0x1.0000000000001p-2"),
-    3: ("cc7a54ab36155bbc8fbc49cc5d9c22e023a04f1ac72bc64df5e5bb527c531777",
+    3: ("4969799c5817b02785a683dbbec2ca017ea27e741e08f9fbbf108196860de3c4",
         "0x1.32b95184360cep-3"),
-    4: ("eca87560b764875b1823a22d0ed0b39b23f6bd8d5316df6a0a56c8c09c44635f",
+    4: ("fd12ec0346b482d21548ab751f6e05ee49f10d893aea74bcf2ebebc70375c04d",
         "0x1.b9888a980a655p-4"),
-    5: ("9be0d9a81df3fbf68d1ddf8dba71111eee14affcb21991422be0d9c4380aad81",
+    5: ("1df6b98b7a6766e7bb2d52f4688b95ad5e024d25d01471d4f51577fc663849b7",
         "0x1.5996942185cb4p-4"),
-    6: ("c2056ea2b6a3a7c699b0897718711b0093f2572624f584d40665eb58719bfa02",
+    6: ("17dc5ab9e9a22420329b68ebe3bec9609bd905542357a356e9a0be05e7b45d10",
         "0x1.1c1be73108040p-4"),
-    7: ("f2543f0c7a9a66348efdab8eb0c5107d05856846cbba093ddd9dad34e449f84c",
+    7: ("f5e8b4d56e869140af7fd62a8af46f1020447243a6dfa18c86bef0d7af1c9735",
         "0x1.e28ffc7e4cd35p-5"),
-    8: ("dd0c3aaf9250e2bb20717e5f93315ca694eeecd337ec6cf913378c824a2eeb13",
+    8: ("e5ccb8c78725ba234a1b3c7866543bc3fbfcf0f855dec22d45892cefae4c3162",
         "0x1.a36bc693b536ep-5"),
 }
 

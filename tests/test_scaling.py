@@ -6,7 +6,6 @@ coefficients; higher k is pinned by frozen mpmath references and by the
 defining relation g^(2k-2) (1 + g'^2) = 1 itself.
 """
 
-import dataclasses
 import math
 import warnings
 
@@ -379,35 +378,40 @@ def test_taylor_leading_terms():
         assert c[1] == pytest.approx(-(k - 1) / 2.0, rel=1e-14)
 
 
+def _quintic(s, x):
+    """g(x) from the node table alone, without the series cap: the quintic
+    Hermite holds y to about 1e-16 absolute up to m_k, where its a-priori
+    bound no longer reaches rounding of m_k y' (y' -> 0)."""
+    return s._f_root(np.atleast_1d(np.asarray(x, dtype=float)))
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_taylor_matches_numerical_derivatives(k, build_scaling):
-    # Independent oracle: force root-path evaluation with a zero-width
-    # guard, substitute u = (m_k - x)^2 so the profile becomes analytic
+def test_taylor_matches_numerical_derivatives(k):
+    # Independent oracle: evaluate the node table's quintic, not the
+    # series, substitute u = (m_k - x)^2 so the profile becomes analytic
     # in u, and Richardson-differentiate.  c_j = F^(j)(0)/j!.
-    probe = build_scaling(k, GUARD_FRACTION=1e-9)
     s = make_scaling(k)
     coefs = s.taylor_at_mk(6)
 
     def even_profile(u):
-        return probe.f(probe.m_k - math.sqrt(max(u, 0.0)))
+        return _quintic(s, s.m_k - math.sqrt(max(u, 0.0)))[0]
 
     for j in (1, 2, 3):
         deriv = nth_derivative(
-            even_profile, 0.0, j, h=0.04 * probe.m_k**2, side=+1, levels=3
+            even_profile, 0.0, j, h=0.04 * s.m_k**2, side=+1, levels=3
         )
         assert deriv == pytest.approx(coefs[j] * math.factorial(j), rel=1e-5)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
-def test_odd_derivatives_vanish_at_mk(k, build_scaling):
-    # First derivative straight from one-sided differences on the
-    # root-path probe; higher odd components through the reconstruction
+def test_odd_derivatives_vanish_at_mk(k):
+    # First derivative straight from one-sided differences on the node
+    # table's quintic; higher odd components through the reconstruction
     # residual |f(m_k - t) - even series|/t^3, which any t^3 (or t^5,
     # ...) admixture would inflate.
-    probe = build_scaling(k, GUARD_FRACTION=1e-9)
     s = make_scaling(k)
     d1 = nth_derivative(
-        lambda x: probe.f(x), probe.m_k, 1, h=0.03 * probe.m_k, side=-1
+        lambda x: _quintic(s, x)[0], s.m_k, 1, h=0.03 * s.m_k, side=-1
     )
     assert abs(d1) < 1e-7
 
@@ -416,7 +420,7 @@ def test_odd_derivatives_vanish_at_mk(k, build_scaling):
     series = np.zeros_like(u)
     for cj in s.taylor[::-1]:
         series = series * u + cj
-    resid = np.abs(probe.f(s.m_k - ts) - series) / ts**3
+    resid = np.abs(_quintic(s, s.m_k - ts) - series) / ts**3
     assert np.max(resid) < 1e-7
 
 
@@ -474,10 +478,10 @@ def test_make_scaling_caches():
 
 
 def test_make_scaling_custom_table(build_scaling):
-    s = build_scaling(3, TABLE_SIZE=256)
+    s = build_scaling(3, TABLE_SIZE=6000)
     xs = np.linspace(0.0, s.m_k, 200)
     ref = make_scaling(3)
-    assert len(s.y_table) == 256 and s is not ref
+    assert len(s.y_table) == 6000 and s is not ref
     assert np.max(np.abs(s.f(xs) - ref.f(xs))) < 1e-11
 
 
@@ -549,82 +553,193 @@ def test_f_does_not_depend_on_its_batch(k):
     assert np.count_nonzero(whole != alone) == 0
 
 
-def _bracket(s, x):
-    return np.clip(np.searchsorted(s.x_table, x, side="right") - 1, 0, len(s.x_table) - 2)
-
-
-@pytest.mark.parametrize("k", [2, 3, 6])
-def test_inversion_converges_in_few_steps(k, monkeypatch):
-    s = make_scaling(k)
-    calls = []
-    raw = ScalingFunction._raw_inverse
-    monkeypatch.setattr(ScalingFunction, "_raw_inverse",
-                        lambda self, y: calls.append(y.size) or raw(self, y))
-    # The points f sends to the root solve: outside the series guard.
-    xs = np.random.default_rng(5).uniform(0.0, s.m_k - s.series_radius_guard, 65536)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        s._f_root(xs)
-    # Only the points outside the trusted brackets reach Newton, and the
-    # quintic start leaves them one or two steps each.
-    newton = np.count_nonzero(~s.trusted[_bracket(s, xs)])
-    assert 0 < newton < 100
-    assert len(calls) <= 3
-    assert calls[0] == newton
-    assert sum(calls) / newton <= 2.0
-
-
-@pytest.mark.parametrize("k", [2, 3, 6])
-def test_trusted_brackets_make_no_incomplete_beta(k, monkeypatch):
-    s = make_scaling(k)
-    calls = []
-    monkeypatch.setattr(ScalingFunction, "_raw_inverse", lambda self, y: calls.append(y))
-    monkeypatch.setattr(scaling, "betainc_reg", lambda *args: calls.append(args))
-    xs = np.random.default_rng(6).uniform(0.0, s.m_k, 65536)
-    xs = xs[s.trusted[_bracket(s, xs)]]
-    y = s.f(xs)
-    assert calls == []
-    assert xs.size > 65000 and np.all((y > 0.0) & (y <= 1.0))
-
-
-def test_newton_cap_warns_with_the_unconverged_count(monkeypatch, build_scaling):
-    # A coarse table trusts no bracket, so every point reaches Newton.
-    s = build_scaling(3, TABLE_SIZE=64)
-    xs = np.linspace(0.1, 0.4, 50) * s.m_k
-    monkeypatch.setattr(scaling, "_NEWTON_CAP", 0)
-    with pytest.warns(RuntimeWarning, match=r"left 50 of 50 points unconverged after 0 "):
-        s._f_root(xs)
-
-
-# Largest deviation, in ulp, of the interpolated profile from the Newton
-# root on uniform points below the series guard.  Both carry the ~10 ulp
-# rounding noise of g^{-1}, at the nodes and at the point (10 ulp
-# measured, for k = 2).
+# Largest definition residual |(f_inverse(f(x)) - x) f'(x)|, in ulp of f(x):
+# a first-order estimate of f's own error, read against f_inverse as the
+# reference.  It carries the ~10 ulp rounding noise of g^{-1} (13.5 ulp
+# measured for k = 2).
 INTERPOLANT_ULP = 16
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8])
-def test_interpolant_stays_within_its_ulp_bound_of_newton(k):
+def test_definition_residual_stays_within_its_ulp_bound(k):
     s = make_scaling(k)
-    newton = dataclasses.replace(s, trusted=np.zeros_like(s.trusted))
-    xs = np.random.default_rng(k).uniform(0.0, s.m_k - s.series_radius_guard, 10**6)
-    assert np.mean(s.trusted[_bracket(s, xs)]) > 0.999
+    xs = s.m_k * (1.0 - np.random.default_rng(k).random(10**6))
+    assert np.mean(xs < s.low_end) > 1e-5
     for chunk in np.array_split(xs, 8):
-        want = newton._f_root(chunk)
-        assert np.all(np.abs(s._f_root(chunk) - want) <= INTERPOLANT_ULP * np.spacing(want))
+        y, yp = s._f_pair(chunk)
+        assert np.all(np.abs(s.f_inverse(y) - chunk) * yp <= INTERPOLANT_ULP * np.spacing(y))
+
+
+@pytest.mark.parametrize("k", [2, 3, 6, 24])
+def test_forward_profile_makes_no_incomplete_beta(k, monkeypatch):
+    s = make_scaling(k)
+    calls = []
+    monkeypatch.setattr(ScalingFunction, "_raw_inverse", lambda self, y: calls.append(y))
+    monkeypatch.setattr(scaling, "betainc_reg", lambda *args: calls.append(args))
+    # All of [0, m_k]: the low series, its seam with the quintic, the
+    # quintic, and the series cap.
+    end = s.low_end
+    xs = np.concatenate([np.random.default_rng(k).uniform(0.0, s.m_k, 65536),
+                         end * np.geomspace(1e-300, 1.0, 200), [np.nextafter(end, 0.0), s.m_k]])
+    y = s.f(np.append(xs, 0.0))
+    yp = s.f_prime(xs)
+    assert calls == []
+    assert y[-1] == 0.0 and np.all((y[:-1] > 0.0) & (y[:-1] <= 1.0)) and np.all(yp >= 0.0)
 
 
 @pytest.mark.parametrize("size", [8, 64, 256])
 @pytest.mark.parametrize("k", [2, 3, 6])
-def test_coarse_tables_fall_back_to_newton(k, size, build_scaling):
-    # Their remainder bounds exceed rounding in every bracket, so every
-    # value is a Newton root, and no Newton cap is hit.
-    s = build_scaling(k, TABLE_SIZE=size)
-    ref = make_scaling(k)
-    xs = np.random.default_rng(size).uniform(0.0, ref.m_k - ref.series_radius_guard, 10**5)
-    want = ref.f(xs)
-    assert not s.trusted.any()
-    assert np.all(np.abs(s.f(xs) - want) <= INTERPOLANT_ULP * np.spacing(want))
+def test_coarse_tables_are_refused(k, size, build_scaling):
+    # Their quintic misses rounding on brackets the low series cannot
+    # reach, so no value could come from either.
+    with pytest.raises(ValueError, match=rf"profile k={k}: node bracket \d+, \[.*TABLE_SIZE {size}"):
+        build_scaling(k, TABLE_SIZE=size)
+
+
+def test_a_guard_too_narrow_for_the_last_brackets_is_refused(build_scaling):
+    # Next to m_k, where y' -> 0, no quintic bracket is trusted: the
+    # series cap has to hold them.
+    with pytest.raises(ValueError, match=r"profile k=3: node bracket 4094, .*GUARD_FRACTION 1e-09"):
+        build_scaling(3, GUARD_FRACTION=1e-9)
+
+
+# (float.hex of x, g(x)) on (0, low_end] from mpmath (dps=40): y = v (1 + s)
+# with v = (kx)^(1/k), s from findroot on (y^k/k) 2F1(1/2, p; p+1; y^(2k-2))/x
+# = 1, printed to 30 digits.  The last two are the seam: the largest float
+# below low_end (the low series) and low_end itself (the quintic).
+LOW_PROFILE = {
+    2: [
+        ("0x1.77744059a3f69p-1008", "3.27005931365327354429887391656e-152"),
+        ("0x1.ea8035c863f8ap-344", "3.27005931365327350773201807825e-52"),
+        ("0x1.9dad31afef54ap-78", "3.27005931365327318501861633099e-12"),
+        ("0x1.783c932f12707p-38", "0.00000327005931364890241988439103877"),
+        ("0x1.1f0bb70ad9c17p-21", "0.00103408341327720548866993376426"),
+        ("0x1.c0824e00f43e4p-16", "0.00731202604679526636290505336313"),
+        ("0x1.c0824e00f43e4p-14", "0.0146237588757325818363546262891"),
+        ("0x1.c0824e00f43e4p-13", "0.0206805652251056505121007957856"),
+        ("0x1.5061ba80b72eap-12", "0.025327739005344414470581579984"),
+        ("0x1.c0824e00f43e4p-12", "0.0292451718910071551715975379792"),
+        ("0x1.0a4d5e509104fp-11", "0.0318685480972618780397667873727"),
+        ("0x1.185170c098a6dp-11", "0.0326962218836516176921423707868"),
+        ("0x1.185170c098a6ep-11", "0.0326962218836516210063555298549"),
+    ],
+    3: [
+        ("0x1.77a8900d6b18fp-1010", "7.37552505944295052152315574679e-102"),
+        ("0x1.eac48cf909ab7p-346", "3.42341547579416258893637062428e-35"),
+        ("0x1.9de6d4b52f419p-80", "0.0000000158900870452633636413776516757"),
+        ("0x1.7870fecbfe64ap-40", "0.000158900870452633629389637940446"),
+        ("0x1.1f33b56502862p-23", "0.00737552505788398413711830735992"),
+        ("0x1.c0c0cb6dd3f1ap-18", "0.0271716655800780318755591393519"),
+        ("0x1.c0c0cb6dd3f1ap-16", "0.0431323215417092696583747080004"),
+        ("0x1.c0c0cb6dd3f1ap-15", "0.0543432994225033525868272241779"),
+        ("0x1.509098925ef53p-14", "0.0622075210478954289674911970641"),
+        ("0x1.c0c0cb6dd3f1ap-14", "0.0684682020376656828635455025044"),
+        ("0x1.0a7278c935d77p-13", "0.0725047769321930665687395144243"),
+        ("0x1.18787f24a476fp-13", "0.073755094697592139813041009078"),
+        ("0x1.18787f24a4770p-13", "0.073755094697592144795684404453"),
+    ],
+    6: [
+        ("0x1.03337b09bd75cp-1012", "2.2743925170928820986759144925e-51"),
+        ("0x1.52a0238267038p-348", "4.90003013757383916978379791923e-18"),
+        ("0x1.1d96ae70bb42fp-82", "0.000105567949105907825945480488403"),
+        ("0x1.03bdc70296e95p-42", "0.0105567949105907826745801759312"),
+        ("0x1.8c5573ca5385cp-26", "0.0719226064725611725427107781278"),
+        ("0x1.35a2c27611408p-20", "0.138047035624260663042174002393"),
+        ("0x1.35a2c27611408p-18", "0.173928365934557687080799479044"),
+        ("0x1.35a2c27611408p-17", "0.195227989549869022913449633653"),
+        ("0x1.d07423b119e0cp-17", "0.208877001337628672414081266094"),
+        ("0x1.35a2c27611408p-16", "0.219136007839611567129017324533"),
+        ("0x1.6fb146ec347c9p-16", "0.225503185280544491167179977434"),
+        ("0x1.830b731395909p-16", "0.227439249076780657380766900398"),
+        ("0x1.830b73139590ap-16", "0.227439249076780662947919815781"),
+    ],
+    24: [
+        ("0x1.9317d810daa6dp-1011", "2.4256909124046307400682930655e-13"),
+        ("0x1.074df41b05b21p-346", "0.0000522599264897962781348139072549"),
+        ("0x1.bc211ad1798c8p-81", "0.112590598528133273745299272994"),
+        ("0x1.93eeea1523fabp-41", "0.356042734470502663256333380828"),
+        ("0x1.342d36f741033p-24", "0.575221964773840254744838137697"),
+        ("0x1.e186a5e255950p-19", "0.677058006175402607826835100899"),
+        ("0x1.e186a5e255950p-17", "0.717317969184995314906993716005"),
+        ("0x1.e186a5e255950p-16", "0.738336986692208945132586692037"),
+        ("0x1.6924fc69c02fcp-15", "0.750916690444927793891508354791"),
+        ("0x1.e186a5e255950p-15", "0.759971898685267506501154606407"),
+        ("0x1.1de7f27e62d07p-14", "0.765433144379348775521917615993"),
+        ("0x1.2cf427ad757d1p-14", "0.767070790662464324110803698649"),
+        ("0x1.2cf427ad757d2p-14", "0.767070790662464330147564175138"),
+    ],
+}
+
+
+@pytest.mark.parametrize("k", sorted(LOW_PROFILE))
+def test_low_series_values_against_mpmath(k):
+    s = make_scaling(k)
+    x = np.array([float.fromhex(h) for h, _ in LOW_PROFILE[k]])
+    y = np.array([float(v) for _, v in LOW_PROFILE[k]])
+    assert x[-2] < s.low_end <= x[-1]
+    err = np.abs(s.f(x) - y) / np.spacing(y)
+    # The series within 1.5 ulp; the quintic's first point within 2.5.
+    assert np.all(err[:-1] <= 1.5) and err[-1] <= 2.5
+
+
+# (t, g'(m_k - t)/(-t)) on [0, guard] from mpmath (dps=40): with
+# y^(k-1) = cos(phi), t = int_0^phi cos(s)^(1/(k-1)) ds/(k-1) and g' = tan(phi).
+CAP_RATIO = {
+    2: [
+        (0.0, "-1.0"),
+        (0.03125000000000001, "-1.00048863916915586585676170796"),
+        (0.06250000000000001, "-1.00195886573623918512785679735"),
+        (0.09375000000000003, "-1.00442371291895116772599779274"),
+        (0.12500000000000003, "-1.00790526135793927612442386742"),
+        (0.15625000000000003, "-1.01243519546933226620885916651"),
+        (0.18750000000000006, "-1.01805562076124444694793234441"),
+        (0.21875000000000006, "-1.02482018435255766736269467155"),
+        (0.25000000000000006, "-1.03279555898864451800291623087"),
+        (0.06540303356232911, "-1.00214566450996717191964658251"),
+        (0.07462278585353084, "-1.00279596263274929790099212549"),
+        (0.20355643514857014, "-1.02138450851247916417466118564"),
+        (0.02297898553377423, "-1.00026412149148594594774011644"),
+    ],
+    3: [
+        (0.0, "-2.0"),
+        (0.018720941167743636, "-2.00116918798823393309451248766"),
+        (0.03744188233548727, "-2.00468810165503720658549680661"),
+        (0.05616282350323091, "-2.01059108779310508881212506559"),
+        (0.07488376467097455, "-2.01893639849849840748122698631"),
+        (0.09360470583871819, "-2.0298077566443026996262842492"),
+        (0.11232564700646182, "-2.04331666091233664470026999135"),
+        (0.13104658817420545, "-2.05960555544291007353935008438"),
+        (0.1497675293419491, "-2.07885204329667060651731654943"),
+        (0.012827464153296263, "-2.00054868711238748989292466187"),
+        (0.03546652449511319, "-2.00420508297348010761297956956"),
+        (0.1200048969787536, "-2.04965275586975284565964395943"),
+        (0.08718896981803903, "-2.02579126959128410656024619419"),
+    ],
+    6: [
+        (0.0, "-5.0"),
+        (0.008670318495262674, "-5.00344854058777298445350708041"),
+        (0.01734063699052535, "-5.01383085203725298819032245553"),
+        (0.026010955485788023, "-5.03125802585771742650861952331"),
+        (0.0346812739810507, "-5.05591867716623923871885783609"),
+        (0.04335159247631337, "-5.08808433384381549306199133319"),
+        (0.052021910971576046, "-5.12811738954353661402189170151"),
+        (0.06069222946683872, "-5.17648207236862225691841635538"),
+        (0.0693625479621014, "-5.23375907899300158406253893681"),
+        (0.03732845064046585, "-5.06492857173860874660482925264"),
+        (0.02381014217141995, "-5.02615826379281984248935997382"),
+        (0.025599444121547302, "-5.0302691829174236616724822609"),
+        (0.025976049864741335, "-5.03117351773914717858019503757"),
+    ],
+}
+
+
+@pytest.mark.parametrize("k", sorted(CAP_RATIO))
+def test_series_prime_ratio_within_1_ulp_of_mpmath(k):
+    s = make_scaling(k)
+    t = np.array([t for t, _ in CAP_RATIO[k]])
+    want = np.array([float(v) for _, v in CAP_RATIO[k]])
+    assert t.max() == s.series_radius_guard
+    assert np.all(np.abs(s.series_prime_ratio(t) - want) <= np.spacing(np.abs(want)))
 
 
 @pytest.mark.parametrize("k", [2, 3, 6])
@@ -642,11 +757,12 @@ def test_node_curvature_matches_differentiated_f_prime(k):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8])
 def test_tiny_arguments_converge_to_the_power_law(k):
-    # In the first node bracket g^{-1}(y) = y^k/k (1 + O(y^(2k-2))).  From
-    # the bracket midpoint Newton converges there only linearly, with
-    # ratio (k-1)/k, and hit the step cap for k >= 6 below about 1e-91 m_k.
+    # In the first node bracket g^{-1}(y) = y^k/k (1 + O(y^(2k-2))).  A
+    # Newton solve from the bracket midpoint converged there only linearly,
+    # with ratio (k-1)/k.  At the subnormal x, kx lies below the smallest
+    # normal float, which bounds the divisor of the low series' root step.
     s = make_scaling(k)
-    xs = np.geomspace(1e-300, 1e-2, 100) * s.m_k
+    xs = np.append(np.geomspace(1e-300, 1e-2, 100) * s.m_k, [5e-324, 1e-320, 1e-310])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         y = s.f(xs)
@@ -654,31 +770,42 @@ def test_tiny_arguments_converge_to_the_power_law(k):
     assert np.all(np.abs(y / law - 1.0) <= 1e-13 + law ** (2 * k - 2))
 
 
+# Coarse node tables are refused at build, so the bracket tests lay out
+# their tables with the builder's own ``_nodes`` and guide them directly.
+
+
 @pytest.mark.parametrize("size", [8, 64, 4096])
-def test_closed_form_bracket_matches_searchsorted(size, build_scaling):
-    s = build_scaling(3, TABLE_SIZE=size)
-    nodes = s.y_table
+def test_closed_form_bracket_matches_searchsorted(size):
+    nodes, _ = scaling._nodes(3, mk_closed_form(3), size)
     y = np.concatenate([nodes, np.nextafter(nodes, 2.0), np.nextafter(nodes, -1.0),
                         np.random.default_rng(size).random(10**6)])
     y = np.clip(y, 0.0, 1.0)
     want = np.clip(np.searchsorted(nodes, y, side="right") - 1, 0, size - 2)
-    assert np.array_equal(s._y_bracket(y), want)
+    assert np.array_equal(scaling._bracket(nodes, scaling._guide_table(nodes), y), want)
+    if size == scaling.TABLE_SIZE:
+        s = make_scaling(3)
+        assert np.array_equal(s.y_table, nodes) and np.array_equal(s._y_bracket(y), want)
 
 
 @pytest.mark.parametrize("k,size", [(2, 4096), (3, 4096), (4, 4096), (6, 4096), (8, 4096),
                                     (3, 8), (3, 256)])
-def test_guide_bracket_matches_searchsorted(k, size, build_scaling):
-    s = build_scaling(k, TABLE_SIZE=size)
-    nodes, buckets = s.x_table, len(s.x_guide)
-    edges = np.arange(buckets + 1) * (s.m_k / buckets)
-    x = np.concatenate([nodes, edges, [5e-324, 1e-300, 1e-30, np.nextafter(s.m_k, 2.0)],
-                        np.random.default_rng(k).random(10**5) * s.m_k])
+def test_guide_bracket_matches_searchsorted(k, size):
+    m_k = mk_closed_form(k)
+    y_nodes, nodes = scaling._nodes(k, m_k, size)
+    x_guide, y_guide = scaling._guide_table(nodes), scaling._guide_table(y_nodes)
+    buckets = len(x_guide)
+    edges = np.arange(buckets + 1) * (m_k / buckets)
+    x = np.concatenate([nodes, edges, [5e-324, 1e-300, 1e-30, np.nextafter(m_k, 2.0)],
+                        np.random.default_rng(k).random(10**5) * m_k])
     x = np.concatenate([x, np.nextafter(x, 2.0), np.nextafter(x, -1.0)])
     x = x[x >= 0.0]
     want = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, size - 2)
-    assert np.array_equal(scaling._bracket(nodes, s.x_guide, x), want)
+    assert np.array_equal(scaling._bracket(nodes, x_guide, x), want)
     # Most buckets are answered from the table alone.
-    assert np.mean(s.x_guide < 0) < 0.01 and np.mean(s.y_guide < 0) < 0.01
+    assert np.mean(x_guide < 0) < 0.01 and np.mean(y_guide < 0) < 0.01
+    if size == scaling.TABLE_SIZE:
+        s = make_scaling(k)
+        assert np.array_equal(s.x_table, nodes) and np.array_equal(s.x_guide, x_guide)
 
 
 # float.hex of f from the midpoint-seeded solve, at the points _pinned_points(s)

@@ -69,11 +69,15 @@ def test_bench_layers_of_a_checkout():
             "mesh.write_obj.graph64", "verify.halton.35000x2",
             "verify.halton.35000x2.start654321", "array.app_residual.25000",
             "verify.sample_surface.25000_k3", "cli.run.scaling_k2",
-            "cli.run.sample25000", "scaling.f.cap.65536", "scaling.build.k3",
+            "cli.run.sample25000", "scaling.f.cap.65536", "scaling.f.low.65536",
+            "scaling.build.k3",
             "region.patch_volume.depth8.cold", "stat.first_gate_volumes.20.cold",
             "region.box_state.ball"} <= set(doc["layers"])
     assert doc["src_lines"] > 1000
-    assert sorted(doc["newton_evals_per_point"]) == ["2", "3", "6"]
+    assert sorted(doc["profile_paths"]) == ["2", "3", "6"]
+    for paths in doc["profile_paths"].values():
+        assert sorted(paths) == ["cap_series", "low_series", "quintic"]
+        assert sum(paths.values()) == 65_536 and min(paths.values()) > 0
 
 
 def test_bench_layer_processes_pin_blas_threads(monkeypatch):
