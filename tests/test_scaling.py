@@ -8,6 +8,7 @@ defining relation g^(2k-2) (1 + g'^2) = 1 itself.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -571,7 +572,9 @@ def test_definition_residual_stays_within_its_ulp_bound(k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 6, 24])
-def test_forward_profile_makes_no_incomplete_beta(k, monkeypatch):
+def test_trusted_brackets_make_no_incomplete_beta(k, monkeypatch):
+    # Every bracket is trusted now: the build refuses a table with a
+    # bracket that neither the quintic nor the low series answers.
     s = make_scaling(k)
     calls = []
     monkeypatch.setattr(ScalingFunction, "_raw_inverse", lambda self, y: calls.append(y))
@@ -768,6 +771,22 @@ def test_tiny_arguments_converge_to_the_power_law(k):
         y = s.f(xs)
     law = (k * xs) ** (1.0 / k)
     assert np.all(np.abs(y / law - 1.0) <= 1e-13 + law ** (2 * k - 2))
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_inversion_converges_in_few_steps(k):
+    # The forward profile's one iterative step left is the single Newton
+    # step on v^k = z in the low series.  Where w = v^(2k-2) is below a
+    # quarter of rounding, y = v, so y is the k-th root to 1 ulp; the
+    # unstepped z^(1/k) misses it by up to |ln z| ulp for k = 3, 6.  The
+    # bracket y -+ 1 ulp is checked on the exact rationals.
+    s = make_scaling(k)
+    end = min(s.low_end, (np.finfo(float).eps / 4) ** (k / (2 * k - 2)) / k)
+    xs = np.geomspace(1e-300, end, 2000)
+    y = s.f(xs)
+    for x, v, ulp in zip(xs.tolist(), y.tolist(), np.spacing(y).tolist()):
+        z = k * Fraction(x)
+        assert (Fraction(v) - Fraction(ulp)) ** k <= z <= (Fraction(v) + Fraction(ulp)) ** k
 
 
 # Coarse node tables are refused at build, so the bracket tests lay out
